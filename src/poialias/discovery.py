@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distribution as dist
-from .errors import InsufficientProfileError, InvalidConfigError
+from .errors import InvalidConfigError
 from .geo import centroid, haversine, local_region_centroid
 from .preprocess import normalized_edit_distance
 from .profile import MobilityProfile
@@ -77,65 +77,6 @@ class AliasMatrix:
         return {
             (self.standard_names[i], self.candidate_names[j]) for i, j in self.links
         }
-
-
-def _require_sufficient(profile: MobilityProfile, min_points: int):
-    if profile.point_count < min_points:
-        raise InsufficientProfileError(
-            f"profile {profile.name!r} has {profile.point_count} points, needs {min_points}"
-        )
-
-
-def similarity_distance_based(
-    ci: MobilityProfile,
-    cj: MobilityProfile,
-    estimator: str = "overall",
-    local_window_m: float = 640.0,
-    min_profile_points: int = 5,
-) -> float:
-    """Reciprocal geographic distance between estimated geolocations.
-
-    `estimator` picks the geolocation estimate: "overall" uses the plain
-    centroid, "local" the max-coverage-window centroid. The distance is
-    clamped below at 1 m, so identical estimates score 1.0.
-    """
-    _require_sufficient(ci, min_profile_points)
-    _require_sufficient(cj, min_profile_points)
-    if estimator == "overall":
-        gi, gj = centroid(ci.points), centroid(cj.points)
-    elif estimator == "local":
-        gi = local_region_centroid(ci.points, local_window_m)
-        gj = local_region_centroid(cj.points, local_window_m)
-    else:
-        raise InvalidConfigError(f"unknown estimator {estimator!r}")
-    return 1.0 / max(haversine(gi, gj), MIN_GEO_DISTANCE_M)
-
-
-def similarity_distribution_based(
-    ci: MobilityProfile,
-    cj: MobilityProfile,
-    divergence: str,
-    bbox: dist.BoundingBox,
-    grid_n: int = 50,
-    epsilon: float = 1e-9,
-    min_profile_points: int = 5,
-) -> float:
-    """Reciprocal divergence between rasterized spatial distributions.
-
-    The divergence is floored at 1e-9 before inverting, capping the score
-    of indistinguishable profiles at 1e9.
-    """
-    _require_sufficient(ci, min_profile_points)
-    _require_sufficient(cj, min_profile_points)
-    pi = dist.normalize(dist.rasterize(ci, bbox, grid_n))
-    pj = dist.normalize(dist.rasterize(cj, bbox, grid_n))
-    if divergence == "kl":
-        d = dist.kl_divergence(pi, pj, epsilon)
-    elif divergence == "jaccard":
-        d = dist.jaccard_distance(pi, pj)
-    else:
-        raise InvalidConfigError(f"unknown divergence {divergence!r}")
-    return 1.0 / max(d, MIN_DIVERGENCE)
 
 
 class _PairScorer:
@@ -236,26 +177,3 @@ def apply_threshold(
         else:
             pair.decision = DECISION_NOT_ALIAS
     return matrix
-
-
-def infer_alias_matrix(
-    standards: list[MobilityProfile],
-    candidates: list[MobilityProfile],
-    config: MetricConfig,
-    district: str = "",
-    bbox: dist.BoundingBox | None = None,
-) -> tuple[AliasMatrix, list[ScoredPair]]:
-    """Score every pair and threshold into an alias matrix.
-
-    The ScoredPair list is exhaustive (N x M entries, ordered by standard
-    then candidate index) and carries the decision for each pair.
-    """
-    pairs = score_pairs(standards, candidates, config, bbox=bbox)
-    matrix = apply_threshold(
-        pairs,
-        config.threshold,
-        district,
-        [p.name for p in standards],
-        [p.name for p in candidates],
-    )
-    return matrix, pairs

@@ -25,10 +25,6 @@ class AllPointsOutsideBboxError(PoiAliasError):
     """Every point of a profile fell outside the rasterization bounding box."""
 
 
-class InsufficientProfileError(PoiAliasError):
-    """A mobility profile has too few points to support a similarity decision."""
-
-
 class InvalidConfigError(PoiAliasError):
     """A configuration value violates its documented constraints."""
 

@@ -4,21 +4,20 @@ Evaluation is restricted to labeled pairs: the label set is a sample, not
 a census, so predictions on unlabeled pairs are unknowable rather than
 wrong. Precision/recall/F1 use exact rational arithmetic on the counts.
 Also here: threshold calibration, district cross-validation, cross-city
-transfer, the grid-resolution sweep, and the text edit-distance baseline.
+transfer, and the grid-resolution sweep.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from .discovery import AliasMatrix, MetricConfig, ScoredPair
+from .discovery import MetricConfig, ScoredPair
 from .errors import InvalidConfigError, NoPositiveLabelsError, TooFewDistrictsError
-from .ingestion import GroundTruthLabel
 from .pipeline import CityData, score_city
-from .preprocess import normalized_edit_distance
 
 DistrictScores = dict[str, list[ScoredPair]]
 
@@ -86,81 +85,23 @@ def prf_from_counts(tp: int, predicted: int, actual: int):
     return float(precision), float(recall), float(f1), flags
 
 
-def _labels_to_map(truth, district: str | None = None) -> dict:
-    """Accept either a {(std, cand): bool} map or GroundTruthLabel records."""
-    if isinstance(truth, dict):
-        return truth
-    out = {}
-    for lb in truth:
-        if isinstance(lb, GroundTruthLabel):
-            if district and lb.district != district:
-                continue
-            out[(lb.standard_name, lb.candidate_name)] = lb.is_alias
-        else:
-            raise TypeError(f"cannot interpret truth entry {lb!r}")
-    return out
-
-
-def confusion_counts(predicted_links: set, labels: dict):
-    """(tp, predicted-on-labeled, actual-positive) for one district."""
-    tp = 0
-    predicted = 0
-    for pair in predicted_links:
-        if pair in labels:
-            predicted += 1
-            if labels[pair]:
-                tp += 1
-    actual = sum(1 for v in labels.values() if v)
-    return tp, predicted, actual
-
-
-def precision_recall_f1(inferred: AliasMatrix, truth) -> EvalReport:
-    """Evaluate one inferred alias matrix against ground truth.
-
-    Predicted links on unlabeled pairs are excluded from both numerator
-    and denominator; actual positives count every positive label.
-    """
-    labels = _labels_to_map(truth, inferred.district or None)
-    tp, predicted, actual = confusion_counts(inferred.link_names(), labels)
-    p, r, f1, flags = prf_from_counts(tp, predicted, actual)
-    return EvalReport(
-        precision=p,
-        recall=r,
-        f1=f1,
-        true_positive=tp,
-        predicted_positive=predicted,
-        actual_positive=actual,
-        flags=flags,
-    )
-
-
 def _labeled_scores(scored: list[ScoredPair], labels: dict):
-    """(score, is_positive) for labeled pairs; insufficient pairs excluded."""
+    """One district's labeled pairs, looked up in that district's own labels.
+
+    Returns the (score, is_alias) list of the scored ones and the number of
+    labeled pairs left unscored by an insufficient profile.
+    """
     out = []
-    for pair in scored:
-        key = (pair.standard_name, pair.candidate_name)
-        if key in labels and pair.score is not None:
-            out.append((pair.score, labels[key]))
-    return out
-
-
-def _counts_at_threshold(scored: list[ScoredPair], labels: dict, theta: float):
-    tp = 0
-    predicted = 0
     insufficient = 0
     for pair in scored:
-        key = (pair.standard_name, pair.candidate_name)
-        if key not in labels:
+        is_alias = labels.get((pair.standard_name, pair.candidate_name))
+        if is_alias is None:
             continue
         if pair.score is None:
             insufficient += 1
-            continue
-        if pair.score > theta:
-            predicted += 1
-            if labels[key]:
-                tp += 1
-    actual = sum(1 for v in labels.values() if v)
-    return tp, predicted, actual, insufficient
+        else:
+            out.append((pair.score, is_alias))
+    return out, insufficient
 
 
 @dataclass
@@ -172,7 +113,7 @@ class Calibration:
     n_candidates: int
 
 
-def calibrate_threshold(scored: list[ScoredPair], truth) -> Calibration:
+def calibrate_threshold(scored: list[ScoredPair], labels: dict) -> Calibration:
     """Pick the threshold maximizing F1 over the labeled scored pairs.
 
     Candidate thresholds are the midpoints between consecutive distinct
@@ -180,48 +121,39 @@ def calibrate_threshold(scored: list[ScoredPair], truth) -> Calibration:
     distinct scores, so this sweep is exhaustive. Ties break toward the
     largest threshold (fewest links).
     """
-    labels = _labels_to_map(truth)
-    pairs = _labeled_scores(scored, labels)
-    actual = sum(1 for v in labels.values() if v)
-    if not any(pos for _, pos in pairs):
+    labeled, _ = _labeled_scores(scored, labels)
+    return _best_threshold(labeled, sum(labels.values()))
+
+
+def _best_threshold(labeled: list, actual: int) -> Calibration:
+    """The F1-best candidate threshold over (score, is_alias) pairs.
+
+    F1 = 2tp / (predicted + actual), so candidates compare exactly by
+    cross-multiplied integer counts; only the winner's P/R/F1 is computed.
+    """
+    if not any(pos for _, pos in labeled):
         raise NoPositiveLabelsError("no positive labels among the scored pairs")
-
-    pairs.sort(key=lambda sp: sp[0])
-    scores = [s for s, _ in pairs]
-    positives = [1 if pos else 0 for _, pos in pairs]
-    n = len(pairs)
-
-    distinct = sorted(set(scores))
-    candidates = [float("-inf")]
-    candidates += [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
-    candidates += [float("inf")]
-
-    # suffix sums over the ascending score order
-    suffix_tp = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_tp[i] = suffix_tp[i + 1] + positives[i]
-
-    best = None
+    labeled.sort(key=itemgetter(0))
+    distinct = [s for s, _ in groupby(s for s, _ in labeled)]
+    candidates = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])] + [math.inf]
+    predicted, tp = len(labeled), sum(pos for _, pos in labeled)
+    best = (-math.inf, tp, predicted)
+    i = 0
     for theta in candidates:
-        cut = bisect.bisect_right(scores, theta) if math.isfinite(theta) else (0 if theta < 0 else n)
-        predicted = n - cut
-        tp = suffix_tp[cut]
-        if predicted > 0 and actual > 0:
-            p = Fraction(tp, predicted)
-            r = Fraction(tp, actual)
-            f1 = 2 * p * r / (p + r) if p + r > 0 else Fraction(0)
-        else:
-            p = r = f1 = Fraction(0)
+        # compare with theta, not the next run: the midpoint of two adjacent
+        # floats can round onto the upper score, which then does not link
+        while i < len(labeled) and labeled[i][0] <= theta:
+            predicted -= 1
+            tp -= labeled[i][1]
+            i += 1
         # >= implements the tie rule: later candidates are larger thresholds
-        if best is None or f1 >= best[0]:
-            best = (f1, theta, p, r)
-    f1, theta, p, r = best
+        _, best_tp, best_pred = best
+        if tp * (best_pred + actual) >= best_tp * (predicted + actual):
+            best = (theta, tp, predicted)
+    theta, tp, predicted = best
+    p, r, f1, _ = prf_from_counts(tp, predicted, actual)
     return Calibration(
-        theta=theta,
-        f1=float(f1),
-        precision=float(p),
-        recall=float(r),
-        n_candidates=len(candidates),
+        theta=theta, f1=f1, precision=p, recall=r, n_candidates=len(candidates) + 1
     )
 
 
@@ -240,7 +172,9 @@ def evaluate_districts(
     per_district = {}
     for d in districts:
         dd = city.districts[d]
-        tp, pred, act, ins = _counts_at_threshold(scores.get(d, []), dd.labels, theta)
+        labeled, ins = _labeled_scores(scores.get(d, []), dd.labels)
+        above = [pos for score, pos in labeled if score > theta]
+        tp, pred, act = sum(above), len(above), sum(dd.labels.values())
         p, r, f1, flags = prf_from_counts(tp, pred, act)
         per_district[d] = {
             "precision": p,
@@ -273,31 +207,17 @@ def evaluate_districts(
     )
 
 
-def _pool_pairs_labels(city: CityData, scores: DistrictScores, districts: list[str]):
-    pooled_pairs: list[ScoredPair] = []
-    pooled_labels: dict = {}
-    for d in districts:
-        dd = city.districts[d]
-        # district-qualified keys keep same-name pairs from colliding
-        for pair in scores.get(d, []):
-            pooled_pairs.append(
-                ScoredPair(
-                    standard_name=f"{d}\x00{pair.standard_name}",
-                    candidate_name=pair.candidate_name,
-                    score=pair.score,
-                    decision=pair.decision,
-                )
-            )
-        for (s, c), v in dd.labels.items():
-            pooled_labels[(f"{d}\x00{s}", c)] = v
-    return pooled_pairs, pooled_labels
-
-
 def calibrate_on_districts(
     city: CityData, scores: DistrictScores, districts: list[str]
 ) -> Calibration:
-    pairs, labels = _pool_pairs_labels(city, scores, districts)
-    return calibrate_threshold(pairs, labels)
+    """One threshold fitted on the pooled labeled pairs of `districts`."""
+    labeled = []
+    actual = 0
+    for d in districts:
+        labels = city.districts[d].labels
+        labeled += _labeled_scores(scores.get(d, []), labels)[0]
+        actual += sum(labels.values())
+    return _best_threshold(labeled, actual)
 
 
 @dataclass
@@ -439,24 +359,3 @@ def resolution_sweep(
         rep.threshold = cal.theta
         results.append((int(n), rep))
     return results
-
-
-def edit_distance_baseline(
-    standards: list[str], candidates: list[str], threshold_edit: float, district: str = ""
-) -> AliasMatrix:
-    """Text-only baseline: link names whose normalized edit distance is
-    strictly below the cutoff.
-
-    Note the sign convention: the cutoff bounds a distance from above,
-    unlike the similarity thresholds elsewhere which bound from below.
-    """
-    matrix = AliasMatrix(
-        district=district,
-        standard_names=list(standards),
-        candidate_names=list(candidates),
-    )
-    for i, s in enumerate(standards):
-        for j, c in enumerate(candidates):
-            if normalized_edit_distance(s, c) < threshold_edit:
-                matrix.links.add((i, j))
-    return matrix

@@ -67,9 +67,12 @@ class LoadReport:
 
 
 def _iter_rows(path: str, fmt: str, fields: list[str]):
-    """Yield (line_number, row_dict_or_None, error_message_or_None)."""
+    """Yield (line_number, row_dict_or_None, error_message_or_None).
+
+    A leading UTF-8 byte-order mark is dropped in both formats.
+    """
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -87,7 +90,7 @@ def _iter_rows(path: str, fmt: str, fields: list[str]):
                     continue
                 yield line_no, dict(zip(fields, row)), None
     elif fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

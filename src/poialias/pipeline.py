@@ -16,6 +16,7 @@ import numpy as np
 
 from .discovery import MetricConfig, ScoredPair, score_pairs
 from .distribution import BoundingBox
+from .errors import ConflictingLabelError
 from .ingestion import Corpus, partition_by_district
 from .preprocess import CanonicalMap, clean_text, cluster_near_duplicates
 from .profile import MobilityProfile, build_all_profiles, build_associated_users
@@ -34,7 +35,6 @@ class DistrictData:
     candidate_names: list[str]
     labels: dict = field(default_factory=dict)  # (std, cand) canonical -> bool
     bbox: BoundingBox | None = None
-    n_label_orphans: int = 0
 
     def standard_profiles(self) -> list[MobilityProfile]:
         return [self.profiles[n] for n in self.standard_names]
@@ -63,7 +63,8 @@ def build_district_data(
     Returns None for a district with no usable address names. The standard
     registry is taken from the district's labels: a name is a standard iff
     some label lists it as one; every other canonical name becomes a
-    candidate.
+    candidate. Raw labels that resolve to one canonical pair merge when
+    they agree and raise ConflictingLabelError when they do not.
     """
     freq: dict[str, int] = {}
     for rec in addresses:
@@ -76,16 +77,20 @@ def build_district_data(
     index = build_associated_users(addresses, canonical)
     profiles = build_all_profiles(index, locations)
 
-    label_map: dict = {}
+    first: dict = {}  # canonical (std, cand) -> first raw label resolving to it
     registry: set[str] = set()
-    orphans = 0
     for lb in labels:
         std = canonical.resolve(clean_text(lb.standard_name))
         cand = canonical.resolve(clean_text(lb.candidate_name))
         registry.add(std)
-        label_map[(std, cand)] = lb.is_alias
-        if std not in profiles or cand not in profiles:
-            orphans += 1
+        prev = first.setdefault((std, cand), lb)
+        if prev.is_alias != lb.is_alias:
+            raise ConflictingLabelError(
+                f"district {district!r}: labels ({prev.standard_name!r}, "
+                f"{prev.candidate_name!r}) and ({lb.standard_name!r}, {lb.candidate_name!r}) "
+                f"both resolve to ({std!r}, {cand!r}) with different is_alias values"
+            )
+    label_map = {key: lb.is_alias for key, lb in first.items()}
 
     standard_names = sorted(n for n in profiles if n in registry)
     candidate_names = sorted(n for n in profiles if n not in registry)
@@ -101,7 +106,6 @@ def build_district_data(
         candidate_names=candidate_names,
         labels=label_map,
         bbox=bbox,
-        n_label_orphans=orphans,
     )
 
 

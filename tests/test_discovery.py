@@ -7,17 +7,13 @@ from poialias.discovery import (
     DECISION_ALIAS,
     DECISION_INSUFFICIENT,
     DECISION_NOT_ALIAS,
-    AliasMatrix,
     MetricConfig,
     ScoredPair,
     apply_threshold,
-    infer_alias_matrix,
     score_pairs,
-    similarity_distance_based,
-    similarity_distribution_based,
 )
 from poialias.distribution import BoundingBox
-from poialias.errors import InsufficientProfileError, InvalidConfigError
+from poialias.errors import InvalidConfigError
 from poialias.geo import METERS_PER_DEG, GeoPoint, haversine
 from poialias.profile import MobilityProfile
 
@@ -37,19 +33,25 @@ def offset_north(lat, meters):
     return lat + meters / METERS_PER_DEG
 
 
+def pair_score(a, b, method, bbox=None, **config):
+    """The score_pairs score of the single pair (a, b)."""
+    [pair] = score_pairs([a], [b], MetricConfig(method=method, threshold=0.0, **config), bbox=bbox)
+    return pair.score
+
+
 # ------------------------------------------------------- distance similarity
 
 
 def test_distance_similarity_identical_profiles_clamp():
     a = blob("a", 31.3, 120.5)
     b = blob("b", 31.3, 120.5)
-    assert similarity_distance_based(a, b) == 1.0
+    assert pair_score(a, b, "centroid") == 1.0
 
 
 def test_distance_similarity_500m():
     a = blob("a", 31.3, 120.5)
     b = blob("b", offset_north(31.3, 500.0), 120.5)
-    assert similarity_distance_based(a, b) == pytest.approx(1.0 / 500.0, rel=1e-6)
+    assert pair_score(a, b, "centroid") == pytest.approx(1.0 / 500.0, rel=1e-6)
 
 
 def test_distance_similarity_analytic_centroid_oracle():
@@ -68,7 +70,7 @@ def test_distance_similarity_analytic_centroid_oracle():
     a = prof("a", cross(center_a))
     b = prof("b", cross(center_b))
     expected = 1.0 / haversine(center_a, center_b)
-    got = similarity_distance_based(a, b)
+    got = pair_score(a, b, "centroid")
     assert got == pytest.approx(expected, rel=0.05)
 
 
@@ -79,16 +81,20 @@ def test_distance_similarity_local_estimator_ignores_outliers():
     outliers = np.array([[31.95, 120.95]] * 5)
     a = prof("a", np.vstack([home_a, outliers]))
     b = prof("b", home_b)
-    overall = similarity_distance_based(a, b, estimator="overall")
-    local = similarity_distance_based(a, b, estimator="local", local_window_m=640.0)
+    overall = pair_score(a, b, "centroid")
+    local = pair_score(a, b, "loc_cent", local_window_m=640.0)
     assert local > overall  # outliers drag the overall centroid away
 
 
-def test_distance_similarity_insufficient_raises():
+def test_distance_similarity_insufficient_is_none():
     a = blob("a", 31.3, 120.5, n=3)
     b = blob("b", 31.3, 120.5)
-    with pytest.raises(InsufficientProfileError):
-        similarity_distance_based(a, b, min_profile_points=5)
+    for method in ("centroid", "loc_cent", "kl_div", "jaccard"):
+        cfg = MetricConfig(method=method, threshold=0.0, min_profile_points=5)
+        pairs = score_pairs([a], [b], cfg, bbox=BBOX)
+        assert pairs[0].score is None
+        apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
+        assert pairs[0].decision == DECISION_INSUFFICIENT
 
 
 # --------------------------------------------------- distribution similarity
@@ -97,14 +103,14 @@ def test_distance_similarity_insufficient_raises():
 def test_distribution_similarity_identical_capped():
     a = blob("a", 31.3, 120.5)
     b = blob("b", 31.3, 120.5)
-    got = similarity_distribution_based(a, b, "jaccard", BBOX, grid_n=10)
+    got = pair_score(a, b, "jaccard", BBOX, grid_n=10)
     assert got == pytest.approx(1e9)
 
 
 def test_distribution_similarity_disjoint_jaccard():
     a = blob("a", 31.2, 120.2)
     b = blob("b", 31.8, 120.8)
-    got = similarity_distribution_based(a, b, "jaccard", BBOX, grid_n=10)
+    got = pair_score(a, b, "jaccard", BBOX, grid_n=10)
     assert got == pytest.approx(1.0)
 
 
@@ -113,7 +119,7 @@ def test_distribution_similarity_half_overlap():
     cell = lambda r, c: [31.25 + 0.5 * r, 120.25 + 0.5 * c]
     a = prof("a", [cell(0, 0)] * 4 + [cell(0, 1)] * 4)
     b = prof("b", [cell(0, 1)] * 4 + [cell(1, 0)] * 4)
-    got = similarity_distribution_based(a, b, "jaccard", BBOX, grid_n=2)
+    got = pair_score(a, b, "jaccard", BBOX, grid_n=2)
     assert got == pytest.approx(2.0, rel=1e-9)
 
 
@@ -123,8 +129,8 @@ def test_distribution_similarity_kl_order():
     near = base + rng.normal(0, 0.0005, base.shape)
     far = np.column_stack([31.8 + rng.normal(0, 0.005, 50), 120.8 + rng.normal(0, 0.005, 50)])
     a, b, c = prof("a", base), prof("b", near), prof("c", far)
-    close = similarity_distribution_based(a, b, "kl", BBOX, grid_n=50)
-    distant = similarity_distribution_based(a, c, "kl", BBOX, grid_n=50)
+    close = pair_score(a, b, "kl_div", BBOX, grid_n=50)
+    distant = pair_score(a, c, "kl_div", BBOX, grid_n=50)
     assert close > distant
 
 
@@ -132,8 +138,8 @@ def test_distribution_jaccard_symmetry():
     rng = np.random.default_rng(13)
     a = prof("a", np.column_stack([rng.uniform(31, 32, 30), rng.uniform(120, 121, 30)]))
     b = prof("b", np.column_stack([rng.uniform(31, 32, 30), rng.uniform(120, 121, 30)]))
-    ab = similarity_distribution_based(a, b, "jaccard", BBOX, grid_n=25)
-    ba = similarity_distribution_based(b, a, "jaccard", BBOX, grid_n=25)
+    ab = pair_score(a, b, "jaccard", BBOX, grid_n=25)
+    ba = pair_score(b, a, "jaccard", BBOX, grid_n=25)
     assert ab == ba
 
 
@@ -158,7 +164,8 @@ def test_infer_links_above_threshold():
     a = blob("a", 31.3, 120.5)
     b = blob("b", offset_north(31.3, 250.0), 120.5)  # kappa = 1/250 = 0.004
     cfg = MetricConfig(method="centroid", threshold=0.002)
-    matrix, pairs = infer_alias_matrix([a], [b], cfg)
+    pairs = score_pairs([a], [b], cfg)
+    matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
     assert matrix.links == {(0, 0)}
     assert pairs[0].decision == DECISION_ALIAS
     assert pairs[0].score == pytest.approx(0.004, rel=1e-6)
@@ -168,7 +175,8 @@ def test_infer_strict_inequality_at_boundary():
     a = blob("a", 31.3, 120.5)
     b = blob("b", 31.3, 120.5)  # kappa clamps to exactly 1.0
     cfg = MetricConfig(method="centroid", threshold=1.0)
-    matrix, pairs = infer_alias_matrix([a], [b], cfg)
+    pairs = score_pairs([a], [b], cfg)
+    matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
     assert matrix.links == set()
     assert pairs[0].decision == DECISION_NOT_ALIAS
 
@@ -177,7 +185,8 @@ def test_infer_insufficient_profiles_excluded():
     a = blob("a", 31.3, 120.5)
     tiny = blob("t", 31.3, 120.5, n=2)
     cfg = MetricConfig(method="centroid", threshold=0.0, min_profile_points=5)
-    matrix, pairs = infer_alias_matrix([a], [tiny], cfg)
+    pairs = score_pairs([a], [tiny], cfg)
+    matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["t"])
     assert matrix.links == set()
     assert pairs[0].score is None
     assert pairs[0].decision == DECISION_INSUFFICIENT
@@ -187,7 +196,7 @@ def test_infer_pairs_exhaustive_and_ordered():
     standards = [blob(f"s{i}", 31.2 + 0.01 * i, 120.5) for i in range(3)]
     candidates = [blob(f"c{j}", 31.5, 120.2 + 0.01 * j) for j in range(4)]
     cfg = MetricConfig(method="centroid", threshold=0.5)
-    matrix, pairs = infer_alias_matrix(standards, candidates, cfg)
+    pairs = score_pairs(standards, candidates, cfg)
     assert len(pairs) == 12
     expected_order = [(s.name, c.name) for s in standards for c in candidates]
     assert [(p.standard_name, p.candidate_name) for p in pairs] == expected_order
@@ -238,7 +247,8 @@ def test_edit_distance_method_scores_text():
     a = prof("kitten", np.zeros((0, 2)))
     b = prof("sitting", np.zeros((0, 2)))
     cfg = MetricConfig(method="edit_distance", threshold=0.5)
-    matrix, pairs = infer_alias_matrix([a], [b], cfg)
+    pairs = score_pairs([a], [b], cfg)
+    matrix = apply_threshold(pairs, cfg.threshold, "d", ["kitten"], ["sitting"])
     # similarity = 1 - 3/7
     assert pairs[0].score == pytest.approx(1.0 - 3.0 / 7.0)
     assert matrix.links == {(0, 0)}

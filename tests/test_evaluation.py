@@ -5,22 +5,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poialias import evaluation
-from poialias.discovery import AliasMatrix, MetricConfig, ScoredPair
+from poialias.discovery import METHODS, MetricConfig, ScoredPair, apply_threshold, score_pairs
 from poialias.errors import NoPositiveLabelsError, TooFewDistrictsError
 from poialias.evaluation import (
-    Calibration,
     calibrate_threshold,
     cross_city_transfer,
     district_cross_validation,
-    edit_distance_baseline,
-    precision_recall_f1,
+    evaluate_districts,
     prf_from_counts,
     resolution_sweep,
 )
 from poialias.pipeline import CityData, DistrictData, build_city_data, score_city
-from poialias.preprocess import CanonicalMap
+from poialias.preprocess import CanonicalMap, normalized_edit_distance
+from poialias.profile import MobilityProfile
 from poialias.ingestion import load_corpus
 from poialias.synth import SynthConfig, generate_city
 
@@ -33,13 +34,28 @@ def fraction_oracle(tp, pred, act):
     return float(p), float(r), float(f1)
 
 
-def matrix_from_links(links, labels):
-    stds = sorted({s for s, _ in labels})
-    cands = sorted({c for _, c in labels})
-    m = AliasMatrix(district="", standard_names=stds, candidate_names=cands)
-    for s, c in links:
-        m.links.add((stds.index(s), cands.index(c)))
-    return m
+def labeled_city(districts):
+    """A city of districts given as {(std, cand): (score, is_alias)} maps."""
+    city = CityData(districts={})
+    scores = {}
+    for d, pairs in districts.items():
+        city.districts[d] = DistrictData(
+            district=d,
+            canonical_map=CanonicalMap(),
+            profiles={},
+            standard_names=sorted({s for s, _ in pairs}),
+            candidate_names=sorted({c for _, c in pairs}),
+            labels={key: pos for key, (_, pos) in pairs.items()},
+        )
+        scores[d] = [ScoredPair(s, c, score) for (s, c), (score, _) in pairs.items()]
+    return city, scores
+
+
+def links_at(labels, links):
+    """A one-district city where exactly `links` score above 0.5."""
+    return labeled_city(
+        {"d": {key: (1.0 if key in links else 0.0, pos) for key, pos in labels.items()}}
+    )
 
 
 # -------------------------------------------------------------------- PRF
@@ -47,29 +63,30 @@ def matrix_from_links(links, labels):
 
 def test_prf_hand_example():
     labels = {("a", "x"): True, ("a", "y"): False, ("b", "z"): True}
-    rep = precision_recall_f1(matrix_from_links({("a", "x"), ("a", "y")}, labels), labels)
+    rep = evaluate_districts(*links_at(labels, {("a", "x"), ("a", "y")}), 0.5)
     assert (rep.precision, rep.recall, rep.f1) == (0.5, 0.5, 0.5)
     assert (rep.true_positive, rep.predicted_positive, rep.actual_positive) == (1, 2, 2)
+    assert prf_from_counts(1, 2, 2) == (0.5, 0.5, 0.5, [])
 
 
 def test_prf_perfect_prediction():
     labels = {("a", "x"): True, ("b", "y"): True, ("a", "y"): False}
-    rep = precision_recall_f1(matrix_from_links({("a", "x"), ("b", "y")}, labels), labels)
+    rep = evaluate_districts(*links_at(labels, {("a", "x"), ("b", "y")}), 0.5)
     assert (rep.precision, rep.recall, rep.f1) == (1.0, 1.0, 1.0)
 
 
 def test_prf_no_predictions_flagged_zero():
     labels = {("a", "x"): True}
-    rep = precision_recall_f1(matrix_from_links(set(), labels), labels)
+    rep = evaluate_districts(*links_at(labels, set()), 0.5)
     assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
     assert "no-predictions" in rep.flags
+    assert prf_from_counts(0, 0, 1) == (0.0, 0.0, 0.0, ["no-predictions"])
 
 
 def test_prf_ignores_unlabeled_predictions():
-    labels = {("a", "x"): True}
-    m = AliasMatrix(district="", standard_names=["a"], candidate_names=["x", "q"])
-    m.links = {(0, 0), (0, 1)}  # (a, q) is unlabeled
-    rep = precision_recall_f1(m, labels)
+    city, scores = links_at({("a", "x"): True}, {("a", "x")})
+    scores["d"].append(ScoredPair("a", "q", 1.0))  # (a, q) is unlabeled
+    rep = evaluate_districts(city, scores, 0.5)
     assert rep.predicted_positive == 1
     assert rep.precision == 1.0
 
@@ -125,9 +142,12 @@ def test_calibrate_requires_positive_label():
         calibrate_threshold(_pairs([0.5]), _labels([0]))
 
 
-def exhaustive_calibration_oracle(scores, flags):
-    """Brute-force sweep over every candidate threshold."""
-    actual = sum(flags)
+def exhaustive_calibration_oracle(scores, flags, actual=None):
+    """Brute-force sweep over every candidate threshold.
+
+    `actual` also counts positive labels whose pairs have no score.
+    """
+    actual = sum(flags) if actual is None else actual
     distinct = sorted(set(scores))
     candidates = [float("-inf")]
     candidates += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
@@ -175,6 +195,15 @@ def test_calibrate_matches_oracle_at_scale():
     assert cal.theta == want_theta
 
 
+def test_calibrate_midpoint_rounding_onto_upper_score():
+    a = 1.0 + 2.0**-52
+    b = math.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b  # so theta = b links neither pair
+    cal = calibrate_threshold(_pairs([a, b]), _labels([0, 1]))
+    assert (cal.f1, cal.theta) == exhaustive_calibration_oracle([a, b], [False, True])
+    assert cal.theta == float("-inf")
+
+
 def test_calibrate_skips_insufficient_pairs():
     pairs = _pairs([0.9, 0.1]) + [ScoredPair("s", "c9", None, "")]
     labels = _labels([1, 0])
@@ -184,28 +213,89 @@ def test_calibrate_skips_insufficient_pairs():
     assert cal.recall == 0.5
 
 
+SCORE_VALUES = [0.1, 0.25, 0.5, 0.75, 0.9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.sampled_from(SCORE_VALUES), st.booleans()), min_size=1, max_size=30),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_calibrate_on_districts_matches_oracle_property(districts):
+    # every district reuses the names ("s", "c<i>"), so pooled pairs collide
+    # by name unless labels stay inside their own district
+    assume(any(pos for pairs in districts for _, pos in pairs))
+    city, scores = labeled_city(
+        {f"d{k}": {("s", f"c{i}"): sp for i, sp in enumerate(pairs)} for k, pairs in enumerate(districts)}
+    )
+    cal = evaluation.calibrate_on_districts(city, scores, sorted(scores))
+    pooled = [sp for pairs in districts for sp in pairs]
+    want_f1, want_theta = exhaustive_calibration_oracle(
+        [s for s, _ in pooled], [pos for _, pos in pooled]
+    )
+    assert (cal.f1, cal.theta) == (want_f1, want_theta)
+    assert cal.n_candidates == len({s for s, _ in pooled}) + 1
+
+
+def test_calibrate_on_districts_keeps_same_name_labels_apart():
+    city, scores = labeled_city(
+        {"d0": {("s", "c"): (0.9, True)}, "d1": {("s", "c"): (0.2, False)}}
+    )
+    cal = evaluation.calibrate_on_districts(city, scores, ["d0", "d1"])
+    assert (cal.theta, cal.f1, cal.precision, cal.recall) == (0.55, 1.0, 1.0, 1.0)
+    assert cal.n_candidates == 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_calibrate_and_evaluate_match_brute_force_on_city(small_city, method):
+    city = small_city.city
+    scores = score_city(city, MetricConfig(method=method, threshold=0.0))
+    districts = sorted(scores)
+    score_of = {
+        (d, p.standard_name, p.candidate_name): p.score for d in districts for p in scores[d]
+    }
+    labeled = [
+        (d, score_of.get((d, s, c)), pos)
+        for d in districts
+        for (s, c), pos in city.districts[d].labels.items()
+    ]
+    scored = [(v, pos) for _, v, pos in labeled if v is not None]
+    actual = sum(pos for _, _, pos in labeled)
+    cal = evaluation.calibrate_on_districts(city, scores, districts)
+    want_f1, want_theta = exhaustive_calibration_oracle(
+        [v for v, _ in scored], [pos for _, pos in scored], actual
+    )
+    assert (cal.f1, cal.theta) == (want_f1, want_theta)
+    assert cal.n_candidates == len({v for v, _ in scored}) + 1
+    tp = sum(1 for v, pos in scored if pos and v > cal.theta)
+    pred = sum(1 for v, _ in scored if v > cal.theta)
+    assert (cal.precision, cal.recall) == fraction_oracle(tp, pred, actual)[:2]
+
+    rep = evaluate_districts(city, scores, cal.theta, method=method)
+    assert (rep.true_positive, rep.predicted_positive, rep.actual_positive) == (tp, pred, actual)
+    assert rep.f1 == want_f1
+    for d in districts:
+        mine = [(v, pos) for dd, v, pos in labeled if dd == d]
+        got = rep.per_district[d]
+        assert got["true_positive"] == sum(1 for v, pos in mine if pos and v is not None and v > cal.theta)
+        assert got["predicted_positive"] == sum(1 for v, _ in mine if v is not None and v > cal.theta)
+        assert got["actual_positive"] == sum(pos for _, pos in mine)
+        assert got["n_insufficient"] == sum(v is None for v, _ in mine)
+
+
 # ------------------------------------------------------------ cross-validation
 
 
 def fake_city(n_districts, score_value=0.9):
-    districts = {}
-    scores = {}
-    for i in range(n_districts):
-        name = f"d{i:02d}"
-        districts[name] = DistrictData(
-            district=name,
-            canonical_map=CanonicalMap(),
-            profiles={},
-            standard_names=["s"],
-            candidate_names=["c", "e"],
-            labels={("s", "c"): True, ("s", "e"): False},
-            bbox=None,
-        )
-        scores[name] = [
-            ScoredPair("s", "c", score_value, ""),
-            ScoredPair("s", "e", score_value / 3.0, ""),
-        ]
-    return CityData(districts=districts), scores
+    return labeled_city(
+        {
+            f"d{i:02d}": {("s", "c"): (score_value, True), ("s", "e"): (score_value / 3.0, False)}
+            for i in range(n_districts)
+        }
+    )
 
 
 def test_crossval_ten_districts_is_five_folds():
@@ -331,22 +421,37 @@ def test_sweep_rejects_empty_grid_list(small_city):
 
 
 # ----------------------------------------------------------------- baseline
+# The text-only baseline is the edit_distance method: a distance cutoff
+# theta_edit is the score threshold 1 - theta_edit.
+
+
+def edit_distance_links(standards, candidates, theta_edit):
+    profiles = lambda names: [MobilityProfile(n, np.zeros((0, 2)), 0, 0) for n in names]
+    cfg = MetricConfig(method="edit_distance", threshold=1.0 - theta_edit)
+    pairs = score_pairs(profiles(standards), profiles(candidates), cfg)
+    links = apply_threshold(pairs, cfg.threshold, "", standards, candidates).links
+    expected = {
+        (i, j)
+        for i, s in enumerate(standards)
+        for j, c in enumerate(candidates)
+        if normalized_edit_distance(s, c) < theta_edit
+    }
+    assert links == expected
+    return links
 
 
 def test_baseline_identical_names_always_link():
-    m = edit_distance_baseline(["kanilupo"], ["kanilupo"], 0.1)
-    assert m.links == {(0, 0)}
+    assert edit_distance_links(["kanilupo"], ["kanilupo"], 0.1) == {(0, 0)}
 
 
 def test_baseline_disjoint_alphabets_never_link():
-    m = edit_distance_baseline(["aaaa"], ["zzzz"], 1.0)
-    assert m.links == set()
+    assert edit_distance_links(["aaaa"], ["zzzz"], 1.0) == set()
 
 
 def test_baseline_threshold_is_strict_on_distance():
     # kitten/sitting: distance 3/7
-    assert edit_distance_baseline(["kitten"], ["sitting"], 0.5).links == {(0, 0)}
-    assert edit_distance_baseline(["kitten"], ["sitting"], 0.4).links == set()
+    assert edit_distance_links(["kitten"], ["sitting"], 0.5) == {(0, 0)}
+    assert edit_distance_links(["kitten"], ["sitting"], 0.4) == set()
 
 
 def test_baseline_agrees_with_edit_distance_method():
@@ -356,16 +461,5 @@ def test_baseline_agrees_with_edit_distance_method():
         "".join(alphabet[i] for i in rng.integers(0, len(alphabet), int(rng.integers(3, 9))))
         for _ in range(20)
     ]
-    stds, cands = names[:10], names[10:]
-    theta_edit = 0.37
-    baseline = edit_distance_baseline(stds, cands, theta_edit)
-
-    from poialias.discovery import infer_alias_matrix
-    from poialias.profile import MobilityProfile
-
-    profs = lambda ns: [
-        MobilityProfile(n, np.zeros((0, 2)), 0, 0) for n in ns
-    ]
-    cfg = MetricConfig(method="edit_distance", threshold=1.0 - theta_edit)
-    matrix, _ = infer_alias_matrix(profs(stds), profs(cands), cfg)
-    assert matrix.links == baseline.links
+    found = [edit_distance_links(names[:10], names[10:], t) for t in (0.37, 0.6, 0.8)]
+    assert found[0] <= found[1] <= found[2] and found[2]

@@ -78,6 +78,27 @@ def test_parse_address_jsonl(tmp_path):
     assert report.n_errors == 0
 
 
+BOM_TEXT = {
+    "csv": "user_id,province,city,district,poi_name\nu1,J,S,H,X\nu2,J,S,H,\nu3,J,S,H,Y\n",
+    "jsonl": "\n".join(
+        json.dumps({"user_id": u, "province": "J", "city": "S", "district": "H", "poi_name": n})
+        for u, n in (("u1", "X"), ("u2", ""), ("u3", "Y"))
+    )
+    + "\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_parse_address_bom_prefixed_file(tmp_path, fmt):
+    plain = _write(tmp_path / f"plain.{fmt}", BOM_TEXT[fmt])
+    bom = _write(tmp_path / f"bom.{fmt}", "\ufeff" + BOM_TEXT[fmt])
+    records, report = parse_address_records(plain, fmt)
+    bom_records, bom_report = parse_address_records(bom, fmt)
+    assert [r.user_id for r in records] == ["u1", "u3"] and report.n_errors == 1
+    assert bom_records == records
+    assert {**bom_report.to_dict(), "path": plain} == report.to_dict()
+
+
 # ---------------------------------------------------------------- locations
 
 

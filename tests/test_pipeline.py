@@ -1,11 +1,21 @@
 """District assembly: cleaning, clustering, profile and registry wiring."""
 
 import numpy as np
+import pytest
 
 from poialias.discovery import MetricConfig
-from poialias.ingestion import AddressRecord, GroundTruthLabel
+from poialias.errors import ConflictingLabelError
+from poialias.ingestion import (
+    AddressRecord,
+    Corpus,
+    GroundTruthLabel,
+    load_corpus,
+    write_address_records,
+    write_labels,
+    write_location_log,
+)
 from poialias.pipeline import build_city_data, build_district_data, score_city
-from poialias.ingestion import Corpus, LoadReport
+from poialias.preprocess import clean_text
 
 
 def _addr(user, name, district="d0"):
@@ -49,11 +59,51 @@ def test_registry_from_labels_splits_standards_and_candidates():
     assert dd.labels == {("alpha", "beta"): True, ("alpha", "gamma"): False}
 
 
-def test_orphan_labels_counted():
-    addresses = [_addr("u1", "alpha")]
-    labels = [GroundTruthLabel("d0", "alpha", "ghost", True)]
-    dd = build_district_data("d0", addresses, _locs(["u1"]), labels)
-    assert dd.n_label_orphans == 1
+def test_orphan_labels_counted(tmp_path):
+    users = ["u1", "u2", "u3", "u4"]
+    write_address_records(
+        str(tmp_path / "addresses.csv"),
+        [_addr("u1", "alpha"), _addr("u2", "lakeview"), _addr("u3", "lakeview"), _addr("u4", "lakeviev")],
+    )
+    write_location_log(str(tmp_path / "locations.csv"), _locs(users))
+    write_labels(
+        str(tmp_path / "labels.csv"),
+        [
+            GroundTruthLabel("d0", "alpha", "ghost", True),
+            GroundTruthLabel("d0", "alpha", "LakeViev", True),  # a typo spelling
+        ],
+    )
+    corpus = load_corpus(str(tmp_path))
+    assert [(lb.candidate_name, reason) for lb, reason in corpus.orphan_labels] == [
+        ("ghost", "candidate_name not in district addresses")
+    ]
+    # the orphans are exactly the labels naming a POI without a profile
+    dd = build_city_data(corpus).districts["d0"]
+    unprofiled = [
+        lb
+        for lb in corpus.labels
+        if any(
+            dd.canonical_map.resolve(clean_text(n)) not in dd.profiles
+            for n in (lb.standard_name, lb.candidate_name)
+        )
+    ]
+    assert unprofiled == [lb for lb, _ in corpus.orphan_labels]
+
+
+def test_conflicting_labels_after_canonicalisation_raise():
+    addresses = [_addr("u1", "alpha"), _addr("u2", "lakeview"), _addr("u3", "lakeviev")]
+    locations = _locs(["u1", "u2", "u3"])
+    agree = [
+        GroundTruthLabel("d0", "alpha", "lakeview", True),
+        GroundTruthLabel("d0", "alpha", "lakeviev", True),
+    ]
+    dd = build_district_data("d0", addresses, locations, agree)
+    assert dd.labels == {("alpha", dd.canonical_map.resolve("lakeview")): True}
+    conflict = [agree[0], GroundTruthLabel("d0", "alpha", "lakeviev", False)]
+    with pytest.raises(ConflictingLabelError) as exc:
+        build_district_data("d0", addresses, locations, conflict)
+    msg = str(exc.value)
+    assert "'d0'" in msg and "'lakeview'" in msg and "'lakeviev'" in msg
 
 
 def test_district_without_labels_scores_no_pairs():
