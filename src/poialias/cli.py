@@ -5,7 +5,8 @@ crossval, transfer, sweep. Artifacts are written atomically (temp file
 plus rename) under --out; every command also writes a run_manifest.json
 with the fully resolved configuration, stage timings, and counts. Reports
 never contain timings, so identical inputs and configuration reproduce
-them byte for byte.
+them byte for byte. Each `_cmd_*` handler takes the parsed options and
+a stage timer and returns the manifest's (counts, config).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import logging
 import os
 import sys
 import time
+import uuid
 from dataclasses import asdict, fields
 
 from . import evaluation
@@ -40,9 +42,15 @@ CLI_METHODS = {
 
 
 def _atomic_write(path: str, text: str):
-    tmp = f"{path}.tmp"
+    """Write through a temp file of its own beside `path`, then rename.
+
+    Creates the parent directory; the file mode is the one the umask gives.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:
@@ -77,26 +85,26 @@ class _Timer:
         self.timings_ms.pop("_end", None)
 
 
-def _parse_threshold(raw: str):
-    if raw == "calibrate":
+def _score_threshold(args):
+    """--threshold as a score cutoff, or 'calibrate'.
+
+    An editdist threshold is a distance cutoff; its score cutoff is 1 - it.
+    """
+    if args.threshold == "calibrate":
         return "calibrate"
     try:
-        return float(raw)
+        cutoff = float(args.threshold)
     except ValueError as exc:
         raise InvalidConfigError(
-            f"--threshold must be a number or 'calibrate', got {raw!r}"
+            f"--threshold must be a number or 'calibrate', got {args.threshold!r}"
         ) from exc
+    return 1.0 - cutoff if args.method == "editdist" else cutoff
 
 
-def _metric_config(args, threshold: float = 0.0) -> MetricConfig:
-    method = CLI_METHODS[args.method]
-    if method == "edit_distance" and isinstance(threshold, float):
-        # CLI edit thresholds cut a distance from above; internally the
-        # score is 1 - distance, so flip the boundary
-        threshold = 1.0 - threshold
+def _metric_config(args) -> MetricConfig:
     return MetricConfig(
-        method=method,
-        threshold=threshold if isinstance(threshold, float) else 0.0,
+        method=CLI_METHODS[args.method],
+        threshold=0.0,
         local_window_m=args.local_window_m,
         grid_n=args.grid_n,
         kl_epsilon=args.kl_epsilon,
@@ -105,22 +113,7 @@ def _metric_config(args, threshold: float = 0.0) -> MetricConfig:
 
 
 def _resolved_config(args, **extra) -> dict:
-    keys = (
-        "data",
-        "format",
-        "out",
-        "method",
-        "threshold",
-        "local_window_m",
-        "grid_n",
-        "kl_epsilon",
-        "min_profile_points",
-        "cluster_threshold",
-        "train_frac",
-        "grids",
-        "workers",
-    )
-    out = {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    out = {k: v for k, v in vars(args).items() if k not in ("func", "command", "verbose")}
     out.update(extra)
     return out
 
@@ -157,74 +150,50 @@ def _pairs_csv(city: CityData, scores: dict) -> str:
     return buf.getvalue()
 
 
-def _apply_city_threshold(city: CityData, scores: dict, theta: float):
-    matrices = {}
-    for district, pairs in scores.items():
-        dd = city.districts[district]
-        matrices[district] = apply_threshold(
-            pairs, theta, district, dd.standard_names, dd.candidate_names
-        )
-    return matrices
-
-
-def _resolve_theta(args, city, scores, threshold):
-    """Numeric threshold straight through; 'calibrate' fits on all labels."""
+def _resolve_theta(city, scores, threshold):
+    """A numeric score cutoff straight through; 'calibrate' fits on all labels."""
     if threshold != "calibrate":
-        return float(threshold), None
+        return threshold, None
     cal = evaluation.calibrate_on_districts(city, scores, sorted(scores))
     _log_kv(stage="calibrate", theta=cal.theta, train_f1=round(cal.f1, 6))
     return cal.theta, cal
 
 
-def _write_manifest(args, command: str, timer: _Timer, counts: dict, config: dict):
-    manifest = {
-        "command": command,
-        "config": config,
-        "counts": counts,
-        "timings_ms": timer.timings_ms,
-    }
-    _write_json(os.path.join(args.out, "run_manifest.json"), manifest)
-
-
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_synth(args) -> int:
-    timer = _Timer()
-    timer.stage("generate")
+def _synth_config(args) -> SynthConfig:
+    """SynthConfig from --seed and the --config key=value overrides."""
+    names = {f.name for f in fields(SynthConfig)} - {"seed"}  # --seed sets it
     overrides = {}
     for item in args.config or []:
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        if not sep:
             raise InvalidConfigError(f"--config expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        field_types = {f.name: f.type for f in fields(SynthConfig)}
-        if key not in field_types:
+        if key not in names:
             raise InvalidConfigError(f"unknown synth config key {key!r}")
         current = getattr(SynthConfig(), key)
-        if isinstance(current, tuple):
-            parts = [int(v) for v in value.split(",")]
-            if len(parts) != 2:
-                raise InvalidConfigError(f"{key} expects 'lo,hi', got {value!r}")
-            overrides[key] = tuple(parts)
-        elif isinstance(current, bool):
-            overrides[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            overrides[key] = int(value)
-        elif isinstance(current, float):
-            overrides[key] = float(value)
-        else:
-            overrides[key] = value
-    config = SynthConfig(seed=args.seed, **overrides)
-    os.makedirs(args.out, exist_ok=True)
+        try:
+            if isinstance(current, tuple):
+                lo, hi = (int(v) for v in value.split(","))
+                overrides[key] = (lo, hi)
+            else:
+                overrides[key] = type(current)(value)
+        except ValueError:
+            kind = "'lo,hi'" if isinstance(current, tuple) else type(current).__name__
+            raise InvalidConfigError(f"{key} expects {kind}, got {value!r}") from None
+    return SynthConfig(seed=args.seed, **overrides)
+
+
+def _cmd_synth(args, timer: _Timer):
+    timer.stage("generate")
+    config = _synth_config(args)
     summary = generate_city(config, args.out)
     _log_kv(stage="synth", **{k: v for k, v in summary.items() if k != "out_dir"})
-    timer.done()
-    _write_manifest(args, "synth", timer, summary, asdict(config))
-    return 0
+    return summary, asdict(config)
 
 
-def _cmd_ingest_check(args) -> int:
-    timer = _Timer()
+def _cmd_ingest_check(args, timer: _Timer):
     timer.stage("ingest")
     corpus = load_corpus(args.data, fmt=args.format, require_labels=False)
     by_district = partition_by_district(corpus.addresses)
@@ -246,9 +215,7 @@ def _cmd_ingest_check(args) -> int:
         ],
     }
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "ingest_report.json"), report)
-    timer.done()
     counts = {
         "addresses": len(corpus.addresses),
         "users": len(corpus.locations),
@@ -256,18 +223,14 @@ def _cmd_ingest_check(args) -> int:
         "row_errors": sum(r.n_errors for r in corpus.reports.values()),
         "orphan_labels": len(corpus.orphan_labels),
     }
-    _write_manifest(args, "ingest-check", timer, counts, _resolved_config(args))
-    n_err = counts["row_errors"]
-    _log_kv(stage="ingest-check", row_errors=n_err)
-    return 0
+    _log_kv(stage="ingest-check", row_errors=counts["row_errors"])
+    return counts, _resolved_config(args)
 
 
-def _cmd_preprocess(args) -> int:
-    timer = _Timer()
+def _cmd_preprocess(args, timer: _Timer):
     timer.stage("ingest")
     corpus, city = _load_city(args, require_labels=False)
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     by_district = partition_by_district(corpus.addresses)
     n_raw = 0
     n_canonical = 0
@@ -281,36 +244,28 @@ def _cmd_preprocess(args) -> int:
         _atomic_write(os.path.join(args.out, f"canonical_{district}.csv"), buf.getvalue())
         n_raw += len(raw_names)
         n_canonical += len(dd.canonical_map.cluster_sizes)
-    timer.done()
     counts = {"raw_names": n_raw, "canonical_names": n_canonical, "districts": len(city.districts)}
     _log_kv(stage="preprocess", **counts)
-    _write_manifest(args, "preprocess", timer, counts, _resolved_config(args))
-    return 0
+    return counts, _resolved_config(args)
 
 
-def _score_command_setup(args, require_labels: bool):
-    corpus, city = _load_city(args, require_labels=require_labels)
-    threshold = _parse_threshold(args.threshold)
-    base = _metric_config(args, threshold if isinstance(threshold, float) else 0.0)
-    return corpus, city, base, threshold
-
-
-def _cmd_discover(args) -> int:
-    timer = _Timer()
+def _cmd_discover(args, timer: _Timer):
+    threshold = _score_threshold(args)
     timer.stage("ingest")
-    corpus, city, config, threshold = _score_command_setup(
-        args, require_labels=args.threshold == "calibrate"
-    )
+    corpus, city = _load_city(args, require_labels=threshold == "calibrate")
+    config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
-    theta, cal = _resolve_theta(args, city, scores, threshold)
-    matrices = _apply_city_threshold(city, scores, theta)
-    n_links = sum(len(m.links) for m in matrices.values())
+    theta, cal = _resolve_theta(city, scores, threshold)
+    n_links = 0
+    for district, pairs in scores.items():
+        dd = city.districts[district]
+        matrix = apply_threshold(pairs, theta, district, dd.standard_names, dd.candidate_names)
+        n_links += len(matrix.links)
     n_pairs = sum(len(p) for p in scores.values())
     _log_kv(stage="discover", pairs=n_pairs, links=n_links)
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "aliases.csv"), _pairs_csv(city, scores))
     if args.dump_density and config.method in ("kl_div", "jaccard"):
         from .distribution import rasterize
@@ -348,21 +303,19 @@ def _cmd_discover(args) -> int:
                     )
                 )
         _atomic_write(os.path.join(args.out, "profiles.jsonl"), "\n".join(lines) + "\n")
-    timer.done()
-    config_echo = _resolved_config(args, resolved_theta=evaluation.json_safe(theta))
     counts = {"pairs": n_pairs, "links": n_links, "districts": len(city.districts)}
-    _write_manifest(args, "discover", timer, counts, config_echo)
-    return 0
+    return counts, _resolved_config(args, resolved_theta=evaluation.json_safe(theta))
 
 
-def _cmd_evaluate(args) -> int:
-    timer = _Timer()
+def _cmd_evaluate(args, timer: _Timer):
+    threshold = _score_threshold(args)
     timer.stage("ingest")
-    corpus, city, config, threshold = _score_command_setup(args, require_labels=True)
+    corpus, city = _load_city(args, require_labels=True)
+    config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
-    theta, cal = _resolve_theta(args, city, scores, threshold)
+    theta, cal = _resolve_theta(city, scores, threshold)
     timer.stage("evaluate")
     report = evaluation.evaluate_districts(
         city,
@@ -373,7 +326,6 @@ def _cmd_evaluate(args) -> int:
     )
     _log_kv(stage="evaluate", f1=round(report.f1, 6), precision=round(report.precision, 6), recall=round(report.recall, 6))
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     payload = {"command": "evaluate", "report": report.to_dict()}
     if cal is not None:
         payload["calibration"] = {
@@ -382,19 +334,16 @@ def _cmd_evaluate(args) -> int:
             "n_candidates": cal.n_candidates,
         }
     _write_json(os.path.join(args.out, "report.json"), payload)
-    timer.done()
     counts = {
         "pairs": sum(len(p) for p in scores.values()),
         "true_positive": report.true_positive,
         "predicted_positive": report.predicted_positive,
         "actual_positive": report.actual_positive,
     }
-    _write_manifest(args, "evaluate", timer, counts, _resolved_config(args))
-    return 0
+    return counts, _resolved_config(args)
 
 
-def _cmd_crossval(args) -> int:
-    timer = _Timer()
+def _cmd_crossval(args, timer: _Timer):
     timer.stage("ingest")
     corpus, city = _load_city(args, require_labels=True)
     config = _metric_config(args)
@@ -406,26 +355,16 @@ def _cmd_crossval(args) -> int:
     )
     _log_kv(stage="crossval", folds=len(report.folds), mean_f1=round(report.mean_f1, 6))
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "command": "crossval",
         "config": _resolved_config(args),
         "report": report.to_dict(),
     }
     _write_json(os.path.join(args.out, "report.json"), payload)
-    timer.done()
-    _write_manifest(
-        args,
-        "crossval",
-        timer,
-        {"folds": len(report.folds)},
-        _resolved_config(args),
-    )
-    return 0
+    return {"folds": len(report.folds)}, _resolved_config(args)
 
 
-def _cmd_transfer(args) -> int:
-    timer = _Timer()
+def _cmd_transfer(args, timer: _Timer):
     timer.stage("ingest")
     source = load_corpus(args.source, fmt=args.format, require_labels=True)
     target = load_corpus(args.target, fmt=args.format, require_labels=True)
@@ -446,32 +385,30 @@ def _cmd_transfer(args) -> int:
         target_f1=round(report.target_report.f1, 6),
     )
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "command": "transfer",
-        "config": _resolved_config(args, source=args.source, target=args.target),
+        "config": _resolved_config(args),
         "report": report.to_dict(),
     }
     _write_json(os.path.join(args.out, "report.json"), payload)
-    timer.done()
-    _write_manifest(args, "transfer", timer, {}, _resolved_config(args))
-    return 0
+    return {}, _resolved_config(args)
 
 
-def _cmd_sweep(args) -> int:
-    timer = _Timer()
+def _cmd_sweep(args, timer: _Timer):
+    try:
+        grids = [int(g) for g in args.grids.split(",") if g.strip()]
+    except ValueError:
+        grids = []
+    if not grids:
+        raise InvalidConfigError(f"--grids expects comma-separated integers, got {args.grids!r}")
     timer.stage("ingest")
     corpus, city = _load_city(args, require_labels=True)
-    grids = [int(g) for g in args.grids.split(",") if g.strip()]
-    if not grids:
-        raise InvalidConfigError(f"--grids produced no values from {args.grids!r}")
     base = _metric_config(args)
     timer.stage("sweep")
     results = evaluation.resolution_sweep(
         city, CLI_METHODS[args.method], grids, base, workers=args.workers
     )
     timer.stage("write")
-    os.makedirs(args.out, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["grid_n", "method", "precision", "recall", "f1"])
@@ -484,12 +421,10 @@ def _cmd_sweep(args) -> int:
         "results": [{"grid_n": n, "report": rep.to_dict()} for n, rep in results],
     }
     _write_json(os.path.join(args.out, "report.json"), payload)
-    timer.done()
-    _write_manifest(args, "sweep", timer, {"grids": len(results)}, _resolved_config(args))
     print(f"{'grid_n':>8} {'precision':>10} {'recall':>10} {'f1':>10}")
     for n, rep in results:
         print(f"{n:>8} {rep.precision:>10.4f} {rep.recall:>10.4f} {rep.f1:>10.4f}")
-    return 0
+    return {"grids": len(results)}, _resolved_config(args)
 
 
 # ---------------------------------------------------------------- parser
@@ -598,11 +533,21 @@ def main(argv=None) -> int:
         format="%(message)s",
         stream=sys.stderr,
     )
+    timer = _Timer()
     try:
-        return args.func(args)
-    except (PoiAliasError, FileNotFoundError, OSError) as exc:
+        counts, config = args.func(args, timer)
+        timer.done()
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "counts": counts,
+            "timings_ms": timer.timings_ms,
+        }
+        _write_json(os.path.join(args.out, "run_manifest.json"), manifest)
+    except (PoiAliasError, OSError) as exc:
         print(f"error: command={args.command} {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -184,9 +184,9 @@ def parse_location_log(path: str, fmt: str = "csv") -> tuple[dict[str, np.ndarra
 def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], LoadReport]:
     """Parse ground-truth alias labels.
 
-    Duplicate (district, standard, candidate) triples deduplicate with a
-    warning; the same triple carrying both label values raises
-    ConflictingLabelError.
+    A name that cleans to the empty string is a row error. Duplicate
+    (district, standard, candidate) triples deduplicate with a warning;
+    the same triple carrying both label values raises ConflictingLabelError.
     """
     labels: list[GroundTruthLabel] = []
     seen: dict[tuple, bool] = {}
@@ -209,6 +209,10 @@ def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], L
         is_alias = raw_flag == "1"
         std_norm = clean_text(standard)
         cand_norm = clean_text(candidate)
+        if not std_norm or not cand_norm:
+            which = "candidate_name" if std_norm else "standard_name"
+            report.errors.append((line_no, f"{which} cleans to an empty name"))
+            continue
         if std_norm == cand_norm:
             report.errors.append(
                 (line_no, f"standard and candidate normalize to the same name: {std_norm!r}")

@@ -42,38 +42,16 @@ def clean_text(raw: str) -> str:
     return "".join(out)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimum number of single-character edits transforming `a` into `b`.
-
-    Standard dynamic program, two rolling rows.
-    """
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    if la < lb:
-        a, b, la, lb = b, a, lb, la
-    prev = list(range(lb + 1))
-    cur = [0] * (lb + 1)
-    for i in range(1, la + 1):
-        cur[0] = i
-        ca = a[i - 1]
-        for j in range(1, lb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev, cur = cur, prev
-    return prev[lb]
-
-
 def normalized_edit_distance(a: str, b: str) -> float:
-    """Levenshtein distance divided by the longer length; 0.0 for two empties."""
+    """Levenshtein distance divided by the longer length; 0.0 for two empties.
+
+    No edit path is longer than the longer string, so the banded DP with
+    band k = m is the full DP.
+    """
     m = max(len(a), len(b))
     if m == 0:
         return 0.0
-    return levenshtein(a, b) / m
+    return limited_edit_distance(a, b, m) / m
 
 
 def limited_edit_distance(a: str, b: str, k: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geo import METERS_PER_DEG
+from .geo import METERS_PER_DEG, GeoPoint, unproject_local
 from .preprocess import limited_edit_distance
 from .ingestion import (
     AddressRecord,
@@ -137,14 +137,6 @@ def _place_pois(rng, n: int, extent: float, min_sep: float) -> np.ndarray:
     return placed
 
 
-def _xy_to_latlon(xy: np.ndarray, lat0: float, lon0: float) -> np.ndarray:
-    coslat = math.cos(math.radians(lat0))
-    out = np.empty_like(xy)
-    out[:, 0] = lat0 + xy[:, 1] / METERS_PER_DEG
-    out[:, 1] = lon0 + xy[:, 0] / (METERS_PER_DEG * coslat)
-    return out
-
-
 def _generate_district(cfg: SynthConfig, district_idx: int, rng):
     district = f"d{district_idx:02d}"
     extent = cfg.district_extent_m
@@ -153,10 +145,11 @@ def _generate_district(cfg: SynthConfig, district_idx: int, rng):
     lon0 = cfg.base_lon + district_idx * (extent * 1.5) / (
         METERS_PER_DEG * math.cos(math.radians(cfg.base_lat))
     )
+    origin = GeoPoint(lat0, lon0)
 
     n_pois = cfg.pois_per_district
     poi_xy = _place_pois(rng, n_pois, extent, cfg.min_separation_m)
-    poi_latlon = _xy_to_latlon(poi_xy, lat0, lon0)
+    poi_latlon = unproject_local(poi_xy, origin)
 
     taken: list = []
     standards = [_random_name(rng, _STD_SYLLABLES, taken) for _ in range(n_pois)]
@@ -215,7 +208,7 @@ def _generate_district(cfg: SynthConfig, district_idx: int, rng):
             if n_away_pts:
                 which = rng.integers(0, n_away, n_away_pts)
                 pts[away_mask] = away_places[which] + scatter[away_mask]
-            locations[user_id] = _xy_to_latlon(pts, lat0, lon0)
+            locations[user_id] = unproject_local(pts, origin)
 
     labels: list[GroundTruthLabel] = []
     all_aliases = sorted(a for names in aliases.values() for a in names)

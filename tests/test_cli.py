@@ -3,11 +3,12 @@
 import csv
 import json
 import os
+import stat
 from pathlib import Path
 
 import pytest
 
-from poialias.cli import main
+from poialias.cli import build_parser, main
 
 SMALL_SET = [
     "--config", "n_districts=2",
@@ -30,7 +31,7 @@ def test_synth_writes_dataset_and_manifest(data_dir):
     manifest = json.loads((data_dir / "run_manifest.json").read_text())
     assert manifest["command"] == "synth"
     assert manifest["config"]["seed"] == 5
-    assert "timings_ms" in manifest
+    assert list(manifest["timings_ms"]) == ["generate"]
 
 
 def test_ingest_check(data_dir, tmp_path):
@@ -145,20 +146,108 @@ def test_sweep_cli(data_dir, tmp_path):
     assert set(rows[0]) == {"grid_n", "method", "precision", "recall", "f1"}
 
 
-def test_editdist_threshold_means_distance_cutoff(data_dir, tmp_path):
-    out = tmp_path / "ed"
-    assert main([
-        "discover", str(data_dir), "--method", "editdist",
-        "--threshold", "0.3", "--out", str(out),
-    ]) == 0
-    rows = list(csv.DictReader(open(out / "aliases.csv")))
+def _write_corpus(root, names_by_user, labels):
+    """A one-district corpus: one address and one GPS point per (user, name)."""
+    root.mkdir()
+    (root / "addresses.csv").write_text(
+        "user_id,province,city,district,poi_name\n"
+        + "".join(f"{u},J,S,H,{n}\n" for u, n in names_by_user)
+    )
+    (root / "locations.csv").write_text(
+        "user_id,lat,lon\n" + "".join(f"{u},31.0,120.0\n" for u, _ in names_by_user)
+    )
+    (root / "labels.csv").write_text(
+        "district,standard_name,candidate_name,is_alias\n"
+        + "".join(f"H,{s},{c},{a}\n" for s, c, a in labels)
+    )
+
+
+def test_editdist_threshold_means_distance_cutoff(tmp_path):
+    # distances to the standard: 0.2 (below the cutoff 0.3), 0.3 (at it),
+    # 0.5 (between the cutoff and 1 - cutoff) and 0.8 (above 1 - cutoff)
+    std = "abcdefghij"
+    distance = {"abcdefghxy": 0.2, "abcdefgxyz": 0.3, "abcdevwxyz": 0.5, "abqrstuvwz": 0.8}
+    data = tmp_path / "ed"
+    _write_corpus(
+        data,
+        [(f"u{i}", n) for i, n in enumerate([std, *distance])],
+        [(std, cand, int(d < 0.3)) for cand, d in distance.items()],
+    )
     from poialias.preprocess import normalized_edit_distance
 
-    for r in rows:
-        if r["decision"] == "insufficient":
-            continue
-        dist = normalized_edit_distance(r["standard_name"], r["candidate_name"])
-        assert (r["decision"] == "alias") == (dist < 0.3)
+    assert {c: normalized_edit_distance(std, c) for c in distance} == distance
+    # a low cluster threshold keeps every spelling its own name
+    opts = ["--method", "editdist", "--threshold", "0.3", "--cluster-threshold", "0.05"]
+    out = tmp_path / "out"
+    assert main(["discover", str(data), *opts, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "aliases.csv")))
+    assert {r["candidate_name"]: r["decision"] for r in rows} == {
+        c: "alias" if d < 0.3 else "not-alias" for c, d in distance.items()
+    }
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["resolved_theta"] == 1.0 - 0.3
+
+    assert main(["evaluate", str(data), *opts, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert (report["true_positive"], report["predicted_positive"]) == (1, 1)
+    assert report["f1"] == 1.0
+
+
+def test_invalid_threshold_fails_before_ingest(tmp_path, capsys):
+    rc = main(["discover", str(tmp_path / "absent"), "--method", "jaccard",
+               "--threshold", "high", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: command=discover --threshold must be a number or 'calibrate', got 'high'" in err
+
+
+STAGES = {
+    "ingest-check": ["ingest", "write"],
+    "preprocess": ["ingest", "write"],
+    "discover": ["ingest", "score", "calibrate", "write"],
+    "evaluate": ["ingest", "score", "calibrate", "evaluate", "write"],
+    "crossval": ["ingest", "score", "evaluate", "write"],
+    "transfer": ["ingest", "score", "evaluate", "write"],
+    "sweep": ["ingest", "sweep", "write"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGES))
+def test_manifest_echoes_every_option(command, data_dir, tmp_path):
+    out = tmp_path / "m"
+    if command == "transfer":
+        argv = [command, "--source", str(data_dir), "--target", str(data_dir)]
+    else:
+        argv = [command, str(data_dir)]
+    if command not in ("ingest-check", "preprocess"):
+        argv += ["--method", "jaccard"]
+    argv += ["--out", str(out), "--workers", "1"]
+    assert main(argv) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    expected = dict(vars(build_parser().parse_args(argv)))
+    for key in ("func", "command", "verbose"):
+        del expected[key]
+    if command == "discover":
+        expected["resolved_theta"] = manifest["config"]["resolved_theta"]
+    assert manifest["command"] == command
+    assert manifest["config"] == json.loads(json.dumps(expected))
+    assert sorted(manifest["timings_ms"]) == sorted(STAGES[command])
+
+
+def test_existing_temp_file_of_the_same_path_survives(data_dir, tmp_path):
+    out = tmp_path / "keep"
+    out.mkdir()
+    stale = out / "aliases.csv.tmp"
+    stale.write_text("another writer's bytes")
+    old = os.umask(0o027)
+    try:
+        assert main(["discover", str(data_dir), "--method", "centroid", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stale.read_text() == "another writer's bytes"
+    assert [p.name for p in out.iterdir() if p.suffix == ".tmp"] == ["aliases.csv.tmp"]
+    for name in ("aliases.csv", "run_manifest.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o640
 
 
 def test_unknown_synth_key_fails(tmp_path, capsys):
@@ -166,6 +255,26 @@ def test_unknown_synth_key_fails(tmp_path, capsys):
                "--config", "bogus_key=3"])
     assert rc != 0
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "item, named",
+    [("n_districts=two", "n_districts"), ("typo_rate=low", "typo_rate"),
+     ("users_per_poi=8", "users_per_poi"), ("users_per_poi=8,x", "users_per_poi"),
+     ("seed=3", "seed")],
+)
+def test_bad_synth_value_fails_with_its_key(tmp_path, capsys, item, named):
+    rc = main(["synth", "--seed", "1", "--out", str(tmp_path / "x"), "--config", item])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: command=synth") and named in err
+
+
+def test_bad_sweep_grids_fail_with_the_value(data_dir, tmp_path, capsys):
+    rc = main(["sweep", str(data_dir), "--method", "jaccard", "--grids", "20,x",
+               "--out", str(tmp_path / "sw")])
+    assert rc == 1
+    assert "--grids expects comma-separated integers, got '20,x'" in capsys.readouterr().err
 
 
 def test_density_dump(data_dir, tmp_path):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from poialias.cli import main
 from poialias.errors import ConflictingLabelError, InvalidConfigError
 from poialias.ingestion import (
     AddressRecord,
@@ -290,6 +291,40 @@ def test_load_corpus_flags_orphan_labels(tmp_path):
     assert len(corpus.orphan_labels) == 2
     reasons = sorted(reason for _, reason in corpus.orphan_labels)
     assert "candidate_name" in reasons[0] and "standard_name" in reasons[1]
+
+
+def test_label_name_cleaning_to_empty_is_a_row_error(tmp_path):
+    # the address "!!!" also cleans to "", so the name-lookup alone would
+    # accept the label as known
+    _write(
+        tmp_path / "addresses.csv",
+        "user_id,province,city,district,poi_name\nu1,J,S,H,Alpha\nu2,J,S,H,!!!\n",
+    )
+    _write(tmp_path / "locations.csv", "user_id,lat,lon\nu1,31.0,120.0\n")
+    _write(
+        tmp_path / "labels.csv",
+        "district,standard_name,candidate_name,is_alias\n"
+        "H,alpha,???,1\nH,（）,alpha,0\nH,alpha,Alpha Two,1\n",
+    )
+    corpus = load_corpus(str(tmp_path))
+    assert [(lb.standard_name, lb.candidate_name) for lb in corpus.labels] == [
+        ("alpha", "Alpha Two")
+    ]
+    assert corpus.reports["labels"].errors == [
+        (2, "candidate_name cleans to an empty name"),
+        (3, "standard_name cleans to an empty name"),
+    ]
+    assert [reason for _, reason in corpus.orphan_labels] == [
+        "candidate_name not in district addresses"
+    ]
+
+    out = tmp_path / "chk"
+    assert main(["ingest-check", str(tmp_path), "--out", str(out)]) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert [e["message"] for e in report["files"]["labels"]["errors"]] == [
+        "candidate_name cleans to an empty name",
+        "standard_name cleans to an empty name",
+    ]
 
 
 def test_load_corpus_tolerates_missing_labels(tmp_path):

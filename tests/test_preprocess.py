@@ -10,7 +10,6 @@ from poialias.errors import EmptyInputError, InvalidConfigError
 from poialias.preprocess import (
     clean_text,
     cluster_near_duplicates,
-    levenshtein,
     limited_edit_distance,
     normalized_edit_distance,
 )
@@ -53,14 +52,28 @@ def test_clean_is_idempotent(raw):
 # ------------------------------------------------------------ edit distance
 
 
+def _full_dp(a: str, b: str) -> int:
+    """Oracle: the textbook Levenshtein DP over the whole table."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 def test_levenshtein_classic():
-    assert levenshtein("kitten", "sitting") == 3
+    assert _full_dp("kitten", "sitting") == 3
+    assert limited_edit_distance("kitten", "sitting", 7) == 3
+    assert normalized_edit_distance("kitten", "sitting") == 3 / 7
 
 
 def test_levenshtein_identity_and_empty():
-    assert levenshtein("abc", "abc") == 0
-    assert levenshtein("", "abcd") == 4
-    assert levenshtein("abcd", "") == 4
+    assert normalized_edit_distance("abc", "abc") == 0.0
+    assert normalized_edit_distance("", "abcd") == 1.0
+    assert normalized_edit_distance("abcd", "") == 1.0
+    assert limited_edit_distance("", "abcd", 4) == 4
 
 
 def test_normalized_distance_bounds():
@@ -76,9 +89,16 @@ def test_normalized_distance_bounds():
     st.integers(min_value=0, max_value=6),
 )
 def test_limited_matches_full_dp(a, b, k):
-    full = levenshtein(a, b)
+    full = _full_dp(a, b)
     expected = full if full <= k else k + 1
     assert limited_edit_distance(a, b, k) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="abcde", max_size=12), st.text(alphabet="abcde", max_size=12))
+def test_normalized_distance_matches_full_dp(a, b):
+    m = max(len(a), len(b))
+    assert normalized_edit_distance(a, b) == (_full_dp(a, b) / m if m else 0.0)
 
 
 # --------------------------------------------------------------- clustering
