@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -98,7 +99,10 @@ def _score_threshold(args):
         raise InvalidConfigError(
             f"--threshold must be a number or 'calibrate', got {args.threshold!r}"
         ) from exc
-    return 1.0 - cutoff if args.method == "editdist" else cutoff
+    theta = 1.0 - cutoff if args.method == "editdist" else cutoff
+    if not math.isfinite(theta):
+        raise InvalidConfigError(f"threshold must be finite, got {theta}")
+    return theta
 
 
 def _metric_config(args) -> MetricConfig:

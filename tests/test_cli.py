@@ -193,12 +193,26 @@ def test_editdist_threshold_means_distance_cutoff(tmp_path):
     assert report["f1"] == 1.0
 
 
-def test_invalid_threshold_fails_before_ingest(tmp_path, capsys):
-    rc = main(["discover", str(tmp_path / "absent"), "--method", "jaccard",
-               "--threshold", "high", "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize(
+    "command,method,raw,message",
+    [
+        ("discover", "jaccard", "high", "--threshold must be a number or 'calibrate', got 'high'"),
+        ("discover", "jaccard", "nan", "threshold must be finite, got nan"),
+        ("evaluate", "centroid", "inf", "threshold must be finite, got inf"),
+        ("discover", "centroid", "-inf", "threshold must be finite, got -inf"),
+        # an editdist cutoff is reported in score space, 1 - cutoff
+        ("evaluate", "editdist", "inf", "threshold must be finite, got -inf"),
+    ],
+)
+def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    # "--threshold=-inf": argparse would read a separate "-inf" as an option
+    rc = main([command, str(tmp_path / "absent"), "--method", method,
+               f"--threshold={raw}", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: command=discover --threshold must be a number or 'calibrate', got 'high'" in err
+    assert f"error: command={command} {message}" in err
+    assert not out.exists()
 
 
 STAGES = {
