@@ -445,8 +445,8 @@ def _add_common_opts(p):
     p.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker pool size for per-district scoring",
+        default=1,
+        help="worker pool size for per-district scoring (default: 1)",
     )
 
 

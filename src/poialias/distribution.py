@@ -112,19 +112,6 @@ class Distribution:
         return grid.reshape(self.n_grid, self.n_grid)
 
 
-def cell_index(lat: float, lon: float, bbox: BoundingBox, n_grid: int):
-    """(row, col) for one in-bbox point, or None when the point is outside.
-
-    Cells are half-open in both axes except the last row/column, which is
-    closed so points exactly on the max edges are kept.
-    """
-    if not (bbox.min_lat <= lat <= bbox.max_lat and bbox.min_lon <= lon <= bbox.max_lon):
-        return None
-    r = int((lat - bbox.min_lat) / (bbox.max_lat - bbox.min_lat) * n_grid)
-    c = int((lon - bbox.min_lon) / (bbox.max_lon - bbox.min_lon) * n_grid)
-    return min(r, n_grid - 1), min(c, n_grid - 1)
-
-
 def rasterize(profile, bbox: BoundingBox, n_grid: int) -> DensityMatrix:
     """Count a profile's points per grid cell over `bbox`.
 

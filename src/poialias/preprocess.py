@@ -9,6 +9,7 @@ edit distance chains below a threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from collections import defaultdict
@@ -25,6 +26,7 @@ _FOLD[0x3000] = 0x20  # ideographic space
 _STRIP = set(string.punctuation) | set("，。！？、（）【】")
 
 
+@functools.cache
 def clean_text(raw: str) -> str:
     """Normalize one raw POI name.
 
@@ -32,6 +34,10 @@ def clean_text(raw: str) -> str:
     all whitespace and the fixed punctuation set disappear, and CJK
     characters pass through verbatim. An empty result is legal and marks
     the record for exclusion downstream.
+
+    Memoized by value: the same names recur on every address and label row
+    and in several loaders, and each distinct raw name costs one cleaned
+    string, held for the life of the process.
     """
     folded = raw.translate(_FOLD)
     out = []
@@ -45,8 +51,8 @@ def clean_text(raw: str) -> str:
 def normalized_edit_distance(a: str, b: str) -> float:
     """Levenshtein distance divided by the longer length; 0.0 for two empties.
 
-    No edit path is longer than the longer string, so the banded DP with
-    band k = m is the full DP.
+    No edit path is longer than the longer string, so the cutoff k = m
+    never clamps.
     """
     m = max(len(a), len(b))
     if m == 0:
@@ -55,41 +61,43 @@ def normalized_edit_distance(a: str, b: str) -> float:
 
 
 def limited_edit_distance(a: str, b: str, k: int) -> int:
-    """Levenshtein distance if it is <= k, else k + 1. Banded DP."""
+    """Levenshtein distance if it is <= k, else k + 1.
+
+    Bit-parallel (Myers 1999; Hyyrö 2001 for the global distance): the
+    shorter string is the pattern, one bit of a Python int per pattern
+    position, and each character of the longer string updates the vertical
+    deltas of a whole DP column with a fixed number of integer operations.
+    `dist` follows the DP's last row, so the result is the exact distance.
+    """
     la, lb = len(a), len(b)
     if abs(la - lb) > k:
         return k + 1
-    if k <= 0:
-        return 0 if a == b else k + 1
-    if la < lb:
+    if la > lb:
         a, b, la, lb = b, a, lb, la
-    big = k + 1
-    prev = [min(j, big) for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        jlo = max(1, i - k)
-        jhi = min(lb, i + k)
-        cur = [big] * (lb + 1)
-        cur[0] = min(i, big)
-        ca = a[i - 1]
-        row_min = cur[0] if jlo == 1 else big
-        for j in range(jlo, jhi + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            v = prev[j - 1] + cost
-            up = prev[j] + 1
-            if up < v:
-                v = up
-            left = cur[j - 1] + 1
-            if left < v:
-                v = left
-            if v > big:
-                v = big
-            cur[j] = v
-            if v < row_min:
-                row_min = v
-        if row_min > k:
-            return big
-        prev = cur
-    return prev[lb] if prev[lb] <= k else big
+    if la == 0:
+        return lb
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << la) - 1
+    top = 1 << (la - 1)
+    pv, mv, dist = mask, 0, la
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        # the DP's first row rises by one per column: shift in a +1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return dist if dist <= k else k + 1
 
 
 @dataclass

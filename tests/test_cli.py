@@ -105,6 +105,15 @@ def test_report_is_deterministic_and_timing_free(data_dir, tmp_path):
     assert b"timings" not in outs[0]
 
 
+def test_report_does_not_depend_on_the_host_cpu_count(data_dir, tmp_path, monkeypatch):
+    # report.json echoes --workers, so its default must not come from the host
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    out = tmp_path / "host"
+    assert main(["evaluate", str(data_dir), "--method", "centroid", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["report"]["config"]["workers"] == 1
+
+
 def test_no_temp_artifacts_left_behind(data_dir, tmp_path):
     out = tmp_path / "clean"
     assert main(["evaluate", str(data_dir), "--method", "centroid", "--out", str(out)]) == 0

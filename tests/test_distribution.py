@@ -8,7 +8,6 @@ import pytest
 from poialias.distribution import (
     BoundingBox,
     DensityMatrix,
-    cell_index,
     jaccard_distance,
     jaccard_overlap,
     kl_divergence,
@@ -37,6 +36,19 @@ def dense_kl_oracle(p_grid, q_grid, epsilon):
     ps = (p + epsilon) / (p.sum() + epsilon * n)
     qs = (q + epsilon) / (q.sum() + epsilon * n)
     return float(np.sum(ps * np.log(ps / qs)))
+
+
+def cell_index(lat: float, lon: float, bbox: BoundingBox, n_grid: int):
+    """Oracle: (row, col) of one in-bbox point by scalar floor, else None.
+
+    Cells are half-open in both axes except the last row/column, which is
+    closed so points exactly on the max edges are kept.
+    """
+    if not (bbox.min_lat <= lat <= bbox.max_lat and bbox.min_lon <= lon <= bbox.max_lon):
+        return None
+    r = int((lat - bbox.min_lat) / (bbox.max_lat - bbox.min_lat) * n_grid)
+    c = int((lon - bbox.min_lon) / (bbox.max_lon - bbox.min_lon) * n_grid)
+    return min(r, n_grid - 1), min(c, n_grid - 1)
 
 
 # ---------------------------------------------------------------- rasterize

@@ -1,6 +1,7 @@
 """Text cleaning, edit distances, and near-duplicate clustering."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,14 @@ def test_clean_is_idempotent(raw):
     assert clean_text(once) == once
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=40))
+def test_clean_is_a_pure_function_under_the_cache(raw):
+    first = clean_text(raw)
+    assert first == clean_text.__wrapped__(raw)
+    assert clean_text(raw) == first
+
+
 # ------------------------------------------------------------ edit distance
 
 
@@ -82,23 +91,54 @@ def test_normalized_distance_bounds():
     assert normalized_edit_distance("ab", "ab") == 0.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.text(alphabet="abcde", max_size=10),
-    st.text(alphabet="abcde", max_size=10),
-    st.integers(min_value=0, max_value=6),
+# Arbitrary Unicode, with a few repeated code points (an astral emoji, a
+# combining accent) so that long strings still share characters. Lengths
+# up to 150 cross the 30-, 60- and 64-bit boundaries of the bit vectors.
+_TEXT = st.text(
+    alphabet=st.characters() | st.sampled_from("ab\u0301\U0001f600"), max_size=150
 )
-def test_limited_matches_full_dp(a, b, k):
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT, _TEXT, st.data())
+def test_limited_matches_full_dp(a, b, data):
+    k = data.draw(st.integers(min_value=-1, max_value=max(len(a), len(b)) + 1))
     full = _full_dp(a, b)
     expected = full if full <= k else k + 1
     assert limited_edit_distance(a, b, k) == expected
+    assert limited_edit_distance(b, a, k) == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="abcde", max_size=12), st.text(alphabet="abcde", max_size=12))
+@given(_TEXT, _TEXT)
 def test_normalized_distance_matches_full_dp(a, b):
     m = max(len(a), len(b))
-    assert normalized_edit_distance(a, b) == (_full_dp(a, b) / m if m else 0.0)
+    expected = _full_dp(a, b) / m if m else 0.0
+    assert normalized_edit_distance(a, b) == expected
+    assert normalized_edit_distance(b, a) == expected
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_edit_distance_at_word_boundaries(n):
+    rng = random.Random(n)
+    base = "".join(rng.choice("abc\U0001f600") for _ in range(n))
+    others = [
+        base,
+        base[:-1] + "z",
+        "z" + base[1:],
+        base[1:],
+        base + "z",
+        base[::-1],
+        "".join(rng.choice("abc\U0001f600") for _ in range(n)),
+        "".join(rng.choice("abc") for _ in range(n + 1)),
+    ]
+    for other in others:
+        full = _full_dp(base, other)
+        for k in (full - 1, full, n + 1):
+            expected = full if full <= k else k + 1
+            assert limited_edit_distance(base, other, k) == expected
+            assert limited_edit_distance(other, base, k) == expected
+        assert normalized_edit_distance(base, other) == full / max(n, len(other))
 
 
 # --------------------------------------------------------------- clustering

@@ -1,6 +1,7 @@
 """Synthetic city generator: determinism, planted truth, degradation knobs."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -33,6 +34,35 @@ def test_same_seed_is_byte_identical(tmp_path):
     generate_city(cfg, str(b))
     for name in _files(a):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# sha256 of every generated file for a small two-district city. A change
+# to the name generator (or to the edit distance `_clear_of` uses to keep
+# names apart) that moves a single byte fails here.
+PINNED_DIGESTS = {
+    42: {
+        "addresses.csv": "3eadf4fbf3d4d95c8dd948e697e86418412c160850df1d5f9bfb45dccb1f57b6",
+        "locations.csv": "66119116609998f93a0ac61f56e167b9bf601f64a699e61bcf6ce61a729b62d2",
+        "labels.csv": "f7d262916cef0b70e09f5246156e8b459280f2099718e7eec8c4e22c42c54fa6",
+        "truth_meta.json": "1ed7fdc2aa3cc58654955e80cc020aad180f03268ca69f0ca76b072dc99299ea",
+    },
+    43: {
+        "addresses.csv": "21cb0070b56bc3d3e173a6decea4de0cf5f6b3502f96bbb8616bccddc97ea776",
+        "locations.csv": "dfb583764762a02da283394151e37e5a6580cc13c52bd080f0d8919deee22dff",
+        "labels.csv": "458e57f79bc710038ddeb633d0c53ce08f8f95ca17deff48768aa989f9d07d35",
+        "truth_meta.json": "d28ba708534870e82a25b4315426182c59550e20700f2d83e90e0e3bfe4d6663",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS))
+def test_generated_files_match_pinned_digests(seed, tmp_path):
+    generate_city(SynthConfig(seed=seed, pois_per_district=12), str(tmp_path))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _files(tmp_path)
+    }
+    assert digests == PINNED_DIGESTS[seed]
 
 
 def test_different_seeds_differ(tmp_path):
