@@ -4,8 +4,9 @@ Subcommands: synth, ingest-check, preprocess, discover, evaluate,
 crossval, transfer, sweep. Artifacts are written atomically (temp file
 plus rename) under --out; every command also writes a run_manifest.json
 with the fully resolved configuration, stage timings, and counts. Reports
-never contain timings, so identical inputs and configuration reproduce
-them byte for byte. Each `_cmd_*` handler takes the parsed options and
+contain neither timings nor the paths and worker count, so identical
+inputs and configuration reproduce them byte for byte wherever they are
+read from and written to. Each `_cmd_*` handler takes the parsed options and
 a stage timer and returns the manifest's (counts, config).
 """
 
@@ -117,8 +118,26 @@ def _metric_config(args) -> MetricConfig:
 
 
 def _resolved_config(args, **extra) -> dict:
+    """Every resolved option: run_manifest.json's config."""
     out = {k: v for k, v in vars(args).items() if k not in ("func", "command", "verbose")}
     out.update(extra)
+    return out
+
+
+#: options that name where data is read or written, or how many threads
+#: score it; none can change a result
+_PLACE_AND_HOST_OPTIONS = ("data", "source", "target", "out", "workers")
+
+
+def _report_config(args, **extra) -> dict:
+    """The resolved options that can change a result: report.json's config.
+
+    One input and one scoring config therefore give the same report bytes
+    wherever the input is read from and the report is written to.
+    """
+    out = _resolved_config(args, **extra)
+    for key in _PLACE_AND_HOST_OPTIONS:
+        out.pop(key, None)
     return out
 
 
@@ -326,7 +345,7 @@ def _cmd_evaluate(args, timer: _Timer):
         scores,
         theta,
         method=args.method,
-        config=_resolved_config(args, resolved_theta=evaluation.json_safe(theta)),
+        config=_report_config(args, resolved_theta=evaluation.json_safe(theta)),
     )
     _log_kv(stage="evaluate", f1=round(report.f1, 6), precision=round(report.precision, 6), recall=round(report.recall, 6))
     timer.stage("write")
@@ -361,7 +380,7 @@ def _cmd_crossval(args, timer: _Timer):
     timer.stage("write")
     payload = {
         "command": "crossval",
-        "config": _resolved_config(args),
+        "config": _report_config(args),
         "report": report.to_dict(),
     }
     _write_json(os.path.join(args.out, "report.json"), payload)
@@ -391,7 +410,7 @@ def _cmd_transfer(args, timer: _Timer):
     timer.stage("write")
     payload = {
         "command": "transfer",
-        "config": _resolved_config(args),
+        "config": _report_config(args),
         "report": report.to_dict(),
     }
     _write_json(os.path.join(args.out, "report.json"), payload)
@@ -421,7 +440,7 @@ def _cmd_sweep(args, timer: _Timer):
     _atomic_write(os.path.join(args.out, "sweep.csv"), buf.getvalue())
     payload = {
         "command": "sweep",
-        "config": _resolved_config(args),
+        "config": _report_config(args),
         "results": [{"grid_n": n, "report": rep.to_dict()} for n, rep in results],
     }
     _write_json(os.path.join(args.out, "report.json"), payload)

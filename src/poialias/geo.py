@@ -98,13 +98,21 @@ def unproject_local(xy: np.ndarray, origin: GeoPoint) -> np.ndarray:
 def max_coverage_window(points: np.ndarray, side: float) -> Window:
     """Find the side x side axis-aligned window covering the most points.
 
-    `points` is an (n, 2) array of planar [x, y] meters. The search sweeps
-    anchors left to right over the distinct x values (an optimal window can
-    always be slid until its left and bottom edges pass through input
-    points), maintaining per-candidate-y0 coverage counts in a flat
-    interval-stab array. Inserting a point can only raise counts inside its
-    own candidate interval, so one slice max per insertion tracks the
-    global optimum exactly.
+    `points` is an (n, 2) array of planar [x, y] meters. An optimal window
+    can always be slid until its left and bottom edges pass through input
+    points, so the search sweeps anchors x0 left to right over the distinct
+    x values and keeps, for every candidate y0 (one slot per point, in y
+    order), the number of points in the slab x0 <= x <= x0 + side that a
+    window at (x0, y0) covers. A point entering the slab adds 1 to the
+    slots of its own candidate interval; a point leaving subtracts 1.
+
+    Per anchor, one max over the span of the slots its insertions raised
+    tracks the optimum exactly. After every anchor no slot exceeds `best`,
+    so a slot this anchor did not raise, inside the span or not, has only
+    lost points since it was last checked and cannot beat `best`; a later
+    anchor never wins a tie, because its x0 is larger. The corner is
+    searched only when the span's max beats `best`, and then every slot at
+    that max is one this anchor raised.
 
     Returns the optimal Window with the lexicographically smallest
     (x0, y0) among point-anchored optima.
@@ -130,6 +138,10 @@ def max_coverage_window(points: np.ndarray, side: float) -> Window:
     # candidate y0 slots covered by a point at y: ycand[k] <= y <= ycand[k] + side
     lo = np.searchsorted(ycand + side, ys_in_xorder, side="left")
     hi = np.searchsorted(ycand, ys_in_xorder, side="right")  # exclusive
+    # anchors are the first point of each distinct x; the slab of the
+    # anchor at i ends before slab_end[i]
+    anchors = np.flatnonzero(np.diff(xs, prepend=-np.inf)).tolist()
+    slab_end = np.searchsorted(xs, xs + side, side="right").tolist()
 
     x_l = xs.tolist()
     lo_l = lo.tolist()
@@ -144,37 +156,31 @@ def max_coverage_window(points: np.ndarray, side: float) -> Window:
     best_y0 = 0.0
     ins = 0
     rem = 0
-    i = 0
-    while i < n:
-        x0 = x_l[i]
-        j = i + 1
-        while j < n and x_l[j] == x0:
-            j += 1
-        while rem < i:
-            active[slot_l[rem]] = 0
-            depth[lo_l[rem]:hi_l[rem]] -= 1
-            rem += 1
-        limit = x0 + side
-        while ins < n and x_l[ins] <= limit:
-            l = lo_l[ins]
-            h = hi_l[ins]
-            active[slot_l[ins]] = 1
-            view = depth[l:h]
-            view += 1
-            q = int(view.max())
-            if q > best or (q == best and x0 == best_x0):
-                # restrict the corner to slots whose y belongs to a point
-                # inside the current slab (point-anchored bottom edge)
-                act = np.frombuffer(active, dtype=np.uint8)[l:h]
-                at_max = np.flatnonzero((view == q) & (act != 0))
-                if at_max.size:
-                    cand_y0 = float(ycand[l + at_max[0]])
-                    if q > best or cand_y0 < best_y0:
-                        best = q
-                        best_x0 = x0
-                        best_y0 = cand_y0
-            ins += 1
-        i = j
+    for i in anchors:
+        for k in range(rem, i):
+            active[slot_l[k]] = 0
+            depth[lo_l[k]:hi_l[k]] -= 1
+        rem = i
+        end = slab_end[i]
+        if end <= ins:
+            continue
+        for k in range(ins, end):
+            active[slot_l[k]] = 1
+            depth[lo_l[k]:hi_l[k]] += 1
+        # the span of the slots this anchor raised
+        l = min(lo_l[ins:end])
+        h = max(hi_l[ins:end])
+        ins = end
+        view = depth[l:h]
+        q = int(view.max())
+        if q > best:
+            # the lowest slot at q whose y belongs to a point inside the
+            # current slab (point-anchored bottom edge)
+            act = np.frombuffer(active, dtype=np.uint8)[l:h]
+            k = int(np.flatnonzero((view == q) & (act != 0))[0])
+            best = q
+            best_x0 = x_l[i]
+            best_y0 = float(ycand[l + k])
     return Window(x0=best_x0, y0=best_y0, side=float(side), count=best)
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,10 +66,17 @@ class LoadReport:
         }
 
 
-def _iter_rows(path: str, fmt: str, fields: list[str]):
-    """Yield (line_number, row_dict_or_None, error_message_or_None).
+#: JSON value kinds that are not a single string or number
+_JSON_NON_SCALAR = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
 
-    A leading UTF-8 byte-order mark is dropped in both formats.
+
+def _iter_rows(path: str, fmt: str, fields: list[str]):
+    """Yield (line_number, values_or_None, error_message_or_None).
+
+    `values` holds the row's field values in `fields` order. A JSONL value
+    must be a string or a number: null, booleans, arrays and objects are
+    row errors naming the field. A leading UTF-8 byte-order mark is
+    dropped in both formats.
     """
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -82,13 +89,14 @@ def _iter_rows(path: str, fmt: str, fields: list[str]):
                 raise InvalidConfigError(
                     f"{path}: expected header {','.join(fields)}, got {','.join(header)}"
                 )
+            n_fields = len(fields)
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != len(fields):
-                    yield line_no, None, f"expected {len(fields)} fields, got {len(row)}"
+                if len(row) != n_fields:
+                    yield line_no, None, f"expected {n_fields} fields, got {len(row)}"
                     continue
-                yield line_no, dict(zip(fields, row)), None
+                yield line_no, row, None
     elif fmt == "jsonl":
         with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -99,11 +107,26 @@ def _iter_rows(path: str, fmt: str, fields: list[str]):
                 except json.JSONDecodeError as exc:
                     yield line_no, None, f"invalid JSON: {exc.msg}"
                     continue
+                except ValueError as exc:  # an integer literal past int's digit limit
+                    yield line_no, None, f"invalid JSON: {exc}"
+                    continue
+                if not isinstance(obj, dict):
+                    yield line_no, None, "expected a JSON object"
+                    continue
                 missing = [f for f in fields if f not in obj]
                 if missing:
                     yield line_no, None, f"missing fields: {','.join(missing)}"
                     continue
-                yield line_no, {f: obj[f] for f in fields}, None
+                values = [obj[f] for f in fields]
+                bad = [
+                    f"{f} is {_JSON_NON_SCALAR[type(v)]}"
+                    for f, v in zip(fields, values)
+                    if type(v) in _JSON_NON_SCALAR
+                ]
+                if bad:
+                    yield line_no, None, f"expected a string or number: {', '.join(bad)}"
+                    continue
+                yield line_no, values, None
     else:
         raise InvalidConfigError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
@@ -116,14 +139,12 @@ def parse_address_records(path: str, fmt: str = "csv") -> tuple[list[AddressReco
     """
     records: list[AddressRecord] = []
     report = LoadReport(path=str(path))
-    for line_no, row, err in _iter_rows(path, fmt, ADDRESS_FIELDS):
+    for line_no, values, err in _iter_rows(path, fmt, ADDRESS_FIELDS):
         report.n_rows += 1
         if err is not None:
             report.errors.append((line_no, err))
             continue
-        user_id = str(row["user_id"]).strip()
-        district = str(row["district"]).strip()
-        poi_name = str(row["poi_name"]).strip()
+        user_id, province, city, district, poi_name = (str(v).strip() for v in values)
         if not user_id:
             report.errors.append((line_no, "empty user_id"))
             continue
@@ -136,8 +157,8 @@ def parse_address_records(path: str, fmt: str = "csv") -> tuple[list[AddressReco
         records.append(
             AddressRecord(
                 user_id=user_id,
-                province=str(row["province"]).strip(),
-                city=str(row["city"]).strip(),
+                province=province,
+                city=city,
                 district=district,
                 poi_name=poi_name,
             )
@@ -149,35 +170,63 @@ def parse_address_records(path: str, fmt: str = "csv") -> tuple[list[AddressReco
 def parse_location_log(path: str, fmt: str = "csv") -> tuple[dict[str, np.ndarray], LoadReport]:
     """Parse user GPS points into a map user_id -> (n, 2) [lat, lon] array.
 
-    Out-of-range or non-finite coordinates are rejected per row. Per-user
-    point order follows file order.
+    One pass over the rows interns each user_id to an int and appends
+    user, lat, lon and line number to typed buffers; the finite and range
+    checks then run vectorised over those buffers, and one stable argsort
+    groups the points by user. Out-of-range or non-finite coordinates are
+    rejected per row. Keys follow each user's first accepted row and
+    per-user point order follows file order.
     """
-    buckets: dict[str, list] = {}
     report = LoadReport(path=str(path))
-    for line_no, row, err in _iter_rows(path, fmt, LOCATION_FIELDS):
-        report.n_rows += 1
+    user_index: dict[str, int] = {}
+    users, lats, lons, lines = array("q"), array("d"), array("d"), array("q")
+    row_errors = []
+    for line_no, values, err in _iter_rows(path, fmt, LOCATION_FIELDS):
         if err is not None:
-            report.errors.append((line_no, err))
+            row_errors.append((line_no, err))
             continue
-        user_id = str(row["user_id"]).strip()
+        raw_user, raw_lat, raw_lon = values
+        user_id = str(raw_user).strip()
         if not user_id:
-            report.errors.append((line_no, "empty user_id"))
+            row_errors.append((line_no, "empty user_id"))
             continue
         try:
-            lat = float(row["lat"])
-            lon = float(row["lon"])
-        except (TypeError, ValueError):
-            report.errors.append((line_no, f"unparseable coordinates: {row['lat']!r},{row['lon']!r}"))
+            lat = float(raw_lat)
+            lon = float(raw_lon)
+        except (TypeError, ValueError, OverflowError):
+            row_errors.append((line_no, f"unparseable coordinates: {raw_lat!r},{raw_lon!r}"))
             continue
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            report.errors.append((line_no, "non-finite coordinates"))
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            report.errors.append((line_no, f"coordinates out of range: {lat},{lon}"))
-            continue
-        buckets.setdefault(user_id, []).append((lat, lon))
-        report.n_ok += 1
-    locations = {u: np.array(pts, dtype=float) for u, pts in buckets.items()}
+        uid = user_index.get(user_id)
+        if uid is None:
+            uid = user_index[user_id] = len(user_index)
+        users.append(uid)
+        lats.append(lat)
+        lons.append(lon)
+        lines.append(line_no)
+    report.n_rows = len(row_errors) + len(lines)
+
+    lat_a = np.frombuffer(lats, dtype=np.float64)
+    lon_a = np.frombuffer(lons, dtype=np.float64)
+    finite = np.isfinite(lat_a) & np.isfinite(lon_a)
+    ok = finite & (np.abs(lat_a) <= 90.0) & (np.abs(lon_a) <= 180.0)
+    check_errors = [
+        (lines[i], f"coordinates out of range: {lats[i]},{lons[i]}" if finite[i] else "non-finite coordinates")
+        for i in np.flatnonzero(~ok).tolist()
+    ]
+    report.errors = sorted(row_errors + check_errors)  # two runs, each in line order
+    report.n_ok = int(np.count_nonzero(ok))
+
+    uid_ok = np.frombuffer(users, dtype=np.int64)[ok]
+    points = np.column_stack((lat_a[ok], lon_a[ok]))
+    order = np.argsort(uid_ok, kind="stable")
+    grouped = uid_ok[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    chunks = np.split(points[order], starts[1:])
+    names = list(user_index)
+    # order[starts] is each user's first accepted row
+    locations = {
+        names[grouped[starts[k]]]: chunks[k] for k in np.argsort(order[starts], kind="stable").tolist()
+    }
     return locations, report
 
 
@@ -191,15 +240,12 @@ def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], L
     labels: list[GroundTruthLabel] = []
     seen: dict[tuple, bool] = {}
     report = LoadReport(path=str(path))
-    for line_no, row, err in _iter_rows(path, fmt, LABEL_FIELDS):
+    for line_no, values, err in _iter_rows(path, fmt, LABEL_FIELDS):
         report.n_rows += 1
         if err is not None:
             report.errors.append((line_no, err))
             continue
-        district = str(row["district"]).strip()
-        standard = str(row["standard_name"]).strip()
-        candidate = str(row["candidate_name"]).strip()
-        raw_flag = str(row["is_alias"]).strip()
+        district, standard, candidate, raw_flag = (str(v).strip() for v in values)
         if not district or not standard or not candidate:
             report.errors.append((line_no, "empty district or name field"))
             continue
@@ -240,32 +286,55 @@ def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], L
     return labels, report
 
 
-def write_address_records(path: str, records: list[AddressRecord]):
+def _csv_writers(fh):
+    """Plain and quote-every-field CSV writers, both ending rows in a line feed.
+
+    Minimal quoting leaves a bare carriage return unquoted under a line-feed
+    terminator, and a reader then ends the row there; a row holding one is
+    written by the second writer.
+    """
+    return (
+        csv.writer(fh, lineterminator="\n"),
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL),
+    )
+
+
+def _write_rows(path: str, header: list[str], rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ADDRESS_FIELDS)
-        for r in records:
-            writer.writerow([r.user_id, r.province, r.city, r.district, r.poi_name])
+        plain, quoted = _csv_writers(fh)
+        plain.writerow(header)
+        for row in rows:
+            (quoted if any("\r" in f for f in row) else plain).writerow(row)
+
+
+def write_address_records(path: str, records: list[AddressRecord]):
+    _write_rows(
+        path,
+        ADDRESS_FIELDS,
+        ([r.user_id, r.province, r.city, r.district, r.poi_name] for r in records),
+    )
 
 
 def write_location_log(path: str, locations: dict[str, np.ndarray]):
     # repr-precision floats so a parse/write cycle is lossless
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOCATION_FIELDS)
+        plain, quoted = _csv_writers(fh)
+        plain.writerow(LOCATION_FIELDS)
         for user_id, pts in locations.items():
+            writer = quoted if "\r" in user_id else plain
             for lat, lon in np.asarray(pts, dtype=float):
                 writer.writerow([user_id, repr(float(lat)), repr(float(lon))])
 
 
 def write_labels(path: str, labels: list[GroundTruthLabel]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LABEL_FIELDS)
-        for lb in labels:
-            writer.writerow(
-                [lb.district, lb.standard_name, lb.candidate_name, "1" if lb.is_alias else "0"]
-            )
+    _write_rows(
+        path,
+        LABEL_FIELDS,
+        (
+            [lb.district, lb.standard_name, lb.candidate_name, "1" if lb.is_alias else "0"]
+            for lb in labels
+        ),
+    )
 
 
 @dataclass

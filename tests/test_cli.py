@@ -106,12 +106,33 @@ def test_report_is_deterministic_and_timing_free(data_dir, tmp_path):
 
 
 def test_report_does_not_depend_on_the_host_cpu_count(data_dir, tmp_path, monkeypatch):
-    # report.json echoes --workers, so its default must not come from the host
+    def report_bytes(out):
+        assert main(["evaluate", str(data_dir), "--method", "centroid", "--out", str(out)]) == 0
+        return (out / "report.json").read_bytes()
+
+    plain = report_bytes(tmp_path / "same")
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    out = tmp_path / "host"
-    assert main(["evaluate", str(data_dir), "--method", "centroid", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["report"]["config"]["workers"] == 1
+    assert report_bytes(tmp_path / "same") == plain
+
+
+def test_report_does_not_depend_on_paths_or_workers(data_dir, tmp_path):
+    reports = []
+    for copy, workers in (("a", "1"), ("b", "2")):
+        data = tmp_path / copy / "data"
+        data.mkdir(parents=True)
+        for name in ("addresses.csv", "locations.csv", "labels.csv"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        out = tmp_path / copy / "out"
+        assert main([
+            "evaluate", str(data), "--method", "kl", "--out", str(out), "--workers", workers,
+        ]) == 0
+        reports.append((out / "report.json").read_bytes())
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["data"] == str(data)
+        assert manifest["config"]["workers"] == int(workers)
+    assert reports[0] == reports[1]
+    config = json.loads(reports[0])["report"]["config"]
+    assert not {"data", "out", "workers"} & set(config)
 
 
 def test_no_temp_artifacts_left_behind(data_dir, tmp_path):

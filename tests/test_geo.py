@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poialias.errors import EmptyInputError, InvalidConfigError
 from poialias.geo import (
@@ -192,6 +194,29 @@ def test_window_corner_is_lexicographic_minimum():
         win = max_coverage_window(pts, side)
         assert win.count == count
         assert (win.x0, win.y0) == corner
+
+
+@st.composite
+def _integer_point_sets(draw):
+    """Integer points on a narrow x range: many duplicate x values, and a
+    side that often puts most points into the first anchor's slab."""
+    n = draw(st.integers(1, 60))
+    x_extent = draw(st.integers(0, 15))
+    y_extent = draw(st.integers(0, 30))
+    xs = draw(st.lists(st.integers(0, x_extent), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, y_extent), min_size=n, max_size=n))
+    side = draw(st.integers(1, 12))
+    return np.column_stack([xs, ys]).astype(float), float(side)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_point_sets())
+def test_window_equals_exhaustive_corners_on_integer_points(case):
+    pts, side = case
+    count, corner = brute_force_window_corner(pts, side)
+    win = max_coverage_window(pts, side)
+    assert win.count == count
+    assert (win.x0, win.y0) == corner
 
 
 def test_window_translation_invariance():

@@ -1,15 +1,23 @@
 """Corpus parsing, validation, serialization round-trips."""
 
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poialias.cli import main
 from poialias.errors import ConflictingLabelError, InvalidConfigError
 from poialias.ingestion import (
+    LOCATION_FIELDS,
     AddressRecord,
     GroundTruthLabel,
+    LoadReport,
+    _iter_rows,
     load_corpus,
     parse_address_records,
     parse_labels,
@@ -77,6 +85,21 @@ def test_parse_address_jsonl(tmp_path):
     records, report = parse_address_records(path, fmt="jsonl")
     assert [r.user_id for r in records] == ["u1", "u2"]
     assert report.n_errors == 0
+
+
+def test_parse_address_jsonl_rejects_non_scalar_values(tmp_path):
+    rows = [
+        {"user_id": "u1", "province": "J", "city": "S", "district": "H", "poi_name": None},
+        {"user_id": 2, "province": "J", "city": "S", "district": "H", "poi_name": "Y"},
+        {"user_id": "u3", "province": False, "city": ["S"], "district": "H", "poi_name": "Z"},
+    ]
+    path = _write(tmp_path / "a.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
+    records, report = parse_address_records(path, fmt="jsonl")
+    assert records == [AddressRecord("2", "J", "S", "H", "Y")]
+    assert report.errors == [
+        (1, "expected a string or number: poi_name is null"),
+        (3, "expected a string or number: province is a boolean, city is an array"),
+    ]
 
 
 BOM_TEXT = {
@@ -159,7 +182,193 @@ def test_parse_locations_and_labels_jsonl(tmp_path):
     assert labels == [GroundTruthLabel("H", "A", "B", True)]
 
 
+def _per_row_parse_location_log(path, fmt="csv"):
+    """Oracle: the per-row parser that the single-pass one replaced.
+
+    One dict, one float() pair and one finite and range check per row;
+    accepted points are bucketed per user in file order.
+    """
+    buckets = {}
+    report = LoadReport(path=str(path))
+    for line_no, values, err in _iter_rows(path, fmt, LOCATION_FIELDS):
+        report.n_rows += 1
+        if err is not None:
+            report.errors.append((line_no, err))
+            continue
+        row = dict(zip(LOCATION_FIELDS, values))
+        user_id = str(row["user_id"]).strip()
+        if not user_id:
+            report.errors.append((line_no, "empty user_id"))
+            continue
+        try:
+            lat = float(row["lat"])
+            lon = float(row["lon"])
+        except (TypeError, ValueError):
+            report.errors.append((line_no, f"unparseable coordinates: {row['lat']!r},{row['lon']!r}"))
+            continue
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            report.errors.append((line_no, "non-finite coordinates"))
+            continue
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            report.errors.append((line_no, f"coordinates out of range: {lat},{lon}"))
+            continue
+        buckets.setdefault(user_id, []).append((lat, lon))
+        report.n_ok += 1
+    return {u: np.array(pts, dtype=float) for u, pts in buckets.items()}, report
+
+
+def _assert_same_parse(path, fmt):
+    got, got_report = parse_location_log(path, fmt)
+    want, want_report = _per_row_parse_location_log(path, fmt)
+    assert list(got) == list(want)
+    for user, pts in want.items():
+        assert (got[user].dtype, got[user].shape) == (pts.dtype, pts.shape)
+        assert got[user].tobytes() == pts.tobytes()
+    assert got_report.to_dict() == want_report.to_dict()
+
+
+_USERS = ["u1", " u2 ", "ü3", 'a,"b', "x\ny", "", "  "]
+# accepted by float(), padded, with underscores, in Arabic-Indic digits
+_COORDS = ["31.3", " 12 ", "-0.0", "+5", "1_0", "١٢", "90", "-180", "1e-300"]
+_NON_FINITE = ["nan", "inf", "-Infinity", "infinity", "1e400"]
+_OUT_OF_RANGE = ["95.0", "-90.0000001", "180.5", "1e300"]
+_UNPARSEABLE = ["north", "", "1__0", "0x10", "1,5"]
+_TEXT_VALUE = st.sampled_from(_COORDS + _NON_FINITE + _OUT_OF_RANGE + _UNPARSEABLE)
+_FLOAT_VALUE = st.floats(-200.0, 200.0) | st.sampled_from([math.inf, -math.inf, math.nan, 10**30])
+
+
+def _csv_line(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+_CSV_ROW = st.one_of(
+    st.tuples(st.sampled_from(_USERS), _TEXT_VALUE, _TEXT_VALUE).map(list),
+    st.lists(_TEXT_VALUE, min_size=1, max_size=4).filter(lambda r: len(r) != 3),
+).map(_csv_line) | st.just("\n")
+
+_JSON_VALUE = st.one_of(
+    _TEXT_VALUE, _FLOAT_VALUE, st.integers(-1000, 1000), st.sampled_from([None, True, [1.0], {"a": 1}])
+)
+_JSONL_ROW = st.one_of(
+    st.fixed_dictionaries(
+        {"user_id": st.sampled_from(_USERS) | st.integers(0, 9), "lat": _JSON_VALUE, "lon": _JSON_VALUE}
+    ).map(json.dumps),
+    st.fixed_dictionaries({"user_id": st.sampled_from(_USERS), "lat": _JSON_VALUE}).map(json.dumps),
+    st.sampled_from(["{", '{"user_id": "u1", "lat": 1', "5", '"u1,1,2"', "[1, 2, 3]", "", "  "]),
+).map(lambda line: line + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_CSV_ROW, max_size=30))
+def test_single_pass_parse_matches_per_row_oracle_csv(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "l.csv"
+    path.write_text("user_id,lat,lon\n" + "".join(rows), encoding="utf-8")
+    _assert_same_parse(str(path), "csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_JSONL_ROW, max_size=30))
+def test_single_pass_parse_matches_per_row_oracle_jsonl(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "l.jsonl"
+    path.write_text("".join(rows), encoding="utf-8")
+    _assert_same_parse(str(path), "jsonl")
+
+
+def test_single_pass_parse_matches_oracle_on_a_noisy_log(tmp_path):
+    lines = ["user_id,lat,lon"]
+    rng = np.random.default_rng(3)
+    for k in range(400):
+        user = f"u{int(rng.integers(0, 25))}"
+        lat, lon = repr(float(rng.uniform(-95, 95))), repr(float(rng.uniform(-185, 185)))
+        kind = k % 9
+        lines.append(
+            [
+                f"{user},{lat},{lon}",
+                f"{user},nan,{lon}",
+                f"{user},{lat}",
+                f",{lat},{lon}",
+                f"{user},north,{lon}",
+                "",
+                f"{user}, {lat} ,{lon}",
+                f"{user},{lat},{lon},x",
+                f"{user},1e400,{lon}",
+            ][kind]
+        )
+    path = _write(tmp_path / "l.csv", "\n".join(lines) + "\n")
+    _assert_same_parse(path, "csv")
+
+
+_USER_ID = st.text(min_size=1, max_size=12).filter(lambda u: u == u.strip())
+_POINT = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.dictionaries(_USER_ID, st.lists(_POINT, min_size=1, max_size=4), max_size=6))
+def test_location_round_trip_on_unicode_user_ids(points, tmp_path_factory):
+    locations = {u: np.array(pts, dtype=float) for u, pts in points.items()}
+    path = tmp_path_factory.mktemp("roundtrip") / "l.csv"
+    write_location_log(str(path), locations)
+    parsed, report = parse_location_log(str(path))
+    assert report.n_errors == 0
+    assert list(parsed) == list(locations)
+    for u, pts in locations.items():
+        assert parsed[u].tobytes() == pts.tobytes()
+
+
+def test_locations_jsonl_rejects_non_scalar_values(tmp_path):
+    path = _write(
+        tmp_path / "l.jsonl",
+        '{"user_id": null, "lat": true, "lon": 120.5}\n'
+        '{"user_id": 7, "lat": "31.5", "lon": 120.5}\n'
+        '{"user_id": "u1", "lat": [31.5], "lon": {"deg": 120}}\n',
+    )
+    locations, report = parse_location_log(path, fmt="jsonl")
+    assert list(locations) == ["7"]
+    assert report.errors == [
+        (1, "expected a string or number: user_id is null, lat is a boolean"),
+        (3, "expected a string or number: lat is an array, lon is an object"),
+    ]
+
+
+def test_locations_jsonl_malformed_lines_are_row_errors(tmp_path):
+    huge = "1" + "0" * 400  # an integer no float can hold
+    past_digit_limit = "1" * 5000  # int() refuses to read it
+    path = _write(
+        tmp_path / "l.jsonl",
+        "5\n"
+        '["u1", 31.5, 120.5]\n'
+        f'{{"user_id": "u1", "lat": {huge}, "lon": 120.5}}\n'
+        f'{{"user_id": "u1", "lat": {past_digit_limit}, "lon": 120.5}}\n'
+        '{"user_id": "u1", "lat": 31.5, "lon": 120.5}\n',
+    )
+    locations, report = parse_location_log(path, fmt="jsonl")
+    assert locations["u1"].tolist() == [[31.5, 120.5]]
+    lines = [line for line, _ in report.errors]
+    messages = [msg for _, msg in report.errors]
+    assert lines == [1, 2, 3, 4]
+    assert messages[:2] == ["expected a JSON object", "expected a JSON object"]
+    assert messages[2] == f"unparseable coordinates: {int(huge)!r},120.5"
+    assert messages[3].startswith("invalid JSON: ")
+
+
 # ------------------------------------------------------------------- labels
+
+
+def test_parse_labels_jsonl_rejects_non_scalar_values(tmp_path):
+    path = _write(
+        tmp_path / "lb.jsonl",
+        '{"district": "H", "standard_name": "A", "candidate_name": "B", "is_alias": true}\n'
+        '{"district": null, "standard_name": "A", "candidate_name": {"n": "C"}, "is_alias": 1}\n'
+        '{"district": "H", "standard_name": "A", "candidate_name": "D", "is_alias": "0"}\n',
+    )
+    labels, report = parse_labels(path, fmt="jsonl")
+    assert labels == [GroundTruthLabel("H", "A", "D", False)]
+    assert report.errors == [
+        (1, "expected a string or number: is_alias is a boolean"),
+        (2, "expected a string or number: district is null, candidate_name is an object"),
+    ]
 
 
 def test_parse_labels_positive(tmp_path):
@@ -215,6 +424,17 @@ def test_address_round_trip(tmp_path):
     parsed, report = parse_address_records(str(path))
     # embedded whitespace survives but fields are stored trimmed
     assert parsed == records and report.n_errors == 0
+
+
+def test_carriage_return_in_a_field_round_trips(tmp_path):
+    records = [AddressRecord("u\r1", "J", "S", "H", "Xi\rGu"), AddressRecord("u2", "J", "S", "H", "Y")]
+    path = tmp_path / "a.csv"
+    write_address_records(str(path), records)
+    assert path.read_text(encoding="utf-8").splitlines()[-1] == "u2,J,S,H,Y"
+    assert parse_address_records(str(path))[0] == records
+    labels = [GroundTruthLabel("H", "A\rB", "C", True)]
+    write_labels(str(tmp_path / "lb.csv"), labels)
+    assert parse_labels(str(tmp_path / "lb.csv"))[0] == labels
 
 
 def test_location_round_trip_is_lossless(tmp_path):
