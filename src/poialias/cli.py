@@ -6,8 +6,8 @@ plus rename) under --out; every command also writes a run_manifest.json
 with the fully resolved configuration, stage timings, and counts. Reports
 contain neither timings nor the paths and worker count, so identical
 inputs and configuration reproduce them byte for byte wherever they are
-read from and written to. Each `_cmd_*` handler takes the parsed options and
-a stage timer and returns the manifest's (counts, config).
+read from and written to. Each `_cmd_*` handler takes the parsed options
+and a stage timer and returns the manifest's (counts, config).
 """
 
 from __future__ import annotations
