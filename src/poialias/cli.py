@@ -27,7 +27,7 @@ from dataclasses import asdict, fields
 from . import evaluation
 from .discovery import MetricConfig, apply_threshold
 from .errors import InvalidConfigError, PoiAliasError
-from .ingestion import load_corpus, partition_by_district
+from .ingestion import Corpus, load_corpus, partition_by_district
 from .pipeline import CityData, build_city_data, score_city
 from .preprocess import clean_text
 from .synth import SynthConfig, generate_city
@@ -141,7 +141,7 @@ def _report_config(args, **extra) -> dict:
     return out
 
 
-def _load_city(args, require_labels: bool):
+def _load_corpus(args, require_labels: bool) -> Corpus:
     corpus = load_corpus(args.data, fmt=args.format, require_labels=require_labels)
     _log_kv(
         stage="ingest",
@@ -151,8 +151,17 @@ def _load_city(args, require_labels: bool):
         districts=len(corpus.districts),
         orphan_labels=len(corpus.orphan_labels),
     )
-    city = build_city_data(corpus, cluster_threshold=args.cluster_threshold)
-    return corpus, city
+    return corpus
+
+
+def _load_city(args, require_labels: bool) -> CityData:
+    """The city of `args.data`; the parsed corpus is released on return.
+
+    Profiles hold their own copies of the points, so the parsed location
+    log need not stay alive while scoring.
+    """
+    corpus = _load_corpus(args, require_labels)
+    return build_city_data(corpus, cluster_threshold=args.cluster_threshold)
 
 
 def _pairs_csv(city: CityData, scores: dict) -> str:
@@ -252,7 +261,8 @@ def _cmd_ingest_check(args, timer: _Timer):
 
 def _cmd_preprocess(args, timer: _Timer):
     timer.stage("ingest")
-    corpus, city = _load_city(args, require_labels=False)
+    corpus = _load_corpus(args, require_labels=False)
+    city = build_city_data(corpus, cluster_threshold=args.cluster_threshold)
     timer.stage("write")
     by_district = partition_by_district(corpus.addresses)
     n_raw = 0
@@ -275,7 +285,7 @@ def _cmd_preprocess(args, timer: _Timer):
 def _cmd_discover(args, timer: _Timer):
     threshold = _score_threshold(args)
     timer.stage("ingest")
-    corpus, city = _load_city(args, require_labels=threshold == "calibrate")
+    city = _load_city(args, require_labels=threshold == "calibrate")
     config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
@@ -333,7 +343,7 @@ def _cmd_discover(args, timer: _Timer):
 def _cmd_evaluate(args, timer: _Timer):
     threshold = _score_threshold(args)
     timer.stage("ingest")
-    corpus, city = _load_city(args, require_labels=True)
+    city = _load_city(args, require_labels=True)
     config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
@@ -368,7 +378,7 @@ def _cmd_evaluate(args, timer: _Timer):
 
 def _cmd_crossval(args, timer: _Timer):
     timer.stage("ingest")
-    corpus, city = _load_city(args, require_labels=True)
+    city = _load_city(args, require_labels=True)
     config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
@@ -389,10 +399,13 @@ def _cmd_crossval(args, timer: _Timer):
 
 def _cmd_transfer(args, timer: _Timer):
     timer.stage("ingest")
+    # one parsed corpus alive at a time; each city holds its own points
     source = load_corpus(args.source, fmt=args.format, require_labels=True)
-    target = load_corpus(args.target, fmt=args.format, require_labels=True)
     source_city = build_city_data(source, cluster_threshold=args.cluster_threshold)
+    del source
+    target = load_corpus(args.target, fmt=args.format, require_labels=True)
     target_city = build_city_data(target, cluster_threshold=args.cluster_threshold)
+    del target
     config = _metric_config(args)
     timer.stage("score")
     source_scores = score_city(source_city, config, workers=args.workers)
@@ -425,7 +438,7 @@ def _cmd_sweep(args, timer: _Timer):
     if not grids:
         raise InvalidConfigError(f"--grids expects comma-separated integers, got {args.grids!r}")
     timer.stage("ingest")
-    corpus, city = _load_city(args, require_labels=True)
+    city = _load_city(args, require_labels=True)
     base = _metric_config(args)
     timer.stage("sweep")
     results = evaluation.resolution_sweep(

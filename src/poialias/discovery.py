@@ -56,7 +56,7 @@ class MetricConfig:
                 raise InvalidConfigError(f"kl_epsilon must be positive, got {self.kl_epsilon}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredPair:
     standard_name: str
     candidate_name: str
@@ -79,47 +79,32 @@ class AliasMatrix:
         }
 
 
-class _PairScorer:
-    """Scores all pairs for one method, caching per-profile features."""
+def _kernel(config: MetricConfig):
+    """The configured method's score of one pair of features."""
+    if config.method in ("centroid", "loc_cent"):
+        return lambda fi, fj: 1.0 / max(haversine(fi, fj), MIN_GEO_DISTANCE_M)
+    if config.method == "kl_div":
+        eps = config.kl_epsilon
+        return lambda fi, fj: 1.0 / max(dist.kl_divergence(fi, fj, eps), MIN_DIVERGENCE)
+    if config.method == "jaccard":
+        return lambda fi, fj: 1.0 / max(dist.jaccard_distance(fi, fj), MIN_DIVERGENCE)
+    # edit_distance: similarity in [0, 1]; a distance cutoff theta_edit
+    # corresponds to the score threshold 1 - theta_edit
+    return lambda fi, fj: 1.0 - normalized_edit_distance(fi, fj)
 
-    def __init__(self, config: MetricConfig, bbox: dist.BoundingBox | None):
-        self.config = config
-        self.bbox = bbox
-        self._features: dict[str, object] = {}
 
-    def _feature(self, profile: MobilityProfile):
-        name = profile.name
-        if name in self._features:
-            return self._features[name]
-        cfg = self.config
-        if cfg.method == "edit_distance":
-            feat = name
-        elif profile.point_count < cfg.min_profile_points:
-            feat = None
-        elif cfg.method == "centroid":
-            feat = centroid(profile.points)
-        elif cfg.method == "loc_cent":
-            feat = local_region_centroid(profile.points, cfg.local_window_m)
-        else:
-            feat = dist.normalize(dist.rasterize(profile, self.bbox, cfg.grid_n))
-        self._features[name] = feat
-        return feat
-
-    def score(self, ci: MobilityProfile, cj: MobilityProfile) -> float | None:
-        fi = self._feature(ci)
-        fj = self._feature(cj)
-        if fi is None or fj is None:
-            return None
-        cfg = self.config
-        if cfg.method in ("centroid", "loc_cent"):
-            return 1.0 / max(haversine(fi, fj), MIN_GEO_DISTANCE_M)
-        if cfg.method == "kl_div":
-            return 1.0 / max(dist.kl_divergence(fi, fj, cfg.kl_epsilon), MIN_DIVERGENCE)
-        if cfg.method == "jaccard":
-            return 1.0 / max(dist.jaccard_distance(fi, fj), MIN_DIVERGENCE)
-        # edit_distance: similarity in [0, 1]; a distance cutoff theta_edit
-        # corresponds to the score threshold 1 - theta_edit
-        return 1.0 - normalized_edit_distance(fi, fj)
+def _feature(profile: MobilityProfile, config: MetricConfig, bbox: dist.BoundingBox | None):
+    """The profile's feature for the configured method, or None when it has
+    too few points."""
+    if config.method == "edit_distance":
+        return profile.name
+    if profile.point_count < config.min_profile_points:
+        return None
+    if config.method == "centroid":
+        return centroid(profile.points)
+    if config.method == "loc_cent":
+        return local_region_centroid(profile.points, config.local_window_m)
+    return dist.normalize(dist.rasterize(profile, bbox, config.grid_n))
 
 
 def score_pairs(
@@ -139,12 +124,15 @@ def score_pairs(
         if not pts:
             raise InvalidConfigError("cannot derive a bounding box: all profiles are empty")
         bbox = dist.BoundingBox.from_points(np.concatenate(pts, axis=0))
-    scorer = _PairScorer(config, bbox)
+    kernel = _kernel(config)
+    cands = [(cj.name, _feature(cj, config, bbox)) for cj in candidates]
     pairs = []
     for ci in standards:
-        for cj in candidates:
-            s = scorer.score(ci, cj)
-            pairs.append(ScoredPair(standard_name=ci.name, candidate_name=cj.name, score=s))
+        name_i, fi = ci.name, _feature(ci, config, bbox)
+        pairs += [
+            ScoredPair(name_i, name_j, None if fi is None or fj is None else kernel(fi, fj))
+            for name_j, fj in cands
+        ]
     return pairs
 
 

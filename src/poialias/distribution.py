@@ -14,7 +14,9 @@ cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -76,40 +78,66 @@ class DensityMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def dense_counts(self) -> np.ndarray:
-        grid = np.zeros(self.n_grid * self.n_grid, dtype=np.int64)
-        grid[self.cells] = self.counts
-        return grid.reshape(self.n_grid, self.n_grid)
 
-    @classmethod
-    def from_dense(cls, grid, bbox: BoundingBox) -> "DensityMatrix":
-        arr = np.asarray(grid, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidConfigError(f"density grid must be square, got shape {arr.shape}")
-        if (arr < 0).any():
-            raise InvalidConfigError("density counts must be non-negative")
-        flat = arr.ravel()
-        cells = np.flatnonzero(flat)
-        return cls(cells=cells, counts=flat[cells], n_grid=arr.shape[0], bbox=bbox)
+@dataclass(frozen=True)
+class _KLTerms:
+    """The parts of smoothed KL that depend on one distribution and epsilon.
+
+    With P_c = (p_c + eps) / denom on every cell c (floor = eps / denom on
+    the cells p leaves empty): neg_entropy is sum_c P_c log P_c, mass is
+    sum_c P_c, and log_ratio maps each occupied cell to log((p_c + eps) / eps),
+    whose sum is log_ratio_sum. count_denom is p's point total times denom.
+    """
+
+    neg_entropy: float
+    mass: float
+    floor: float
+    log_floor: float
+    count_denom: float
+    log_ratio: dict
+    log_ratio_sum: float
 
 
 @dataclass
 class Distribution:
-    """A normalized density matrix; probabilities over grid cells."""
+    """A normalized density matrix; probabilities over grid cells.
+
+    `counts` keeps the integer point counts behind `probs`. The per-cell
+    lookups and KL terms the divergences need are built on first use and
+    cached on the object, so each costs once per distribution rather than
+    once per pair; the arrays must not change after that.
+    """
 
     cells: np.ndarray
     probs: np.ndarray
+    counts: np.ndarray
     n_grid: int
     bbox: BoundingBox
+    _kl: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # epsilon -> terms
 
     @property
     def total(self) -> float:
         return float(self.probs.sum())
 
-    def dense_probs(self) -> np.ndarray:
-        grid = np.zeros(self.n_grid * self.n_grid, dtype=float)
-        grid[self.cells] = self.probs
-        return grid.reshape(self.n_grid, self.n_grid)
+    @cached_property
+    def n_points(self) -> int:
+        return int(self.counts.sum())
+
+    @cached_property
+    def count_of(self) -> dict:
+        """Occupied cell -> point count."""
+        return dict(zip(self.cells.tolist(), self.counts.tolist()))
+
+    @cached_property
+    def cell_set(self) -> frozenset:
+        """The occupied cells."""
+        return frozenset(self.count_of)
+
+    def kl_terms(self, epsilon: float) -> _KLTerms:
+        terms = self._kl.get(epsilon)
+        if terms is None:
+            terms = self._kl[epsilon] = _kl_terms(self, epsilon)
+        return terms
 
 
 def rasterize(profile, bbox: BoundingBox, n_grid: int) -> DensityMatrix:
@@ -141,8 +169,10 @@ def rasterize(profile, bbox: BoundingBox, n_grid: int) -> DensityMatrix:
         )
     rows = ((lat - bbox.min_lat) / (bbox.max_lat - bbox.min_lat) * n_grid).astype(np.int64)
     cols = ((lon - bbox.min_lon) / (bbox.max_lon - bbox.min_lon) * n_grid).astype(np.int64)
-    np.clip(rows, 0, n_grid - 1, out=rows)
-    np.clip(cols, 0, n_grid - 1, out=cols)
+    # non-negative since every kept point is inside the box; only points
+    # on the max edges land one past the last row or column
+    np.minimum(rows, n_grid - 1, out=rows)
+    np.minimum(cols, n_grid - 1, out=cols)
     flat = rows * n_grid + cols
     cells, counts = np.unique(flat, return_counts=True)
     return DensityMatrix(cells=cells, counts=counts, n_grid=n_grid, bbox=bbox, dropped=dropped)
@@ -156,16 +186,37 @@ def normalize(m: DensityMatrix) -> Distribution:
     return Distribution(
         cells=m.cells.copy(),
         probs=m.counts.astype(float) / float(total),
+        counts=m.counts.copy(),
         n_grid=m.n_grid,
         bbox=m.bbox,
     )
 
 
 def _check_same_grid(p: Distribution, q: Distribution):
-    if p.n_grid != q.n_grid or p.bbox != q.bbox:
+    if p.n_grid != q.n_grid or (p.bbox is not q.bbox and p.bbox != q.bbox):
         raise GridMismatchError(
             f"distributions disagree on grid/bbox: {p.n_grid} vs {q.n_grid}, {p.bbox} vs {q.bbox}"
         )
+
+
+def _kl_terms(p: Distribution, epsilon: float) -> _KLTerms:
+    n_cells = p.n_grid * p.n_grid
+    n_empty = n_cells - len(p.cells)
+    denom = float(p.probs.sum()) + epsilon * n_cells
+    floor = epsilon / denom
+    log_floor = math.log(floor)
+    smoothed = (p.probs + epsilon) / denom
+    log_ratio = np.log1p(p.probs / epsilon)
+    return _KLTerms(
+        # the cells p leaves empty all smooth to `floor`: one closed-form term
+        neg_entropy=math.fsum((smoothed * np.log(smoothed)).tolist()) + n_empty * floor * log_floor,
+        mass=math.fsum(smoothed.tolist()) + n_empty * floor,
+        floor=floor,
+        log_floor=log_floor,
+        count_denom=p.n_points * denom,
+        log_ratio=dict(zip(p.count_of, log_ratio.tolist())),
+        log_ratio_sum=math.fsum(log_ratio.tolist()),
+    )
 
 
 def kl_divergence(p: Distribution, q: Distribution, epsilon: float = 1e-9) -> float:
@@ -176,41 +227,29 @@ def kl_divergence(p: Distribution, q: Distribution, epsilon: float = 1e-9) -> fl
     p does not. Non-negative; zero iff the smoothed distributions match.
     Asymmetric in (p, q) as usual.
 
-    The sparse evaluation below is exact: cells empty in both
-    distributions smooth to identical values, so their log-ratio terms
-    reduce to a single closed-form contribution.
+    With P and Q the smoothed distributions, log Q_c is q's log floor plus,
+    on q's occupied cells, log((q_c + eps) / eps). Splitting the cross
+    entropy there leaves one sum that needs both distributions:
+
+        KL = sum P log P - log_floor_q * sum P - floor_p * G_q - X / (T_p * denom_p)
+
+    where G_q sums q's log ratios and X = sum over cells occupied by both
+    of k_c * log((q_c + eps) / eps), with k_c p's point count in cell c
+    (p_c = k_c / T_p). Every other term depends on one distribution and
+    epsilon and is cached on it (`Distribution.kl_terms`), so a pair costs
+    one set intersection and one exactly rounded sum.
     """
     _check_same_grid(p, q)
     if not (epsilon > 0.0):
         raise InvalidConfigError(f"epsilon must be positive, got {epsilon}")
-    n_cells = p.n_grid * p.n_grid
-    sp = float(p.probs.sum())
-    sq = float(q.probs.sum())
-    denom_p = sp + epsilon * n_cells
-    denom_q = sq + epsilon * n_cells
-    floor_p = epsilon / denom_p
-    floor_q = epsilon / denom_q
-
-    common, pi, qi = np.intersect1d(p.cells, q.cells, assume_unique=True, return_indices=True)
-    p_common = (p.probs[pi] + epsilon) / denom_p
-    q_common = (q.probs[qi] + epsilon) / denom_q
-
-    p_only_mask = np.ones(len(p.cells), dtype=bool)
-    p_only_mask[pi] = False
-    q_only_mask = np.ones(len(q.cells), dtype=bool)
-    q_only_mask[qi] = False
-    p_solo = (p.probs[p_only_mask] + epsilon) / denom_p
-    q_solo = (q.probs[q_only_mask] + epsilon) / denom_q
-
-    total = float(np.sum(p_common * np.log(p_common / q_common)))
-    if p_solo.size:
-        total += float(np.sum(p_solo * (np.log(p_solo) - math.log(floor_q))))
-    if q_solo.size:
-        total += float(np.sum(floor_p * (math.log(floor_p) - np.log(q_solo))))
-    n_untouched = n_cells - len(p.cells) - len(q.cells) + len(common)
-    if n_untouched:
-        total += n_untouched * floor_p * (math.log(floor_p) - math.log(floor_q))
-    return total
+    tp = p.kl_terms(epsilon)
+    tq = q.kl_terms(epsilon)
+    kl = tp.neg_entropy - tq.log_floor * tp.mass - tp.floor * tq.log_ratio_sum
+    common = p.cell_set & q.cell_set
+    if common:  # else X is 0 and kl - 0.0 is kl
+        counts, ratios = map(p.count_of.__getitem__, common), map(tq.log_ratio.__getitem__, common)
+        kl -= math.fsum(map(mul, counts, ratios)) / tp.count_denom
+    return kl
 
 
 def jaccard_overlap(p: Distribution, q: Distribution) -> float:
@@ -219,12 +258,20 @@ def jaccard_overlap(p: Distribution, q: Distribution) -> float:
     Sum of (p + q) over cells where both are non-zero, divided by the sum
     of (p + q) over all cells. 1.0 for identical supports, 0.0 for
     disjoint ones.
+
+    Computed from integer point counts as (C_p / T_p + C_q / T_q) / 2, with
+    C_p the points of p on cells q occupies and T_p p's total. The integer
+    sums are exact and the one division rounds correctly, so the value
+    does not depend on summation order or argument order.
     """
     _check_same_grid(p, q)
-    common, pi, qi = np.intersect1d(p.cells, q.cells, assume_unique=True, return_indices=True)
-    num = float(p.probs[pi].sum() + q.probs[qi].sum())
-    den = float(p.probs.sum() + q.probs.sum())
-    return num / den
+    common = p.cell_set & q.cell_set
+    if not common:
+        return 0.0
+    shared_p = sum(map(p.count_of.__getitem__, common))
+    shared_q = sum(map(q.count_of.__getitem__, common))
+    total_p, total_q = p.n_points, q.n_points
+    return (shared_p * total_q + shared_q * total_p) / (2 * total_p * total_q)
 
 
 def jaccard_distance(p: Distribution, q: Distribution) -> float:

@@ -90,7 +90,10 @@ def _iter_rows(path: str, fmt: str, fields: list[str]):
                     f"{path}: expected header {','.join(fields)}, got {','.join(header)}"
                 )
             n_fields = len(fields)
-            for line_no, row in enumerate(reader, start=2):
+            end = reader.line_num  # physical lines read so far
+            for row in reader:
+                # a quoted field may span lines: report where the record starts
+                line_no, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != n_fields:

@@ -20,7 +20,6 @@ from poialias.cli import main
 from poialias.discovery import MetricConfig
 from poialias.distribution import (
     BoundingBox,
-    DensityMatrix,
     jaccard_distance,
     jaccard_overlap,
     kl_divergence,
@@ -32,6 +31,7 @@ from poialias.pipeline import build_city_data, score_city
 from poialias.preprocess import cluster_near_duplicates
 from poialias.synth import SynthConfig, generate_city
 
+from test_distribution import from_dense
 from test_geo import brute_force_window_count
 
 
@@ -92,7 +92,7 @@ def test_a3_divergence_axioms():
     def random_dist():
         counts = rng.integers(0, 6, (50, 50)) * (rng.random((50, 50)) < 0.2)
         counts[rng.integers(0, 50), rng.integers(0, 50)] += 1
-        return normalize(DensityMatrix.from_dense(counts, bbox))
+        return normalize(from_dense(counts, bbox))
 
     worst_kl = math.inf
     worst_self = 0.0
@@ -112,13 +112,13 @@ def test_a3_divergence_axioms():
         assert abs(d_pq - d_qp) <= 1e-15
         assert 0.0 <= d_pq <= 1.0
 
-    p = normalize(DensityMatrix.from_dense(np.array([[2, 2], [0, 0]]), bbox))
-    q = normalize(DensityMatrix.from_dense(np.array([[1, 3], [0, 0]]), bbox))
+    p = normalize(from_dense(np.array([[2, 2], [0, 0]]), bbox))
+    q = normalize(from_dense(np.array([[1, 3], [0, 0]]), bbox))
     expected_kl = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
     assert kl_divergence(p, q, 1e-9) == pytest.approx(expected_kl, abs=1e-6)
 
-    a = normalize(DensityMatrix.from_dense(np.array([[1, 1], [0, 0]]), bbox))
-    b = normalize(DensityMatrix.from_dense(np.array([[0, 1], [1, 0]]), bbox))
+    a = normalize(from_dense(np.array([[1, 1], [0, 0]]), bbox))
+    b = normalize(from_dense(np.array([[0, 1], [1, 0]]), bbox))
     assert jaccard_overlap(a, b) == pytest.approx(0.5, abs=1e-6)
 
     _report(

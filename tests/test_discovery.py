@@ -7,12 +7,19 @@ from poialias.discovery import (
     DECISION_ALIAS,
     DECISION_INSUFFICIENT,
     DECISION_NOT_ALIAS,
+    MIN_DIVERGENCE,
     MetricConfig,
     ScoredPair,
     apply_threshold,
     score_pairs,
 )
-from poialias.distribution import BoundingBox
+from poialias.distribution import (
+    BoundingBox,
+    jaccard_distance,
+    kl_divergence,
+    normalize,
+    rasterize,
+)
 from poialias.errors import InvalidConfigError
 from poialias.geo import METERS_PER_DEG, GeoPoint, haversine
 from poialias.profile import MobilityProfile
@@ -141,6 +148,37 @@ def test_distribution_jaccard_symmetry():
     ab = pair_score(a, b, "jaccard", BBOX, grid_n=25)
     ba = pair_score(b, a, "jaccard", BBOX, grid_n=25)
     assert ab == ba
+
+
+@pytest.mark.parametrize("grid_n", [20, 500])
+def test_score_pairs_reproduce_the_kernels_on_fresh_distributions(small_city, grid_n):
+    # the per-pair kernels on distributions built anew, as a caller outside
+    # score_pairs would build them, give score_pairs' scores bit for bit
+    kernels = {
+        "kl_div": lambda p, q, cfg: kl_divergence(p, q, cfg.kl_epsilon),
+        "jaccard": lambda p, q, cfg: jaccard_distance(p, q),
+    }
+    for method, kernel in kernels.items():
+        cfg = MetricConfig(method=method, threshold=0.0, grid_n=grid_n)
+        n_scored = 0
+        for dd in small_city.city.districts.values():
+            stds, cands = dd.standard_profiles(), dd.candidate_profiles()
+            pairs = score_pairs(stds, cands, cfg, bbox=dd.bbox)
+            expected = []
+            for a in stds:
+                for b in cands:
+                    if min(a.point_count, b.point_count) < cfg.min_profile_points:
+                        expected.append(None)
+                        continue
+                    p = normalize(rasterize(a, dd.bbox, grid_n))
+                    q = normalize(rasterize(b, dd.bbox, grid_n))
+                    expected.append(1.0 / max(kernel(p, q, cfg), MIN_DIVERGENCE))
+            assert [pr.score for pr in pairs] == expected, (method, dd.district)
+            assert [(pr.standard_name, pr.candidate_name) for pr in pairs] == [
+                (a.name, b.name) for a in stds for b in cands
+            ]
+            n_scored += sum(s is not None for s in expected)
+        assert n_scored > 0
 
 
 # ------------------------------------------------------------------- config

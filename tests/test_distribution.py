@@ -1,13 +1,17 @@
 """Rasterization, normalization, and distribution divergences."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poialias.distribution import (
     BoundingBox,
     DensityMatrix,
+    Distribution,
     jaccard_distance,
     jaccard_overlap,
     kl_divergence,
@@ -24,8 +28,29 @@ from poialias.errors import (
 BBOX = BoundingBox(31.0, 32.0, 120.0, 121.0)
 
 
+def from_dense(grid, bbox=BBOX) -> DensityMatrix:
+    """A density matrix holding a square grid of non-negative counts."""
+    arr = np.asarray(grid, dtype=np.int64)
+    assert arr.ndim == 2 and arr.shape[0] == arr.shape[1] and (arr >= 0).all(), arr
+    flat = arr.ravel()
+    cells = np.flatnonzero(flat)
+    return DensityMatrix(cells=cells, counts=flat[cells], n_grid=arr.shape[0], bbox=bbox)
+
+
+def dense_counts(dm: DensityMatrix) -> np.ndarray:
+    grid = np.zeros(dm.n_grid * dm.n_grid, dtype=np.int64)
+    grid[dm.cells] = dm.counts
+    return grid.reshape(dm.n_grid, dm.n_grid)
+
+
+def dense_probs(d: Distribution) -> np.ndarray:
+    grid = np.zeros(d.n_grid * d.n_grid, dtype=float)
+    grid[d.cells] = d.probs
+    return grid.reshape(d.n_grid, d.n_grid)
+
+
 def _dist_from_counts(grid, bbox=BBOX):
-    return normalize(DensityMatrix.from_dense(np.array(grid), bbox))
+    return normalize(from_dense(grid, bbox))
 
 
 def dense_kl_oracle(p_grid, q_grid, epsilon):
@@ -56,12 +81,12 @@ def cell_index(lat: float, lon: float, bbox: BoundingBox, n_grid: int):
 
 def test_rasterize_single_cell():
     dm = rasterize(np.array([[31.5, 120.5]]), BBOX, 1)
-    assert dm.dense_counts().tolist() == [[1]]
+    assert dense_counts(dm).tolist() == [[1]]
 
 
 def test_rasterize_keeps_max_corner():
     dm = rasterize(np.array([[32.0, 121.0]]), BBOX, 4)
-    dense = dm.dense_counts()
+    dense = dense_counts(dm)
     assert dense[3, 3] == 1
     assert dm.dropped == 0
 
@@ -97,7 +122,7 @@ def test_rasterize_matches_floor_index_oracle():
         rc = cell_index(float(lat), float(lon), BBOX, n_grid)
         assert rc is not None
         oracle[rc] = oracle.get(rc, 0) + 1
-    dense = dm.dense_counts()
+    dense = dense_counts(dm)
     for (r, c), count in oracle.items():
         assert dense[r, c] == count
     assert sum(oracle.values()) == int(dense.sum())
@@ -117,12 +142,12 @@ def test_rasterize_sum_invariant_across_grids():
 
 def test_normalize_direct_division():
     d = _dist_from_counts([[2, 2], [0, 0]])
-    assert d.dense_probs().tolist() == [[0.5, 0.5], [0.0, 0.0]]
+    assert dense_probs(d).tolist() == [[0.5, 0.5], [0.0, 0.0]]
 
 
 def test_normalize_uniform():
     d = _dist_from_counts(np.full((50, 50), 3))
-    assert np.allclose(d.dense_probs(), 1.0 / 2500.0)
+    assert np.allclose(dense_probs(d), 1.0 / 2500.0)
     assert d.total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -132,12 +157,12 @@ def test_normalize_matches_division_oracle():
     counts[0, 0] = 1  # guarantee a nonzero total
     d = _dist_from_counts(counts)
     oracle = counts / counts.sum()
-    assert np.abs(d.dense_probs() - oracle).max() < 1e-12
+    assert np.abs(dense_probs(d) - oracle).max() < 1e-12
 
 
 def test_normalize_zero_total_errors():
     with pytest.raises(ZeroTotalError):
-        normalize(DensityMatrix.from_dense(np.zeros((3, 3), dtype=int), BBOX))
+        normalize(from_dense(np.zeros((3, 3), dtype=int)))
 
 
 # ------------------------------------------------------------------------ KL
@@ -179,7 +204,7 @@ def test_kl_sparse_equals_dense_oracle():
         q = _dist_from_counts(b)
         for eps in (1e-9, 1e-4):
             got = kl_divergence(p, q, eps)
-            want = dense_kl_oracle(p.dense_probs(), q.dense_probs(), eps)
+            want = dense_kl_oracle(dense_probs(p), dense_probs(q), eps)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -195,9 +220,7 @@ def test_kl_nonnegative_on_random_pairs():
 
 def test_kl_grid_mismatch():
     p = _dist_from_counts([[1, 1], [1, 1]])
-    q = normalize(
-        DensityMatrix.from_dense(np.ones((3, 3), dtype=int), BBOX)
-    )
+    q = _dist_from_counts(np.ones((3, 3), dtype=int))
     with pytest.raises(GridMismatchError):
         kl_divergence(p, q)
 
@@ -258,3 +281,75 @@ def test_refinement_never_increases_overlap():
             p2 = normalize(rasterize(pa, BBOX, 2 * n))
             q2 = normalize(rasterize(pb, BBOX, 2 * n))
             assert jaccard_overlap(p2, q2) <= jaccard_overlap(p1, q1) + 1e-12
+
+
+# ------------------------------------------------- kernels, hypothesis
+
+EPSILONS = (1e-9, 1e-6, 1e-3)
+
+
+@st.composite
+def _count_pairs(draw):
+    """Two count grids of one size whose supports are identical, disjoint
+    or partly overlapping."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["identical", "disjoint", "overlap"]))
+    if kind == "disjoint":
+        assume(n > 1)
+    cells = draw(
+        st.lists(st.integers(0, n * n - 1), min_size=2 if kind == "disjoint" else 1, max_size=60, unique=True)
+    )
+    if kind == "identical":
+        p_cells = q_cells = cells
+    elif kind == "disjoint":
+        cut = draw(st.integers(1, len(cells) - 1))
+        p_cells, q_cells = cells[:cut], cells[cut:]
+    else:  # p and q share cells[lo:hi], each may hold cells the other lacks
+        hi = draw(st.integers(1, len(cells)))
+        lo = draw(st.integers(0, hi - 1))
+        p_cells, q_cells = cells[:hi], cells[lo:]
+    grids = []
+    for side in (p_cells, q_cells):
+        grid = np.zeros(n * n, dtype=np.int64)
+        grid[side] = draw(st.lists(st.integers(1, 1000), min_size=len(side), max_size=len(side)))
+        grids.append(grid.reshape(n, n))
+    return grids
+
+
+_KERNEL_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+@_KERNEL_SETTINGS
+@given(grids=_count_pairs(), eps=st.sampled_from(EPSILONS))
+def test_kl_matches_dense_oracle_and_vanishes_on_itself(grids, eps):
+    p, q = (_dist_from_counts(g) for g in grids)
+    assert abs(kl_divergence(p, q, eps) - dense_kl_oracle(dense_probs(p), dense_probs(q), eps)) <= 1e-10
+    assert abs(kl_divergence(p, p, eps)) <= 1e-12
+    assert abs(kl_divergence(q, q, eps)) <= 1e-12
+
+
+@_KERNEL_SETTINGS
+@given(grids=_count_pairs())
+def test_jaccard_overlap_is_exact_and_symmetric(grids):
+    a, b = grids
+    p, q = _dist_from_counts(a), _dist_from_counts(b)
+    both = (a > 0) & (b > 0)
+    exact = (Fraction(int(a[both].sum()), int(a.sum())) + Fraction(int(b[both].sum()), int(b.sum()))) / 2
+    got = jaccard_overlap(p, q)
+    assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+    assert jaccard_overlap(q, p) == got
+    assert jaccard_distance(p, q) == jaccard_distance(q, p)
+
+
+@_KERNEL_SETTINGS
+@given(grids=_count_pairs(), eps=st.lists(st.sampled_from(EPSILONS), min_size=2, max_size=2, unique=True))
+def test_kl_epsilon_cache_matches_fresh_distributions(grids, eps):
+    e1, e2 = eps
+    p, q = (_dist_from_counts(g) for g in grids)
+    first, second, again = kl_divergence(p, q, e1), kl_divergence(p, q, e2), kl_divergence(p, q, e1)
+
+    def fresh(e):
+        return kl_divergence(_dist_from_counts(grids[0]), _dist_from_counts(grids[1]), e)
+
+    assert first == again == fresh(e1)
+    assert second == fresh(e2)

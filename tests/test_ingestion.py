@@ -164,6 +164,38 @@ def test_parse_locations_rejects_garbage(tmp_path):
     assert report.n_errors == 2
 
 
+def test_csv_error_lines_are_physical_lines(tmp_path):
+    # a quoted field spanning lines pushes every later record down a line;
+    # an error names the physical line its record starts on
+    path = _write(tmp_path / "l.csv", 'user_id,lat,lon\n"a\nb",31,120\nu2,north,120\n')
+    _, report = parse_location_log(path)
+    assert report.errors == [(4, "unparseable coordinates: 'north','120'")]
+
+    # row errors and the vectorised range check, merged in line order
+    path = _write(
+        tmp_path / "l2.csv",
+        'user_id,lat,lon\n"a\nb",31,120\nu2,north,120\n"c\n\nd",95,120\nu3,31\n\nu4,1,2\n',
+    )
+    locations, report = parse_location_log(path)
+    assert [line for line, _ in report.errors] == [4, 5, 8]
+    assert report.errors[1] == (5, "coordinates out of range: 95.0,120.0")
+    assert list(locations) == ["a\nb", "u4"]
+
+    path = _write(
+        tmp_path / "a.csv",
+        'user_id,province,city,district,poi_name\nu1,J,S,H,"two\nlines"\nu2,J,S,H,\n',
+    )
+    _, report = parse_address_records(path)
+    assert report.errors == [(4, "empty poi_name")]
+
+    path = _write(
+        tmp_path / "lb.csv",
+        'district,standard_name,candidate_name,is_alias\nH,"A\nB",C,1\nH,A,C,2\n',
+    )
+    _, report = parse_labels(path)
+    assert report.errors == [(4, "is_alias must be 0 or 1, got '2'")]
+
+
 def test_parse_locations_and_labels_jsonl(tmp_path):
     loc_path = _write(
         tmp_path / "l.jsonl",
