@@ -13,6 +13,7 @@ import json
 import os
 from array import array
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -81,25 +82,29 @@ def _iter_rows(path: str, fmt: str, fields: list[str]):
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
+            end = 0  # physical lines read so far
             try:
-                header = next(reader)
-            except StopIteration:
-                return  # empty file: empty collection, not an error
-            if [h.strip() for h in header] != fields:
-                raise InvalidConfigError(
-                    f"{path}: expected header {','.join(fields)}, got {','.join(header)}"
-                )
-            n_fields = len(fields)
-            end = reader.line_num  # physical lines read so far
-            for row in reader:
-                # a quoted field may span lines: report where the record starts
-                line_no, end = end + 1, reader.line_num
-                if not row:
-                    continue
-                if len(row) != n_fields:
-                    yield line_no, None, f"expected {n_fields} fields, got {len(row)}"
-                    continue
-                yield line_no, row, None
+                header = next(reader, None)
+                if header is None:
+                    return  # empty file: empty collection, not an error
+                if [h.strip() for h in header] != fields:
+                    raise InvalidConfigError(
+                        f"{path}: expected header {','.join(fields)}, got {','.join(header)}"
+                    )
+                n_fields = len(fields)
+                end = reader.line_num
+                for row in reader:
+                    # a quoted field may span lines: report where the record starts
+                    line_no, end = end + 1, reader.line_num
+                    if not row:
+                        continue
+                    if len(row) != n_fields:
+                        yield line_no, None, f"expected {n_fields} fields, got {len(row)}"
+                        continue
+                    yield line_no, row, None
+            except csv.Error as exc:
+                # e.g. a field over csv.field_size_limit(): the reader cannot go on
+                raise InvalidConfigError(f"{path}:{end + 1}: unreadable CSV record: {exc}") from None
     elif fmt == "jsonl":
         with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -306,8 +311,9 @@ def _write_rows(path: str, header: list[str], rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         plain, quoted = _csv_writers(fh)
         plain.writerow(header)
-        for row in rows:
-            (quoted if any("\r" in f for f in row) else plain).writerow(row)
+        # one writerows call per run of rows that take the same writer
+        for has_cr, run in groupby(rows, key=lambda row: "\r" in "".join(row)):
+            (quoted if has_cr else plain).writerows(run)
 
 
 def write_address_records(path: str, records: list[AddressRecord]):
@@ -319,14 +325,16 @@ def write_address_records(path: str, records: list[AddressRecord]):
 
 
 def write_location_log(path: str, locations: dict[str, np.ndarray]):
-    # repr-precision floats so a parse/write cycle is lossless
+    # repr-precision floats so a parse/write cycle is lossless; one
+    # writerows call per user over its columns as Python floats
     with open(path, "w", newline="", encoding="utf-8") as fh:
         plain, quoted = _csv_writers(fh)
         plain.writerow(LOCATION_FIELDS)
         for user_id, pts in locations.items():
             writer = quoted if "\r" in user_id else plain
-            for lat, lon in np.asarray(pts, dtype=float):
-                writer.writerow([user_id, repr(float(lat)), repr(float(lon))])
+            pts = np.asarray(pts, dtype=float)
+            lats, lons = pts[:, 0].tolist(), pts[:, 1].tolist()
+            writer.writerows(zip(repeat(user_id), map(repr, lats), map(repr, lons)))
 
 
 def write_labels(path: str, labels: list[GroundTruthLabel]):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -76,28 +77,73 @@ class SynthConfig:
                 raise InvalidConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.n_districts < 1 or self.pois_per_district < 1:
             raise InvalidConfigError("need at least one district and one POI per district")
-        if not (self.district_extent_m > 0 and self.min_separation_m >= 0):
-            raise InvalidConfigError("invalid district geometry")
+        # checked before generation: numpy rejects a negative scatter with a
+        # bare ValueError, and an infinite extent only shows as NaN coordinates
+        if not (math.isfinite(self.home_scatter_m) and self.home_scatter_m >= 0):
+            raise InvalidConfigError(f"home_scatter_m must be finite and non-negative, got {self.home_scatter_m}")
+        if not (math.isfinite(self.district_extent_m) and self.district_extent_m > 0):
+            raise InvalidConfigError(f"district_extent_m must be finite and positive, got {self.district_extent_m}")
+        if not (math.isfinite(self.min_separation_m) and self.min_separation_m >= 0):
+            raise InvalidConfigError(f"min_separation_m must be finite and non-negative, got {self.min_separation_m}")
         if self.min_separation_m > self.district_extent_m / 2:
             raise InvalidConfigError("min_separation_m too large for the district extent")
 
 
-def _random_name(rng, syllables, taken: list, n_range=(4, 6)) -> str:
+class _NameIndex:
+    """The names accepted so far in one district, with their character counts.
+
+    `clear_of` keeps a drawn name at least `_NAME_MARGIN` from every accepted
+    name. Edit distance is at least the bag distance max(|a|, |b|) - |a & b|,
+    where a & b is the multiset intersection of the two names' characters
+    (Ukkonen 1992's counting filter), so one vectorised step over the count
+    matrix rules out most names, every name of the other syllable set among
+    them, and only the rest reach the exact `limited_edit_distance` check.
+    The decision is the same as that check against every accepted name.
+    """
+
+    def __init__(self):
+        self.names: list[str] = []
+        self._columns: dict[str, int] = {}  # character -> column of _counts
+        self._counts = np.zeros((8, 8), dtype=np.int32)  # one row per name, one column per character
+        self._lengths = np.zeros(8, dtype=np.int64)
+
+    def clear_of(self, name: str) -> bool:
+        n = len(self.names)
+        # characters no accepted name holds add nothing to any intersection
+        known = [(self._columns[ch], c) for ch, c in Counter(name).items() if ch in self._columns]
+        cols = [col for col, _ in known]
+        common = np.minimum(self._counts[:n, cols], [c for _, c in known]).sum(axis=1)
+        lm = np.maximum(self._lengths[:n], len(name))
+        k = (_NAME_MARGIN * lm).astype(np.int64)  # int(_NAME_MARGIN * lm), name by name
+        for i in np.flatnonzero(lm - common <= k).tolist():
+            ki = int(k[i])
+            if limited_edit_distance(name, self.names[i], ki) <= ki:
+                return False
+        return True
+
+    def add(self, name: str) -> None:
+        row = len(self.names)
+        counts = Counter(name)
+        for ch in counts:
+            self._columns.setdefault(ch, len(self._columns))
+        if row == len(self._lengths):  # full: double the rows
+            self._counts = np.pad(self._counts, ((0, row), (0, 0)))
+            self._lengths = np.pad(self._lengths, (0, row))
+        if len(self._columns) > self._counts.shape[1]:
+            self._counts = np.pad(self._counts, ((0, 0), (0, len(self._columns))))
+        for ch, c in counts.items():
+            self._counts[row, self._columns[ch]] = c
+        self._lengths[row] = len(name)
+        self.names.append(name)
+
+
+def _random_name(rng, syllables, taken: _NameIndex, n_range=(4, 6)) -> str:
     while True:
         k = int(rng.integers(n_range[0], n_range[1] + 1))
         name = "".join(syllables[int(i)] for i in rng.integers(0, len(syllables), k))
-        if _clear_of(name, taken):
-            taken.append(name)
+        if taken.clear_of(name):
+            taken.add(name)
             return name
-
-
-def _clear_of(name: str, taken: list) -> bool:
-    for other in taken:
-        lm = max(len(name), len(other))
-        k = int(_NAME_MARGIN * lm)
-        if limited_edit_distance(name, other, k) <= k:
-            return False
-    return True
 
 
 def _perturb(rng, name: str, alphabet: str) -> str:
@@ -151,7 +197,7 @@ def _generate_district(cfg: SynthConfig, district_idx: int, rng):
     poi_xy = _place_pois(rng, n_pois, extent, cfg.min_separation_m)
     poi_latlon = unproject_local(poi_xy, origin)
 
-    taken: list = []
+    taken = _NameIndex()
     standards = [_random_name(rng, _STD_SYLLABLES, taken) for _ in range(n_pois)]
 
     n_aliased = int(round(cfg.alias_fraction * n_pois))

@@ -314,6 +314,23 @@ def test_bad_synth_value_fails_with_its_key(tmp_path, capsys, item, named):
     assert err.startswith("error: command=synth") and named in err
 
 
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("home_scatter_m=-5", "home_scatter_m must be finite and non-negative, got -5.0"),
+        ("home_scatter_m=nan", "home_scatter_m must be finite and non-negative, got nan"),
+        ("district_extent_m=inf", "district_extent_m must be finite and positive, got inf"),
+        ("min_separation_m=inf", "min_separation_m must be finite and non-negative, got inf"),
+    ],
+)
+def test_bad_synth_geometry_fails_before_generation(tmp_path, capsys, item, message):
+    out = tmp_path / "x"
+    rc = main(["synth", "--seed", "1", "--out", str(out), "--config", item])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: command=synth {message}\n"
+    assert not out.exists()
+
+
 def test_bad_sweep_grids_fail_with_the_value(data_dir, tmp_path, capsys):
     rc = main(["sweep", str(data_dir), "--method", "jaccard", "--grids", "20,x",
                "--out", str(tmp_path / "sw")])

@@ -196,6 +196,25 @@ def test_csv_error_lines_are_physical_lines(tmp_path):
     assert report.errors == [(4, "is_alias must be 0 or 1, got '2'")]
 
 
+def test_oversized_csv_field_fails_with_path_and_line(tmp_path, capsys):
+    # a field past csv.field_size_limit() stops the reader: the file fails
+    # with its path and the physical line the record starts on
+    data = tmp_path / "big"
+    data.mkdir()
+    _write(data / "addresses.csv", "user_id,province,city,district,poi_name\n"
+           "u1,J,S,H,X\nu2,J,S,H," + "y" * 200_000 + "\n")
+    _write(data / "locations.csv", "user_id,lat,lon\nu1,31.0,120.0\n")
+    rc = main(["ingest-check", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: command=ingest-check {data / 'addresses.csv'}:3: unreadable CSV record: ")
+    assert "field larger than field limit" in err
+
+    path = _write(tmp_path / "lb.csv", 'district,standard_name,candidate_name,is_alias\nH,"' + "A\n" * 70_000 + '",C,1\n')
+    with pytest.raises(InvalidConfigError, match=r"lb\.csv:2: unreadable CSV record"):
+        parse_labels(path)
+
+
 def test_parse_locations_and_labels_jsonl(tmp_path):
     loc_path = _write(
         tmp_path / "l.jsonl",
@@ -467,6 +486,37 @@ def test_carriage_return_in_a_field_round_trips(tmp_path):
     labels = [GroundTruthLabel("H", "A\rB", "C", True)]
     write_labels(str(tmp_path / "lb.csv"), labels)
     assert parse_labels(str(tmp_path / "lb.csv"))[0] == labels
+
+
+def _write_location_log_per_point(path, locations):
+    """The per-point writer that `write_location_log` replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(LOCATION_FIELDS)
+        for user_id, pts in locations.items():
+            writer = quoted if "\r" in user_id else plain
+            for lat, lon in np.asarray(pts, dtype=float):
+                writer.writerow([user_id, repr(float(lat)), repr(float(lon))])
+
+
+_AWKWARD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e308, -1e308, 1.0 / 3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    locations=st.dictionaries(
+        st.text(alphabet=st.sampled_from('ab,"\r\n 东\U0001f600'), max_size=6),
+        st.lists(st.tuples(st.one_of(st.floats(), _AWKWARD_FLOATS), st.one_of(st.floats(), _AWKWARD_FLOATS)), max_size=5),
+        max_size=5,
+    )
+)
+def test_location_writer_matches_the_per_point_writer(locations, tmp_path_factory):
+    d = tmp_path_factory.mktemp("writer")
+    arrays = {u: np.array(pts, dtype=float).reshape(-1, 2) for u, pts in locations.items()}
+    write_location_log(str(d / "bulk.csv"), arrays)
+    _write_location_log_per_point(str(d / "oracle.csv"), arrays)
+    assert (d / "bulk.csv").read_bytes() == (d / "oracle.csv").read_bytes()
 
 
 def test_location_round_trip_is_lossless(tmp_path):

@@ -2,17 +2,31 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poialias import evaluation
+from poialias.cli import main
 from poialias.discovery import MetricConfig
 from poialias.errors import InvalidConfigError
 from poialias.ingestion import load_corpus
 from poialias.pipeline import build_city_data, score_city
-from poialias.synth import SynthConfig, generate_city
+from poialias.preprocess import limited_edit_distance
+from poialias.synth import (
+    _ALIAS_SYLLABLES,
+    _NAME_MARGIN,
+    _STD_SYLLABLES,
+    SynthConfig,
+    _NameIndex,
+    generate_city,
+)
 
 SMALL = dict(
     n_districts=2,
@@ -63,6 +77,96 @@ def test_generated_files_match_pinned_digests(seed, tmp_path):
         for name in _files(tmp_path)
     }
     assert digests == PINNED_DIGESTS[seed]
+
+
+def _load_bench_workloads():
+    """bench/workloads.py, which holds the benchmark's workloads and pins."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["default-city", "wide-city"])
+def test_full_size_cities_match_the_benchmark_pins(workload, tmp_path):
+    # the 12-POI pins above never reach the saturated regime where most
+    # drawn names are rejected; the benchmark's full-size cities do
+    wl = _load_bench_workloads()
+    argv = wl.WORKLOADS[workload].synth_argv(wl.REFERENCE_SEED, smoke=False)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert wl.digest(str(tmp_path)) == wl.load_pins(workload)["digests"]
+
+
+def _clear_of_oracle(name: str, taken: list) -> bool:
+    """The plain scan: an exact check against every accepted name."""
+    for other in taken:
+        lm = max(len(name), len(other))
+        k = int(_NAME_MARGIN * lm)
+        if limited_edit_distance(name, other, k) <= k:
+            return False
+    return True
+
+
+# both syllable sets, CJK, and astral-plane characters; _ABSENT never occurs
+# in an accepted name, only in the names checked against them
+_ACCEPTED_ALPHABET = "bcdfgrstae" + "klmnpvwziou" + "东西南北中山路" + "\U00020000\U0001f600\U0001d538"
+_ABSENT = "xyé丁\U0001f680"
+_NAMES = st.text(alphabet=_ACCEPTED_ALPHABET, max_size=12)
+
+
+@st.composite
+def _near(draw, accepted):
+    """A name one or two edits from an accepted one, possibly with absent characters."""
+    name = list(draw(st.sampled_from(accepted)))
+    for _ in range(draw(st.integers(1, 2))):
+        ch = draw(st.sampled_from(_ACCEPTED_ALPHABET + _ABSENT))
+        pos = draw(st.integers(0, len(name)))
+        op = draw(st.integers(0, 2))
+        if op == 0 and pos < len(name):
+            name[pos] = ch
+        elif op == 1:
+            name.insert(pos, ch)
+        elif name:
+            del name[min(pos, len(name) - 1)]
+    return "".join(name)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), accepted=st.lists(_NAMES, max_size=40))
+def test_indexed_check_decides_like_the_plain_scan(data, accepted):
+    index = _NameIndex()
+    for name in accepted:
+        index.add(name)
+    queries = data.draw(
+        st.lists(
+            st.one_of(
+                st.text(alphabet=_ACCEPTED_ALPHABET + _ABSENT, max_size=12),
+                *([_near(accepted), st.sampled_from(accepted)] if accepted else []),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    for name in queries:
+        assert index.clear_of(name) == _clear_of_oracle(name, accepted), name
+
+
+def test_indexed_check_on_drawn_syllable_names():
+    # the generator's own regime: many 8-12 letter names from two disjoint
+    # syllable sets, past the index's first growth steps
+    rng = np.random.default_rng(3)
+    index, accepted = _NameIndex(), []
+    for step in range(1500):
+        syllables = _STD_SYLLABLES if step % 3 else _ALIAS_SYLLABLES
+        name = "".join(syllables[int(i)] for i in rng.integers(0, len(syllables), int(rng.integers(4, 7))))
+        clear = _clear_of_oracle(name, accepted)
+        assert index.clear_of(name) == clear, (step, name)
+        if clear:
+            index.add(name)
+            accepted.append(name)
+    assert len(accepted) > 100
 
 
 def test_different_seeds_differ(tmp_path):
