@@ -28,7 +28,7 @@ from . import evaluation
 from .discovery import MetricConfig, apply_threshold
 from .errors import InvalidConfigError, PoiAliasError
 from .ingestion import Corpus, load_corpus, partition_by_district
-from .pipeline import CityData, build_city_data, score_city
+from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, score_city
 from .preprocess import clean_text
 from .synth import SynthConfig, generate_city
 
@@ -106,14 +106,15 @@ def _score_threshold(args):
     return theta
 
 
+#: the MetricConfig fields that are options; their defaults are MetricConfig's
+_TUNABLES = ("local_window_m", "grid_n", "kl_epsilon", "min_profile_points")
+
+
 def _metric_config(args) -> MetricConfig:
     return MetricConfig(
         method=CLI_METHODS[args.method],
         threshold=0.0,
-        local_window_m=args.local_window_m,
-        grid_n=args.grid_n,
-        kl_epsilon=args.kl_epsilon,
-        min_profile_points=args.min_profile_points,
+        **{name: getattr(args, name) for name in _TUNABLES},
     )
 
 
@@ -284,9 +285,9 @@ def _cmd_preprocess(args, timer: _Timer):
 
 def _cmd_discover(args, timer: _Timer):
     threshold = _score_threshold(args)
+    config = _metric_config(args)
     timer.stage("ingest")
     city = _load_city(args, require_labels=threshold == "calibrate")
-    config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
@@ -342,9 +343,9 @@ def _cmd_discover(args, timer: _Timer):
 
 def _cmd_evaluate(args, timer: _Timer):
     threshold = _score_threshold(args)
+    config = _metric_config(args)
     timer.stage("ingest")
     city = _load_city(args, require_labels=True)
-    config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
@@ -377,9 +378,11 @@ def _cmd_evaluate(args, timer: _Timer):
 
 
 def _cmd_crossval(args, timer: _Timer):
+    if not 0.0 < args.train_frac <= 1.0:  # NaN fails here too
+        raise InvalidConfigError(f"--train-frac must lie in (0, 1], got {args.train_frac}")
+    config = _metric_config(args)
     timer.stage("ingest")
     city = _load_city(args, require_labels=True)
-    config = _metric_config(args)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("evaluate")
@@ -398,6 +401,7 @@ def _cmd_crossval(args, timer: _Timer):
 
 
 def _cmd_transfer(args, timer: _Timer):
+    config = _metric_config(args)
     timer.stage("ingest")
     # one parsed corpus alive at a time; each city holds its own points
     source = load_corpus(args.source, fmt=args.format, require_labels=True)
@@ -406,7 +410,6 @@ def _cmd_transfer(args, timer: _Timer):
     target = load_corpus(args.target, fmt=args.format, require_labels=True)
     target_city = build_city_data(target, cluster_threshold=args.cluster_threshold)
     del target
-    config = _metric_config(args)
     timer.stage("score")
     source_scores = score_city(source_city, config, workers=args.workers)
     target_scores = score_city(target_city, config, workers=args.workers)
@@ -437,9 +440,9 @@ def _cmd_sweep(args, timer: _Timer):
         grids = []
     if not grids:
         raise InvalidConfigError(f"--grids expects comma-separated integers, got {args.grids!r}")
+    base = _metric_config(args)
     timer.stage("ingest")
     city = _load_city(args, require_labels=True)
-    base = _metric_config(args)
     timer.stage("sweep")
     results = evaluation.resolution_sweep(
         city, CLI_METHODS[args.method], grids, base, workers=args.workers
@@ -483,15 +486,11 @@ def _add_common_opts(p):
 
 
 def _add_tunables(p):
-    p.add_argument("--local-window-m", type=float, default=640.0, dest="local_window_m")
-    p.add_argument("--grid-n", type=int, default=50, dest="grid_n")
-    p.add_argument("--kl-epsilon", type=float, default=1e-9, dest="kl_epsilon")
-    p.add_argument(
-        "--min-profile-points", type=int, default=5, dest="min_profile_points"
-    )
-    p.add_argument(
-        "--cluster-threshold", type=float, default=0.2, dest="cluster_threshold"
-    )
+    defaults = {f.name: f.default for f in fields(MetricConfig)}
+    for name in _TUNABLES:
+        default = defaults[name]
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    p.add_argument("--cluster-threshold", type=float, default=DEFAULT_CLUSTER_THRESHOLD)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,6 +54,12 @@ class MetricConfig:
                 raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
             if not self.kl_epsilon > 0:
                 raise InvalidConfigError(f"kl_epsilon must be positive, got {self.kl_epsilon}")
+        # a profile without points is then always insufficient, so no
+        # feature is built from an empty point set or a missing bbox
+        if self.min_profile_points < 1:
+            raise InvalidConfigError(
+                f"min_profile_points must be >= 1, got {self.min_profile_points}"
+            )
 
 
 @dataclass(slots=True)
@@ -72,11 +78,6 @@ class AliasMatrix:
     standard_names: list[str]
     candidate_names: list[str]
     links: set = field(default_factory=set)  # {(i, j)}
-
-    def link_names(self) -> set:
-        return {
-            (self.standard_names[i], self.candidate_names[j]) for i, j in self.links
-        }
 
 
 def _kernel(config: MetricConfig):
@@ -111,19 +112,18 @@ def score_pairs(
     standards: list[MobilityProfile],
     candidates: list[MobilityProfile],
     config: MetricConfig,
-    bbox: dist.BoundingBox | None = None,
+    bbox: dist.BoundingBox | None,
 ) -> list[ScoredPair]:
     """Score the full N x M standard-by-candidate grid.
 
     Emits one ScoredPair per (i, j) in row-major order. Pairs touching a
     profile with fewer than min_profile_points points get score None and
-    an `insufficient` decision instead of a number.
+    an `insufficient` decision instead of a number. `bbox` is the district
+    grid's extent for kl_div and jaccard; None means the district has no
+    located points, so every profile is insufficient.
     """
-    if config.method in ("kl_div", "jaccard") and bbox is None:
-        pts = [p.points for p in list(standards) + list(candidates) if p.point_count]
-        if not pts:
-            raise InvalidConfigError("cannot derive a bounding box: all profiles are empty")
-        bbox = dist.BoundingBox.from_points(np.concatenate(pts, axis=0))
+    if not standards or not candidates:
+        return []  # no pairs, so no features to build
     kernel = _kernel(config)
     cands = [(cj.name, _feature(cj, config, bbox)) for cj in candidates]
     pairs = []

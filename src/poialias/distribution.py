@@ -115,10 +115,6 @@ class Distribution:
     bbox: BoundingBox
     _kl: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # epsilon -> terms
 
-    @property
-    def total(self) -> float:
-        return float(self.probs.sum())
-
     @cached_property
     def n_points(self) -> int:
         return int(self.counts.sum())

@@ -113,50 +113,6 @@ class Calibration:
     n_candidates: int
 
 
-def calibrate_threshold(scored: list[ScoredPair], labels: dict) -> Calibration:
-    """Pick the threshold maximizing F1 over the labeled scored pairs.
-
-    Candidate thresholds are the midpoints between consecutive distinct
-    scores plus -inf/+inf sentinels; F1 is piecewise constant between
-    distinct scores, so this sweep is exhaustive. Ties break toward the
-    largest threshold (fewest links).
-    """
-    labeled, _ = _labeled_scores(scored, labels)
-    return _best_threshold(labeled, sum(labels.values()))
-
-
-def _best_threshold(labeled: list, actual: int) -> Calibration:
-    """The F1-best candidate threshold over (score, is_alias) pairs.
-
-    F1 = 2tp / (predicted + actual), so candidates compare exactly by
-    cross-multiplied integer counts; only the winner's P/R/F1 is computed.
-    """
-    if not any(pos for _, pos in labeled):
-        raise NoPositiveLabelsError("no positive labels among the scored pairs")
-    labeled.sort(key=itemgetter(0))
-    distinct = [s for s, _ in groupby(s for s, _ in labeled)]
-    candidates = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])] + [math.inf]
-    predicted, tp = len(labeled), sum(pos for _, pos in labeled)
-    best = (-math.inf, tp, predicted)
-    i = 0
-    for theta in candidates:
-        # compare with theta, not the next run: the midpoint of two adjacent
-        # floats can round onto the upper score, which then does not link
-        while i < len(labeled) and labeled[i][0] <= theta:
-            predicted -= 1
-            tp -= labeled[i][1]
-            i += 1
-        # >= implements the tie rule: later candidates are larger thresholds
-        _, best_tp, best_pred = best
-        if tp * (best_pred + actual) >= best_tp * (predicted + actual):
-            best = (theta, tp, predicted)
-    theta, tp, predicted = best
-    p, r, f1, _ = prf_from_counts(tp, predicted, actual)
-    return Calibration(
-        theta=theta, f1=f1, precision=p, recall=r, n_candidates=len(candidates) + 1
-    )
-
-
 def evaluate_districts(
     city: CityData,
     scores: DistrictScores,
@@ -210,14 +166,47 @@ def evaluate_districts(
 def calibrate_on_districts(
     city: CityData, scores: DistrictScores, districts: list[str]
 ) -> Calibration:
-    """One threshold fitted on the pooled labeled pairs of `districts`."""
+    """One threshold fitted for F1 on the pooled labeled pairs of `districts`.
+
+    Candidate thresholds are the midpoints between consecutive distinct
+    scores plus -inf/+inf sentinels; F1 is piecewise constant between
+    distinct scores, so this sweep is exhaustive. Ties break toward the
+    largest threshold (fewest links). Labeled pairs left unscored by an
+    insufficient profile still count as actual positives.
+
+    F1 = 2tp / (predicted + actual), so candidates compare exactly by
+    cross-multiplied integer counts; only the winner's P/R/F1 is computed.
+    """
     labeled = []
     actual = 0
     for d in districts:
         labels = city.districts[d].labels
         labeled += _labeled_scores(scores.get(d, []), labels)[0]
         actual += sum(labels.values())
-    return _best_threshold(labeled, actual)
+    if not any(pos for _, pos in labeled):
+        raise NoPositiveLabelsError("no positive labels among the scored pairs")
+    labeled.sort(key=itemgetter(0))
+    distinct = [s for s, _ in groupby(s for s, _ in labeled)]
+    candidates = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])] + [math.inf]
+    predicted, tp = len(labeled), sum(pos for _, pos in labeled)
+    best = (-math.inf, tp, predicted)
+    i = 0
+    for theta in candidates:
+        # compare with theta, not the next run: the midpoint of two adjacent
+        # floats can round onto the upper score, which then does not link
+        while i < len(labeled) and labeled[i][0] <= theta:
+            predicted -= 1
+            tp -= labeled[i][1]
+            i += 1
+        # >= implements the tie rule: later candidates are larger thresholds
+        _, best_tp, best_pred = best
+        if tp * (best_pred + actual) >= best_tp * (predicted + actual):
+            best = (theta, tp, predicted)
+    theta, tp, predicted = best
+    p, r, f1, _ = prf_from_counts(tp, predicted, actual)
+    return Calibration(
+        theta=theta, f1=f1, precision=p, recall=r, n_candidates=len(candidates) + 1
+    )
 
 
 @dataclass
@@ -355,7 +344,5 @@ def resolution_sweep(
         cfg = replace(base_config, method=method, grid_n=int(n))
         scores = score_city(city, cfg, workers=workers)
         cal = calibrate_on_districts(city, scores, sorted(scores))
-        rep = evaluate_districts(city, scores, cal.theta, method=method)
-        rep.threshold = cal.theta
-        results.append((int(n), rep))
+        results.append((int(n), evaluate_districts(city, scores, cal.theta, method=method)))
     return results

@@ -43,9 +43,6 @@ class Window:
     side: float
     count: int
 
-    def covers(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x0 + self.side and self.y0 <= y <= self.y0 + self.side
-
 
 def haversine(p: GeoPoint, q: GeoPoint) -> float:
     """Great-circle distance in meters on a 6371 km sphere."""

@@ -142,22 +142,18 @@ def build_city_data(
     return CityData(districts=districts)
 
 
-def score_district(dd: DistrictData, config: MetricConfig) -> list[ScoredPair]:
-    """Exhaustive N x M scored pairs for one district."""
-    if not dd.standard_names or not dd.candidate_names:
-        return []
-    return score_pairs(
-        dd.standard_profiles(), dd.candidate_profiles(), config, bbox=dd.bbox
-    )
-
-
 def score_city(
     city: CityData, config: MetricConfig, workers: int = 1
 ) -> dict[str, list[ScoredPair]]:
-    """Scored pairs per district; districts may score in parallel."""
+    """Exhaustive N x M scored pairs per district; districts may score in
+    parallel."""
+
+    def score(d: str) -> list[ScoredPair]:
+        dd = city.districts[d]
+        return score_pairs(dd.standard_profiles(), dd.candidate_profiles(), config, bbox=dd.bbox)
+
     names = sorted(city.districts)
     if workers > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda d: score_district(city.districts[d], config), names))
-        return dict(zip(names, results))
-    return {d: score_district(city.districts[d], config) for d in names}
+            return dict(zip(names, pool.map(score, names)))
+    return {d: score(d) for d in names}

@@ -26,9 +26,6 @@ class MobilityProfile:
     user_count: int
     point_count: int
 
-    def sufficient(self, min_points: int) -> bool:
-        return self.point_count >= min_points
-
 
 def build_associated_users(
     addresses: list[AddressRecord], canonical: CanonicalMap

@@ -85,6 +85,10 @@ class SynthConfig:
             raise InvalidConfigError(f"district_extent_m must be finite and positive, got {self.district_extent_m}")
         if not (math.isfinite(self.min_separation_m) and self.min_separation_m >= 0):
             raise InvalidConfigError(f"min_separation_m must be finite and non-negative, got {self.min_separation_m}")
+        for name, bound in (("base_lat", 90.0), ("base_lon", 180.0)):
+            v = getattr(self, name)
+            if not -bound <= v <= bound:  # NaN and inf fail too
+                raise InvalidConfigError(f"{name} must be finite and lie in [{-bound:g}, {bound:g}], got {v}")
         if self.min_separation_m > self.district_extent_m / 2:
             raise InvalidConfigError("min_separation_m too large for the district extent")
 

@@ -245,6 +245,59 @@ def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,option,message",
+    [
+        ("crossval", "--train-frac=nan", "--train-frac must lie in (0, 1], got nan"),
+        ("crossval", "--train-frac=0", "--train-frac must lie in (0, 1], got 0.0"),
+        ("crossval", "--train-frac=-0.5", "--train-frac must lie in (0, 1], got -0.5"),
+        ("crossval", "--train-frac=1.5", "--train-frac must lie in (0, 1], got 1.5"),
+        ("evaluate", "--min-profile-points=0", "min_profile_points must be >= 1, got 0"),
+    ],
+)
+def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main([command, str(tmp_path / "absent"), "--method", "jaccard", option, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: command={command} {message}\n"
+    assert not out.exists()
+
+
+def test_district_without_gps_is_insufficient_under_every_method(tmp_path):
+    # district A: six points per user, "omega" on "kappa"'s spot and
+    # "sigma" 5 km away; district B: no writer has a location row
+    data = tmp_path / "nogps"
+    data.mkdir()
+    users = [("a1", "A", "kappa"), ("a2", "A", "omega"), ("a3", "A", "sigma"),
+             ("b1", "B", "delta"), ("b2", "B", "theta"), ("b3", "B", "lambda")]
+    (data / "addresses.csv").write_text(
+        "user_id,province,city,district,poi_name\n"
+        + "".join(f"{u},J,S,{d},{n}\n" for u, d, n in users)
+    )
+    spot = {"a1": (31.0, 120.0), "a2": (31.0, 120.0), "a3": (31.05, 120.05)}
+    (data / "locations.csv").write_text(
+        "user_id,lat,lon\n"
+        + "".join(f"{u},{lat + k * 1e-5},{lon}\n" for u, (lat, lon) in spot.items() for k in range(6))
+    )
+    (data / "labels.csv").write_text(
+        "district,standard_name,candidate_name,is_alias\n"
+        "A,kappa,omega,1\nA,kappa,sigma,0\nB,delta,theta,1\nB,delta,lambda,0\n"
+    )
+    for method in ("centroid", "loccent", "kl", "jaccard", "editdist"):
+        out = tmp_path / method
+        assert main(["evaluate", str(data), "--method", method, "--out", str(out)]) == 0, method
+        report = json.loads((out / "report.json").read_text())["report"]
+        b = report["per_district"]["B"]
+        assert (report["actual_positive"], b["actual_positive"]) == (2, 1), method
+        if method == "editdist":
+            continue  # text needs no GPS
+        # B's two labeled pairs are unscored, and its positive is missed
+        assert (report["n_insufficient"], b["n_insufficient"]) == (2, 2), method
+        assert (b["true_positive"], b["recall"]) == (0, 0.0), method
+        assert (report["true_positive"], report["predicted_positive"]) == (1, 1), method
+        assert report["recall"] == 0.5, method
+
+
 STAGES = {
     "ingest-check": ["ingest", "write"],
     "preprocess": ["ingest", "write"],
@@ -321,6 +374,9 @@ def test_bad_synth_value_fails_with_its_key(tmp_path, capsys, item, named):
         ("home_scatter_m=nan", "home_scatter_m must be finite and non-negative, got nan"),
         ("district_extent_m=inf", "district_extent_m must be finite and positive, got inf"),
         ("min_separation_m=inf", "min_separation_m must be finite and non-negative, got inf"),
+        ("base_lat=inf", "base_lat must be finite and lie in [-90, 90], got inf"),
+        ("base_lon=nan", "base_lon must be finite and lie in [-180, 180], got nan"),
+        ("base_lat=95", "base_lat must be finite and lie in [-90, 90], got 95.0"),
     ],
 )
 def test_bad_synth_geometry_fails_before_generation(tmp_path, capsys, item, message):

@@ -7,6 +7,7 @@ from poialias.discovery import (
     DECISION_ALIAS,
     DECISION_INSUFFICIENT,
     DECISION_NOT_ALIAS,
+    METHODS,
     MIN_DIVERGENCE,
     MetricConfig,
     ScoredPair,
@@ -193,6 +194,9 @@ def test_metric_config_validation():
         MetricConfig(method="kl_div", threshold=0.0, kl_epsilon=0.0)
     with pytest.raises(InvalidConfigError):
         MetricConfig(method="jaccard", threshold=0.0, grid_n=0)
+    for method in METHODS:
+        with pytest.raises(InvalidConfigError, match="min_profile_points must be >= 1, got 0"):
+            MetricConfig(method=method, threshold=0.0, min_profile_points=0)
 
 
 # ---------------------------------------------------------------- inference
@@ -202,7 +206,7 @@ def test_infer_links_above_threshold():
     a = blob("a", 31.3, 120.5)
     b = blob("b", offset_north(31.3, 250.0), 120.5)  # kappa = 1/250 = 0.004
     cfg = MetricConfig(method="centroid", threshold=0.002)
-    pairs = score_pairs([a], [b], cfg)
+    pairs = score_pairs([a], [b], cfg, bbox=None)
     matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
     assert matrix.links == {(0, 0)}
     assert pairs[0].decision == DECISION_ALIAS
@@ -213,7 +217,7 @@ def test_infer_strict_inequality_at_boundary():
     a = blob("a", 31.3, 120.5)
     b = blob("b", 31.3, 120.5)  # kappa clamps to exactly 1.0
     cfg = MetricConfig(method="centroid", threshold=1.0)
-    pairs = score_pairs([a], [b], cfg)
+    pairs = score_pairs([a], [b], cfg, bbox=None)
     matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
     assert matrix.links == set()
     assert pairs[0].decision == DECISION_NOT_ALIAS
@@ -223,7 +227,7 @@ def test_infer_insufficient_profiles_excluded():
     a = blob("a", 31.3, 120.5)
     tiny = blob("t", 31.3, 120.5, n=2)
     cfg = MetricConfig(method="centroid", threshold=0.0, min_profile_points=5)
-    pairs = score_pairs([a], [tiny], cfg)
+    pairs = score_pairs([a], [tiny], cfg, bbox=None)
     matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["t"])
     assert matrix.links == set()
     assert pairs[0].score is None
@@ -234,7 +238,7 @@ def test_infer_pairs_exhaustive_and_ordered():
     standards = [blob(f"s{i}", 31.2 + 0.01 * i, 120.5) for i in range(3)]
     candidates = [blob(f"c{j}", 31.5, 120.2 + 0.01 * j) for j in range(4)]
     cfg = MetricConfig(method="centroid", threshold=0.5)
-    pairs = score_pairs(standards, candidates, cfg)
+    pairs = score_pairs(standards, candidates, cfg, bbox=None)
     assert len(pairs) == 12
     expected_order = [(s.name, c.name) for s in standards for c in candidates]
     assert [(p.standard_name, p.candidate_name) for p in pairs] == expected_order
@@ -273,19 +277,21 @@ def test_threshold_scale_invariance():
     assert links(1.0, theta) == links(scale, theta * scale)
 
 
-def test_score_pairs_derives_bbox_when_missing():
-    a = blob("a", 31.3, 120.5)
-    b = blob("b", 31.4, 120.6)
-    cfg = MetricConfig(method="jaccard", threshold=0.0)
-    pairs = score_pairs([a], [b], cfg, bbox=None)
-    assert pairs[0].score is not None
+def test_score_pairs_without_bbox_leaves_unlocated_pairs_insufficient():
+    # a district without located points has no bbox; every profile is empty,
+    # so every method but edit_distance leaves the pair unscored
+    a = prof("a", np.empty((0, 2)))
+    b = prof("b", np.empty((0, 2)))
+    for method in METHODS:
+        [pair] = score_pairs([a], [b], MetricConfig(method=method, threshold=0.0), bbox=None)
+        assert (pair.score is None) == (method != "edit_distance"), method
 
 
 def test_edit_distance_method_scores_text():
     a = prof("kitten", np.zeros((0, 2)))
     b = prof("sitting", np.zeros((0, 2)))
     cfg = MetricConfig(method="edit_distance", threshold=0.5)
-    pairs = score_pairs([a], [b], cfg)
+    pairs = score_pairs([a], [b], cfg, bbox=None)
     matrix = apply_threshold(pairs, cfg.threshold, "d", ["kitten"], ["sitting"])
     # similarity = 1 - 3/7
     assert pairs[0].score == pytest.approx(1.0 - 3.0 / 7.0)
@@ -309,6 +315,6 @@ def test_planted_aliases_recovered_on_synthetic_district(tmp_path):
         scores["d00"], cal.theta, "d00", dd.standard_names, dd.candidate_names
     )
     planted = {pair for pair, pos in dd.labels.items() if pos}
-    found = matrix.link_names()
+    found = {(dd.standard_names[i], dd.candidate_names[j]) for i, j in matrix.links}
     assert len(found & planted) >= 0.9 * len(planted)
     assert len(found - planted) <= 0.1 * max(len(found), 1)

@@ -148,7 +148,7 @@ def test_normalize_direct_division():
 def test_normalize_uniform():
     d = _dist_from_counts(np.full((50, 50), 3))
     assert np.allclose(dense_probs(d), 1.0 / 2500.0)
-    assert d.total == pytest.approx(1.0, abs=1e-9)
+    assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_normalize_matches_division_oracle():

@@ -12,7 +12,6 @@ from poialias import evaluation
 from poialias.discovery import METHODS, MetricConfig, ScoredPair, apply_threshold, score_pairs
 from poialias.errors import NoPositiveLabelsError, TooFewDistrictsError
 from poialias.evaluation import (
-    calibrate_threshold,
     cross_city_transfer,
     district_cross_validation,
     evaluate_districts,
@@ -110,6 +109,12 @@ def _pairs(scored):
 
 def _labels(flags):
     return {("s", f"c{i}"): bool(v) for i, v in enumerate(flags)}
+
+
+def calibrate_threshold(scored, labels):
+    """calibrate_on_districts on a one-district city of `scored` pairs."""
+    dd = DistrictData("d", CanonicalMap(), {}, [], [], labels=labels)
+    return evaluation.calibrate_on_districts(CityData(districts={"d": dd}), {"d": scored}, ["d"])
 
 
 def test_calibrate_separable_example():
@@ -428,7 +433,7 @@ def test_sweep_rejects_empty_grid_list(small_city):
 def edit_distance_links(standards, candidates, theta_edit):
     profiles = lambda names: [MobilityProfile(n, np.zeros((0, 2)), 0, 0) for n in names]
     cfg = MetricConfig(method="edit_distance", threshold=1.0 - theta_edit)
-    pairs = score_pairs(profiles(standards), profiles(candidates), cfg)
+    pairs = score_pairs(profiles(standards), profiles(candidates), cfg, bbox=None)
     links = apply_threshold(pairs, cfg.threshold, "", standards, candidates).links
     expected = {
         (i, j)

@@ -12,7 +12,6 @@ from poialias.geo import (
     EARTH_RADIUS_M,
     METERS_PER_DEG,
     GeoPoint,
-    Window,
     centroid,
     haversine,
     local_region_centroid,
@@ -160,8 +159,7 @@ def test_project_round_trip():
 
 def test_window_single_point():
     win = max_coverage_window(np.array([[5.0, 5.0]]), 640.0)
-    assert win.count == 1
-    assert win.covers(5.0, 5.0)
+    assert (win.x0, win.y0, win.count) == (5.0, 5.0, 1)
 
 
 def test_window_full_coverage():
@@ -244,10 +242,11 @@ def test_window_rejects_bad_inputs():
         max_coverage_window(np.array([[0.0, 0.0]]), 0.0)
 
 
-def test_window_dataclass_coverage_rule():
-    win = Window(x0=0.0, y0=0.0, side=10.0, count=0)
-    assert win.covers(0.0, 0.0) and win.covers(10.0, 10.0)
-    assert not win.covers(10.0001, 5.0)
+def test_window_coverage_is_closed_on_every_edge():
+    # x0 <= x <= x0 + side and y0 <= y <= y0 + side
+    assert max_coverage_window(np.array([[0.0, 0.0], [10.0, 10.0]]), 10.0).count == 2
+    assert max_coverage_window(np.array([[0.0, 0.0], [10.0001, 5.0]]), 10.0).count == 1
+    assert max_coverage_window(np.array([[0.0, 0.0], [5.0, 10.0001]]), 10.0).count == 1
 
 
 # --------------------------------------------------- local region centroid

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poialias.errors import EmptyInputError, InvalidConfigError
@@ -228,6 +228,61 @@ def test_cluster_reduction_desk_scale():
             names.append((base[:pos] + ch + base[pos + 1:], 1))
     cmap = cluster_near_duplicates(names, 0.2)
     assert len(set(cmap.mapping.values())) == 30
+
+
+# Latin, CJK and an astral code point; a small alphabet makes near-duplicates
+_NAME_CHARS = "ab\u4e2d\u6587\U0001f600"
+
+
+@st.composite
+def _near_duplicate_names(draw):
+    """Distinct names, some a few edits from another, some of one character."""
+    max_len = draw(st.sampled_from([3, 12, 60]))
+    names = draw(st.lists(st.text(_NAME_CHARS, min_size=1, max_size=max_len), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 8))):
+        s = list(draw(st.sampled_from(names)))
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(s)))
+            op, ch = draw(st.sampled_from("sid")), draw(st.sampled_from(_NAME_CHARS))
+            if op == "i":
+                s.insert(i, ch)
+            elif i < len(s) and op == "s":
+                s[i] = ch
+            elif i < len(s):
+                del s[i]
+        if s:
+            names.append("".join(s))
+    return sorted(set(names))
+
+
+def _single_linkage_oracle(names, threshold):
+    """Union-find over every pair within the threshold; each name maps to
+    its component's lexicographically smallest member."""
+    parent = {n: n for n in names}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in itertools.combinations(names, 2):
+        if _full_dp(a, b) / max(len(a), len(b)) <= threshold:
+            parent[find(a)] = find(b)
+    members = {}
+    for n in names:
+        members.setdefault(find(n), []).append(n)
+    return {n: min(members[find(n)]) for n in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_duplicate_names(), st.sampled_from([0.1, 0.2, 0.25, 0.35, 0.5, 0.9]))
+# 0.35 * 180 rounds to 62.99..., but 63 edits in 180 characters is 0.35
+@example(["a" * 180, "b" * 63 + "a" * 117, "b" * 64 + "a" * 116], 0.35)
+# names shorter than k + 1 characters take the exhaustive branch
+@example(["a", "b", "ab", "\U0001f600" * 40, "\U0001f600" * 39 + "a"], 0.35)
+def test_cluster_equals_brute_force_single_linkage(names, threshold):
+    cmap = cluster_near_duplicates([(n, 1) for n in names], threshold)
+    assert cmap.mapping == _single_linkage_oracle(names, threshold)
 
 
 def test_cluster_rejects_bad_inputs():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from poialias.discovery import MetricConfig, score_pairs
 from poialias.errors import EmptyInputError
 from poialias.ingestion import AddressRecord
 from poialias.preprocess import CanonicalMap, clean_text, cluster_near_duplicates
@@ -126,5 +127,8 @@ def test_sufficiency_flag():
     prof = build_mobility_profile(
         "a", {"a": {"u1"}}, {"u1": np.array([[31.0, 120.0]] * 4)}
     )
-    assert prof.sufficient(4)
-    assert not prof.sufficient(5)
+    # a profile is sufficient with at least min_profile_points points
+    for min_points, scored in ((4, True), (5, False)):
+        cfg = MetricConfig(method="centroid", threshold=0.0, min_profile_points=min_points)
+        [pair] = score_pairs([prof], [prof], cfg, bbox=None)
+        assert (pair.score is not None) is scored
