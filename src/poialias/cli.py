@@ -1,9 +1,10 @@
 """Command-line interface: one executable exposing the whole pipeline.
 
 Subcommands: synth, ingest-check, preprocess, discover, evaluate,
-crossval, transfer, sweep. Artifacts are written atomically (temp file
-plus rename) under --out; every command also writes a run_manifest.json
-with the fully resolved configuration, stage timings, and counts. Reports
+crossval, transfer, sweep. Artifacts are written under --out through
+`ingestion`'s writers (temp file plus rename, one CSV dialect); every
+command also writes a run_manifest.json with the fully resolved
+configuration, stage timings, and counts. Reports
 contain neither timings nor the paths and worker count, so identical
 inputs and configuration reproduce them byte for byte wherever they are
 read from and written to. Each `_cmd_*` handler takes the parsed options
@@ -13,21 +14,18 @@ and a stage timer and returns the manifest's (counts, config).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import logging
 import math
 import os
 import sys
 import time
-import uuid
 from dataclasses import asdict, fields
 
 from . import evaluation
 from .discovery import MetricConfig, apply_threshold
+from .distribution import rasterize
 from .errors import InvalidConfigError, PoiAliasError
-from .ingestion import Corpus, load_corpus, partition_by_district
+from .ingestion import Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
 from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, score_city
 from .preprocess import clean_text
 from .synth import SynthConfig, generate_city
@@ -41,27 +39,6 @@ CLI_METHODS = {
     "jaccard": "jaccard",
     "editdist": "edit_distance",
 }
-
-
-def _atomic_write(path: str, text: str):
-    """Write through a temp file of its own beside `path`, then rename.
-
-    Creates the parent directory; the file mode is the one the umask gives.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_json(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _log_kv(**kwargs):
@@ -165,22 +142,23 @@ def _load_city(args, require_labels: bool) -> CityData:
     return build_city_data(corpus, cluster_threshold=args.cluster_threshold)
 
 
-def _pairs_csv(city: CityData, scores: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["district", "standard_name", "candidate_name", "score", "decision"])
+def _pair_rows(scores: dict):
     for district in sorted(scores):
         for pair in scores[district]:
-            writer.writerow(
-                [
-                    district,
-                    pair.standard_name,
-                    pair.candidate_name,
-                    "" if pair.score is None else repr(pair.score),
-                    pair.decision,
-                ]
-            )
-    return buf.getvalue()
+            score = "" if pair.score is None else repr(pair.score)
+            yield district, pair.standard_name, pair.candidate_name, score, pair.decision
+
+
+def _density_rows(city: CityData, grid_n: int):
+    for district, dd in sorted(city.districts.items()):
+        if dd.bbox is None:
+            continue
+        for name, prof in sorted(dd.profiles.items()):
+            if not prof.point_count:
+                continue
+            dm = rasterize(prof, dd.bbox, grid_n)
+            for cell, count in zip(dm.cells.tolist(), dm.counts.tolist()):
+                yield district, name, str(cell // dm.n_grid), str(cell % dm.n_grid), str(count)
 
 
 def _resolve_theta(city, scores, threshold):
@@ -248,7 +226,7 @@ def _cmd_ingest_check(args, timer: _Timer):
         ],
     }
     timer.stage("write")
-    _write_json(os.path.join(args.out, "ingest_report.json"), report)
+    write_json(os.path.join(args.out, "ingest_report.json"), report)
     counts = {
         "addresses": len(corpus.addresses),
         "users": len(corpus.locations),
@@ -270,12 +248,14 @@ def _cmd_preprocess(args, timer: _Timer):
     n_canonical = 0
     for district, dd in sorted(city.districts.items()):
         raw_names = sorted({rec.poi_name for rec in by_district.get(district, [])})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["raw_name", "canonical_name"])
-        for raw in raw_names:
-            writer.writerow([raw, dd.canonical_map.resolve(clean_text(raw))])
-        _atomic_write(os.path.join(args.out, f"canonical_{district}.csv"), buf.getvalue())
+        # one file directly under --out per district, and one district per
+        # file name: escape %, / and NUL as %25, %2F and %00
+        escaped = district.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+        write_csv(
+            os.path.join(args.out, f"canonical_{escaped}.csv"),
+            ["raw_name", "canonical_name"],
+            ((raw, dd.canonical_map.resolve(clean_text(raw))) for raw in raw_names),
+        )
         n_raw += len(raw_names)
         n_canonical += len(dd.canonical_map.cluster_sizes)
     counts = {"raw_names": n_raw, "canonical_names": n_canonical, "districts": len(city.districts)}
@@ -300,43 +280,26 @@ def _cmd_discover(args, timer: _Timer):
     n_pairs = sum(len(p) for p in scores.values())
     _log_kv(stage="discover", pairs=n_pairs, links=n_links)
     timer.stage("write")
-    _atomic_write(os.path.join(args.out, "aliases.csv"), _pairs_csv(city, scores))
+    write_csv(
+        os.path.join(args.out, "aliases.csv"),
+        ["district", "standard_name", "candidate_name", "score", "decision"],
+        _pair_rows(scores),
+    )
     if args.dump_density and config.method in ("kl_div", "jaccard"):
-        from .distribution import rasterize
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["district", "name", "row", "col", "count"])
-        for district, dd in sorted(city.districts.items()):
-            if dd.bbox is None:
-                continue
-            for name in sorted(dd.profiles):
-                prof = dd.profiles[name]
-                if not prof.point_count:
-                    continue
-                dm = rasterize(prof, dd.bbox, config.grid_n)
-                for cell, count in zip(dm.cells.tolist(), dm.counts.tolist()):
-                    writer.writerow(
-                        [district, name, cell // dm.n_grid, cell % dm.n_grid, count]
-                    )
-        _atomic_write(os.path.join(args.out, "density.csv"), buf.getvalue())
+        write_csv(
+            os.path.join(args.out, "density.csv"),
+            ["district", "name", "row", "col", "count"],
+            _density_rows(city, config.grid_n),
+        )
     if args.dump_profiles:
-        lines = []
-        for district, dd in sorted(city.districts.items()):
-            for name in sorted(dd.profiles):
-                prof = dd.profiles[name]
-                lines.append(
-                    json.dumps(
-                        {
-                            "district": district,
-                            "name": name,
-                            "user_count": prof.user_count,
-                            "point_count": prof.point_count,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        _atomic_write(os.path.join(args.out, "profiles.jsonl"), "\n".join(lines) + "\n")
+        write_jsonl(
+            os.path.join(args.out, "profiles.jsonl"),
+            (
+                {"district": district, "name": name, "user_count": p.user_count, "point_count": p.point_count}
+                for district, dd in sorted(city.districts.items())
+                for name, p in sorted(dd.profiles.items())
+            ),
+        )
     counts = {"pairs": n_pairs, "links": n_links, "districts": len(city.districts)}
     return counts, _resolved_config(args, resolved_theta=evaluation.json_safe(theta))
 
@@ -367,7 +330,7 @@ def _cmd_evaluate(args, timer: _Timer):
             "train_f1": cal.f1,
             "n_candidates": cal.n_candidates,
         }
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_json(os.path.join(args.out, "report.json"), payload)
     counts = {
         "pairs": sum(len(p) for p in scores.values()),
         "true_positive": report.true_positive,
@@ -396,7 +359,7 @@ def _cmd_crossval(args, timer: _Timer):
         "config": _report_config(args),
         "report": report.to_dict(),
     }
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_json(os.path.join(args.out, "report.json"), payload)
     return {"folds": len(report.folds)}, _resolved_config(args)
 
 
@@ -429,7 +392,7 @@ def _cmd_transfer(args, timer: _Timer):
         "config": _report_config(args),
         "report": report.to_dict(),
     }
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_json(os.path.join(args.out, "report.json"), payload)
     return {}, _resolved_config(args)
 
 
@@ -448,18 +411,17 @@ def _cmd_sweep(args, timer: _Timer):
         city, CLI_METHODS[args.method], grids, base, workers=args.workers
     )
     timer.stage("write")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["grid_n", "method", "precision", "recall", "f1"])
-    for n, rep in results:
-        writer.writerow([n, args.method, repr(rep.precision), repr(rep.recall), repr(rep.f1)])
-    _atomic_write(os.path.join(args.out, "sweep.csv"), buf.getvalue())
+    write_csv(
+        os.path.join(args.out, "sweep.csv"),
+        ["grid_n", "method", "precision", "recall", "f1"],
+        ((str(n), args.method, repr(rep.precision), repr(rep.recall), repr(rep.f1)) for n, rep in results),
+    )
     payload = {
         "command": "sweep",
         "config": _report_config(args),
         "results": [{"grid_n": n, "report": rep.to_dict()} for n, rep in results],
     }
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_json(os.path.join(args.out, "report.json"), payload)
     print(f"{'grid_n':>8} {'precision':>10} {'recall':>10} {'f1':>10}")
     for n, rep in results:
         print(f"{n:>8} {rep.precision:>10.4f} {rep.recall:>10.4f} {rep.f1:>10.4f}")
@@ -501,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic city")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--config", action="append", metavar="KEY=VALUE", help="override a synth config field")
     _add_common_opts(p)
     p.set_defaults(func=_cmd_synth)
@@ -533,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="numeric threshold or 'calibrate' (default)",
             )
         if name == "crossval":
-            p.add_argument("--train-frac", type=float, default=0.8, dest="train_frac")
+            p.add_argument(
+                "--train-frac", type=float, default=evaluation.DEFAULT_TRAIN_FRAC, dest="train_frac"
+            )
         if name == "discover":
             p.add_argument("--dump-profiles", action="store_true", dest="dump_profiles")
             p.add_argument("--dump-density", action="store_true", dest="dump_density")
@@ -578,7 +542,7 @@ def main(argv=None) -> int:
             "counts": counts,
             "timings_ms": timer.timings_ms,
         }
-        _write_json(os.path.join(args.out, "run_manifest.json"), manifest)
+        write_json(os.path.join(args.out, "run_manifest.json"), manifest)
     except (PoiAliasError, OSError) as exc:
         print(f"error: command={args.command} {exc}", file=sys.stderr)
         return 1

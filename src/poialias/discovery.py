@@ -47,13 +47,12 @@ class MetricConfig:
             raise InvalidConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not np.isfinite(self.threshold):
             raise InvalidConfigError(f"threshold must be finite, got {self.threshold}")
-        if self.method == "loc_cent" and not self.local_window_m > 0:
-            raise InvalidConfigError(f"local_window_m must be positive, got {self.local_window_m}")
-        if self.method in ("kl_div", "jaccard"):
-            if self.grid_n < 1:
-                raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
-            if not self.kl_epsilon > 0:
-                raise InvalidConfigError(f"kl_epsilon must be positive, got {self.kl_epsilon}")
+        for name in ("local_window_m", "kl_epsilon"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
+        if self.grid_n < 1:
+            raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
         # a profile without points is then always insufficient, so no
         # feature is built from an empty point set or a missing bbox
         if self.min_profile_points < 1:

@@ -21,6 +21,8 @@ from .pipeline import CityData, score_city
 
 DistrictScores = dict[str, list[ScoredPair]]
 
+DEFAULT_TRAIN_FRAC = 0.8
+
 
 @dataclass
 class EvalReport:
@@ -230,7 +232,7 @@ class CrossValReport:
 def district_cross_validation(
     city: CityData,
     scores: DistrictScores,
-    train_frac: float = 0.8,
+    train_frac: float = DEFAULT_TRAIN_FRAC,
     method: str = "",
 ) -> CrossValReport:
     """Calibrate on training districts, evaluate on held-out ones.

@@ -59,12 +59,14 @@ def centroid(points: np.ndarray) -> GeoPoint:
 
     `points` is an (n, 2) array of [lat, lon] rows. Plain coordinate means
     are used rather than a spherical mean; at district scale the difference
-    is negligible.
+    is negligible. Each sum is `math.fsum`, correctly rounded, so the mean
+    does not depend on the order of the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise EmptyInputError("centroid of an empty point set")
-    return GeoPoint(float(pts[:, 0].mean()), float(pts[:, 1].mean()))
+    n = len(pts)
+    return GeoPoint(math.fsum(pts[:, 0].tolist()) / n, math.fsum(pts[:, 1].tolist()) / n)
 
 
 def project_local(points: np.ndarray, origin: GeoPoint) -> np.ndarray:
@@ -202,6 +204,5 @@ def local_region_centroid(points: np.ndarray, side: float) -> GeoPoint:
         & (xy[:, 1] >= win.y0)
         & (xy[:, 1] <= win.y0 + win.side)
     )
-    covered = pts[mask]
     # the window always covers at least its anchoring points
-    return GeoPoint(float(covered[:, 0].mean()), float(covered[:, 1].mean()))
+    return centroid(pts[mask])

@@ -1,5 +1,6 @@
 """Parsing and serialization of the three input corpora: address records,
-user location logs, and ground-truth alias labels.
+user location logs, and ground-truth alias labels; and the one output
+layer every artifact is written through.
 
 Files are headered CSV (RFC-4180) or JSONL with the same field names.
 Malformed rows are skipped and reported with their line numbers, never
@@ -11,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import uuid
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 
@@ -294,6 +297,24 @@ def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], L
     return labels, report
 
 
+@contextmanager
+def _output_file(path: str):
+    """A text handle on a temp file of its own beside `path` (O_EXCL, the
+    umask's mode, parent directory created), renamed over `path` only if the
+    block completes; on any error it is removed and `path` is left as it was.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _csv_writers(fh):
     """Plain and quote-every-field CSV writers, both ending rows in a line feed.
 
@@ -307,8 +328,11 @@ def _csv_writers(fh):
     )
 
 
-def _write_rows(path: str, header: list[str], rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(path: str, header: list[str], rows):
+    """Write a header and `rows`, sequences of string fields, through
+    `_output_file`; a row holding a carriage return has every field quoted,
+    so each row reads back as written."""
+    with _output_file(path) as fh:
         plain, quoted = _csv_writers(fh)
         plain.writerow(header)
         # one writerows call per run of rows that take the same writer
@@ -316,18 +340,27 @@ def _write_rows(path: str, header: list[str], rows):
             (quoted if has_cr else plain).writerows(run)
 
 
+def write_json(path: str, obj):
+    """Write `obj` as JSON (indent 2, sorted keys, trailing newline)."""
+    with _output_file(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path: str, objs):
+    """Write one compact sorted-key JSON object per line."""
+    with _output_file(path) as fh:
+        fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
 def write_address_records(path: str, records: list[AddressRecord]):
-    _write_rows(
-        path,
-        ADDRESS_FIELDS,
-        ([r.user_id, r.province, r.city, r.district, r.poi_name] for r in records),
-    )
+    rows = ([r.user_id, r.province, r.city, r.district, r.poi_name] for r in records)
+    write_csv(path, ADDRESS_FIELDS, rows)
 
 
 def write_location_log(path: str, locations: dict[str, np.ndarray]):
     # repr-precision floats so a parse/write cycle is lossless; one
     # writerows call per user over its columns as Python floats
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         plain, quoted = _csv_writers(fh)
         plain.writerow(LOCATION_FIELDS)
         for user_id, pts in locations.items():
@@ -338,14 +371,8 @@ def write_location_log(path: str, locations: dict[str, np.ndarray]):
 
 
 def write_labels(path: str, labels: list[GroundTruthLabel]):
-    _write_rows(
-        path,
-        LABEL_FIELDS,
-        (
-            [lb.district, lb.standard_name, lb.candidate_name, "1" if lb.is_alias else "0"]
-            for lb in labels
-        ),
-    )
+    rows = ([lb.district, lb.standard_name, lb.candidate_name, "1" if lb.is_alias else "0"] for lb in labels)
+    write_csv(path, LABEL_FIELDS, rows)
 
 
 @dataclass

@@ -16,7 +16,6 @@ output files byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
@@ -31,6 +30,7 @@ from .ingestion import (
     AddressRecord,
     GroundTruthLabel,
     write_address_records,
+    write_json,
     write_labels,
     write_location_log,
 )
@@ -307,7 +307,6 @@ def generate_city(config: SynthConfig, out_dir: str) -> dict:
     formats) plus truth_meta.json holding the planted POI geolocations and
     alias clusters for white-box assertions. Returns a summary dict.
     """
-    os.makedirs(out_dir, exist_ok=True)
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.n_districts)
 
@@ -332,9 +331,7 @@ def generate_city(config: SynthConfig, out_dir: str) -> dict:
         "rng": "numpy PCG64 via SeedSequence(seed).spawn(district)",
         "districts": district_meta,
     }
-    with open(os.path.join(out_dir, "truth_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "truth_meta.json"), meta)
 
     return {
         "out_dir": out_dir,

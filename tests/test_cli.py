@@ -6,9 +6,13 @@ import os
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poialias.cli import build_parser, main
+from poialias.preprocess import clean_text
 
 SMALL_SET = [
     "--config", "n_districts=2",
@@ -253,11 +257,20 @@ def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tm
         ("crossval", "--train-frac=-0.5", "--train-frac must lie in (0, 1], got -0.5"),
         ("crossval", "--train-frac=1.5", "--train-frac must lie in (0, 1], got 1.5"),
         ("evaluate", "--min-profile-points=0", "min_profile_points must be >= 1, got 0"),
+        # every tunable is checked whatever the method reads
+        ("evaluate", "--method=centroid --kl-epsilon=nan", "kl_epsilon must be finite and positive, got nan"),
+        ("evaluate", "--method=centroid --local-window-m=inf", "local_window_m must be finite and positive, got inf"),
+        ("evaluate", "--method=centroid --grid-n=-3", "grid_n must be >= 1, got -3"),
+        ("discover", "--method=editdist --local-window-m=0", "local_window_m must be finite and positive, got 0.0"),
+        ("evaluate", "--method=kl --kl-epsilon=inf", "kl_epsilon must be finite and positive, got inf"),
+        ("evaluate", "--method=loccent --local-window-m=inf", "local_window_m must be finite and positive, got inf"),
+        ("crossval", "--method=jaccard --kl-epsilon=-1", "kl_epsilon must be finite and positive, got -1.0"),
     ],
 )
 def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, capsys):
     out = tmp_path / "o"
-    rc = main([command, str(tmp_path / "absent"), "--method", "jaccard", option, "--out", str(out)])
+    # a later --method=... in `option` overrides this one
+    rc = main([command, str(tmp_path / "absent"), "--method", "jaccard", *option.split(), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: command={command} {message}\n"
     assert not out.exists()
@@ -404,3 +417,113 @@ def test_density_dump(data_dir, tmp_path):
     assert rows
     assert set(rows[0]) == {"district", "name", "row", "col", "count"}
     assert all(0 <= int(r["row"]) < 20 and 0 <= int(r["col"]) < 20 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "fmt, district, file_name",
+    [
+        ("csv", "/../../escaped", "canonical_%2F..%2F..%2Fescaped.csv"),
+        ("csv", "a%2Fb", "canonical_a%252Fb.csv"),
+        ("jsonl", "d\0x%", "canonical_d%00x%25.csv"),
+    ],
+)
+def test_each_district_map_is_one_file_directly_under_out(fmt, district, file_name, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    if fmt == "csv":
+        (data / "addresses.csv").write_text(f"user_id,province,city,district,poi_name\nu1,J,S,{district},kappa\n")
+        (data / "locations.csv").write_text("user_id,lat,lon\nu1,31.0,120.0\n")
+    else:
+        row = {"user_id": "u1", "province": "J", "city": "S", "district": district, "poi_name": "kappa"}
+        (data / "addresses.jsonl").write_text(json.dumps(row) + "\n")
+        (data / "locations.jsonl").write_text(json.dumps({"user_id": "u1", "lat": 31.0, "lon": 120.0}) + "\n")
+    run = tmp_path / "run"
+    assert main(["preprocess", str(data), "--format", fmt, "--out", str(run / "out")]) == 0
+    assert [p.name for p in run.iterdir()] == ["out"]
+    assert sorted(p.name for p in (run / "out").iterdir()) == [file_name, "run_manifest.json"]
+    with open(run / "out" / file_name, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["raw_name", "canonical_name"], ["kappa", "kappa"]]
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+_AWKWARD_TEXT = st.text(alphabet=st.sampled_from('ab\r\n",东京\U0001f600'), max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(district=_AWKWARD_TEXT, standard=_AWKWARD_TEXT, candidate=_AWKWARD_TEXT)
+def test_every_csv_artifact_reads_back_as_written(district, standard, candidate, tmp_path_factory):
+    # the prefixes keep each name non-empty and the two cleaned names distinct
+    district, standard, candidate = "d" + district, "a" + standard, "b" + candidate
+    root = tmp_path_factory.mktemp("awkward")
+    data = root / "data"
+    data.mkdir()
+    writers = {"u1": standard, "u2": candidate}
+    (data / "addresses.jsonl").write_text("".join(
+        json.dumps({"user_id": u, "province": "J", "city": "S", "district": district, "poi_name": n}) + "\n"
+        for u, n in writers.items()
+    ))
+    (data / "locations.jsonl").write_text("".join(
+        json.dumps({"user_id": u, "lat": 31.0 + k * 1e-4, "lon": 120.0 + i * 1e-3}) + "\n"
+        for i, u in enumerate(writers) for k in range(6)
+    ))
+    label = {"district": district, "standard_name": standard, "candidate_name": candidate, "is_alias": "1"}
+    (data / "labels.jsonl").write_text(json.dumps(label) + "\n")
+    opts = ["--format", "jsonl", "--cluster-threshold", "0.01"]
+    out = root / "out"
+    assert main(["preprocess", str(data), *opts, "--out", str(out)]) == 0
+    assert main(["discover", str(data), *opts, "--method", "jaccard", "--threshold", "1.0",
+                 "--dump-density", "--out", str(out)]) == 0
+
+    # every field is stored trimmed
+    district, raw = district.strip(), sorted({standard.strip(), candidate.strip()})
+    std, cand = clean_text(standard.strip()), clean_text(candidate.strip())
+    [canonical] = [p for p in out.iterdir() if p.name.startswith("canonical_")]
+    assert canonical.name == f"canonical_{district}.csv"
+    assert _read_csv(canonical) == [["raw_name", "canonical_name"]] + [[r, clean_text(r)] for r in raw]
+    header, *aliases = _read_csv(out / "aliases.csv")
+    assert [row[:3] for row in aliases] == [[district, std, cand]]
+    assert len(aliases[0]) == len(header) == 5
+    header, *cells = _read_csv(out / "density.csv")
+    assert cells and {(row[0], row[1], len(row)) for row in cells} <= {(district, std, 5), (district, cand, 5)}
+
+
+_METHODS = ("centroid", "loccent", "kl", "jaccard", "editdist")
+
+
+def _shuffled_copy(src, dst, fmt, rng):
+    """The three input files of `src` with their rows shuffled, as CSV or JSONL."""
+    dst.mkdir()
+    for name in ("addresses", "locations", "labels"):
+        header, *rows = _read_csv(os.path.join(src, f"{name}.csv"))
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        with open(dst / f"{name}.{fmt}", "w", newline="", encoding="utf-8") as fh:
+            if fmt == "csv":
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+            else:
+                fh.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
+
+
+def test_reports_do_not_depend_on_row_order_or_format(small_city, tmp_path):
+    rng = np.random.default_rng(11)
+    _shuffled_copy(small_city.dir, tmp_path / "shuffled", "csv", rng)
+    _shuffled_copy(small_city.dir, tmp_path / "jsonl", "jsonl", rng)
+    inputs = [(small_city.dir, "csv"), (str(tmp_path / "shuffled"), "csv"), (str(tmp_path / "jsonl"), "jsonl")]
+    for method in _METHODS:
+        outputs = []
+        for k, (data, fmt) in enumerate(inputs):
+            out = tmp_path / method / str(k)
+            opts = [data, "--method", method, "--format", fmt]
+            assert main(["evaluate", *opts, "--out", str(out / "evaluate")]) == 0
+            assert main(["crossval", *opts, "--out", str(out / "crossval")]) == 0
+            assert main(["discover", *opts, "--out", str(out / "discover")]) == 0
+            # a report's config echoes --format, the one field it may change
+            outputs.append([
+                (out / name).read_bytes().replace(b'"format": "jsonl"', b'"format": "csv"')
+                for name in ("evaluate/report.json", "crossval/report.json", "discover/aliases.csv")
+            ])
+        assert outputs[1] == outputs[0], method
+        assert outputs[2] == outputs[0], method

@@ -24,6 +24,7 @@ from poialias.ingestion import (
     parse_location_log,
     partition_by_district,
     write_address_records,
+    write_csv,
     write_labels,
     write_location_log,
 )
@@ -548,6 +549,20 @@ def test_labels_round_trip(tmp_path):
     write_labels(str(path), labels)
     parsed, _ = parse_labels(str(path))
     assert parsed == labels
+
+
+def test_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old bytes\n")
+
+    def rows():
+        yield ["a", "b"]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(path), ["x", "y"], rows())
+    assert path.read_text() == "old bytes\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_parse_is_deterministic(tmp_path):
