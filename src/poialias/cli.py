@@ -4,10 +4,10 @@ Subcommands: synth, ingest-check, preprocess, discover, evaluate,
 crossval, transfer, sweep. Artifacts are written under --out through
 `ingestion`'s writers (temp file plus rename, one CSV dialect); every
 command also writes a run_manifest.json with the fully resolved
-configuration, stage timings, and counts. Reports
-contain neither timings nor the paths and worker count, so identical
-inputs and configuration reproduce them byte for byte wherever they are
-read from and written to. Each `_cmd_*` handler takes the parsed options
+configuration, stage timings, and counts. Reports contain neither
+timings nor the paths, input format and worker count, so identical inputs
+and configuration reproduce them byte for byte wherever and however they
+are read and written. Each `_cmd_*` handler takes the parsed options
 and a stage timer and returns the manifest's (counts, config).
 """
 
@@ -25,9 +25,9 @@ from . import evaluation
 from .discovery import MetricConfig, apply_threshold
 from .distribution import rasterize
 from .errors import InvalidConfigError, PoiAliasError
-from .ingestion import Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
+from .ingestion import FORMATS, Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
 from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, score_city
-from .preprocess import clean_text
+from .preprocess import check_cluster_threshold, clean_text
 from .synth import SynthConfig, generate_city
 
 logger = logging.getLogger("poialias")
@@ -102,9 +102,9 @@ def _resolved_config(args, **extra) -> dict:
     return out
 
 
-#: options that name where data is read or written, or how many threads
-#: score it; none can change a result
-_PLACE_AND_HOST_OPTIONS = ("data", "source", "target", "out", "workers")
+#: options that name where data is read or written, in which format, or
+#: how many threads score it; none can change a result
+_PLACE_AND_HOST_OPTIONS = ("data", "source", "target", "format", "out", "workers")
 
 
 def _report_config(args, **extra) -> dict:
@@ -119,8 +119,8 @@ def _report_config(args, **extra) -> dict:
     return out
 
 
-def _load_corpus(args, require_labels: bool) -> Corpus:
-    corpus = load_corpus(args.data, fmt=args.format, require_labels=require_labels)
+def _load_corpus(args, data: str, require_labels: bool) -> Corpus:
+    corpus = load_corpus(data, fmt=args.format, require_labels=require_labels)
     _log_kv(
         stage="ingest",
         addresses=len(corpus.addresses),
@@ -132,13 +132,15 @@ def _load_corpus(args, require_labels: bool) -> Corpus:
     return corpus
 
 
-def _load_city(args, require_labels: bool) -> CityData:
-    """The city of `args.data`; the parsed corpus is released on return.
+def _load_city(args, data: str, require_labels: bool) -> CityData:
+    """The city of `data`; the parsed corpus is released on return.
 
     Profiles hold their own copies of the points, so the parsed location
-    log need not stay alive while scoring.
+    log need not stay alive while scoring. --cluster-threshold is checked
+    before any input is read.
     """
-    corpus = _load_corpus(args, require_labels)
+    check_cluster_threshold(args.cluster_threshold)
+    corpus = _load_corpus(args, data, require_labels)
     return build_city_data(corpus, cluster_threshold=args.cluster_threshold)
 
 
@@ -239,8 +241,9 @@ def _cmd_ingest_check(args, timer: _Timer):
 
 
 def _cmd_preprocess(args, timer: _Timer):
+    check_cluster_threshold(args.cluster_threshold)
     timer.stage("ingest")
-    corpus = _load_corpus(args, require_labels=False)
+    corpus = _load_corpus(args, args.data, require_labels=False)
     city = build_city_data(corpus, cluster_threshold=args.cluster_threshold)
     timer.stage("write")
     by_district = partition_by_district(corpus.addresses)
@@ -267,7 +270,7 @@ def _cmd_discover(args, timer: _Timer):
     threshold = _score_threshold(args)
     config = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, require_labels=threshold == "calibrate")
+    city = _load_city(args, args.data, require_labels=threshold == "calibrate")
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
@@ -308,7 +311,7 @@ def _cmd_evaluate(args, timer: _Timer):
     threshold = _score_threshold(args)
     config = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, require_labels=True)
+    city = _load_city(args, args.data, require_labels=True)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
@@ -345,7 +348,7 @@ def _cmd_crossval(args, timer: _Timer):
         raise InvalidConfigError(f"--train-frac must lie in (0, 1], got {args.train_frac}")
     config = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, require_labels=True)
+    city = _load_city(args, args.data, require_labels=True)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("evaluate")
@@ -366,13 +369,8 @@ def _cmd_crossval(args, timer: _Timer):
 def _cmd_transfer(args, timer: _Timer):
     config = _metric_config(args)
     timer.stage("ingest")
-    # one parsed corpus alive at a time; each city holds its own points
-    source = load_corpus(args.source, fmt=args.format, require_labels=True)
-    source_city = build_city_data(source, cluster_threshold=args.cluster_threshold)
-    del source
-    target = load_corpus(args.target, fmt=args.format, require_labels=True)
-    target_city = build_city_data(target, cluster_threshold=args.cluster_threshold)
-    del target
+    source_city = _load_city(args, args.source, require_labels=True)
+    target_city = _load_city(args, args.target, require_labels=True)
     timer.stage("score")
     source_scores = score_city(source_city, config, workers=args.workers)
     target_scores = score_city(target_city, config, workers=args.workers)
@@ -405,7 +403,7 @@ def _cmd_sweep(args, timer: _Timer):
         raise InvalidConfigError(f"--grids expects comma-separated integers, got {args.grids!r}")
     base = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, require_labels=True)
+    city = _load_city(args, args.data, require_labels=True)
     timer.stage("sweep")
     results = evaluation.resolution_sweep(
         city, CLI_METHODS[args.method], grids, base, workers=args.workers
@@ -433,7 +431,7 @@ def _cmd_sweep(args, timer: _Timer):
 
 def _add_data_opts(p):
     p.add_argument("data", help="data directory holding addresses/locations/labels files")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
 
 
 def _add_common_opts(p):
@@ -447,12 +445,16 @@ def _add_common_opts(p):
     )
 
 
+def _add_cluster_threshold(p):
+    p.add_argument("--cluster-threshold", type=float, default=DEFAULT_CLUSTER_THRESHOLD)
+
+
 def _add_tunables(p):
     defaults = {f.name: f.default for f in fields(MetricConfig)}
     for name in _TUNABLES:
         default = defaults[name]
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
-    p.add_argument("--cluster-threshold", type=float, default=DEFAULT_CLUSTER_THRESHOLD)
+    _add_cluster_threshold(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="emit per-district canonical name maps")
     _add_data_opts(p)
     _add_common_opts(p)
-    _add_tunables(p)
+    _add_cluster_threshold(p)
     p.set_defaults(func=_cmd_preprocess)
 
     method_help = "similarity method"
@@ -508,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="calibrate on a source city, evaluate on a target city")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--method", choices=sorted(CLI_METHODS), required=True)
     _add_common_opts(p)
     _add_tunables(p)

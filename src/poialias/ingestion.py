@@ -5,13 +5,19 @@ layer every artifact is written through.
 Files are headered CSV (RFC-4180) or JSONL with the same field names.
 Malformed rows are skipped and reported with their line numbers, never
 silently dropped: real delivery data is noisy and the trace matters.
+
+`load_corpus` keeps what it parsed in one content-keyed file beside the
+inputs, so the commands of an analysis parse each corpus once.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import logging
 import os
+import sys
 import uuid
 from array import array
 from contextlib import contextmanager
@@ -20,9 +26,13 @@ from itertools import groupby, repeat
 
 import numpy as np
 
+from . import preprocess
 from .errors import ConflictingLabelError, InvalidConfigError
 from .preprocess import clean_text
 
+logger = logging.getLogger(__name__)
+
+FORMATS = ("csv", "jsonl")
 ADDRESS_FIELDS = ["user_id", "province", "city", "district", "poi_name"]
 LOCATION_FIELDS = ["user_id", "lat", "lon"]
 LABEL_FIELDS = ["district", "standard_name", "candidate_name", "is_alias"]
@@ -72,6 +82,10 @@ class LoadReport:
 
 #: JSON value kinds that are not a single string or number
 _JSON_NON_SCALAR = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def _unknown_format(fmt) -> InvalidConfigError:
+    return InvalidConfigError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
 def _iter_rows(path: str, fmt: str, fields: list[str]):
@@ -139,7 +153,7 @@ def _iter_rows(path: str, fmt: str, fields: list[str]):
                     continue
                 yield line_no, values, None
     else:
-        raise InvalidConfigError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
+        raise _unknown_format(fmt)
 
 
 def parse_address_records(path: str, fmt: str = "csv") -> tuple[list[AddressRecord], LoadReport]:
@@ -298,16 +312,17 @@ def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], L
 
 
 @contextmanager
-def _output_file(path: str):
-    """A text handle on a temp file of its own beside `path` (O_EXCL, the
-    umask's mode, parent directory created), renamed over `path` only if the
-    block completes; on any error it is removed and `path` is left as it was.
+def _output_file(path: str, binary: bool = False):
+    """A UTF-8 text handle (a binary one if `binary`) on a temp file of its
+    own beside `path` (O_EXCL, the umask's mode, parent directory created),
+    renamed over `path` only if the block completes; on any error it is
+    removed and `path` is left as it was.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with open(fd, "w", newline="", encoding="utf-8") as fh:
+        with open(fd, "wb") if binary else open(fd, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -413,33 +428,52 @@ def _find_orphans(addresses, labels):
     return orphans
 
 
-def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -> Corpus:
-    """Load addresses, locations, and labels from a data directory.
+#: the parsed-corpus file `load_corpus` keeps beside its inputs
+CORPUS_FILE = ".poialias-corpus.{fmt}.npz"
+_INPUTS = ("addresses", "locations", "labels")
 
-    Expects addresses.<ext>, locations.<ext>, labels.<ext> with ext csv or
-    jsonl. A missing labels file is tolerated (empty label list) unless
-    `require_labels` is set.
-    """
-    ext = "csv" if fmt == "csv" else "jsonl"
-    addr_path = os.path.join(data_dir, f"addresses.{ext}")
-    loc_path = os.path.join(data_dir, f"locations.{ext}")
-    lab_path = os.path.join(data_dir, f"labels.{ext}")
 
+def _file_sha256(path: str) -> str | None:
+    """Hex sha256 of a file's bytes, or None if there is no such file."""
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                h.update(chunk)
+    except FileNotFoundError:
+        return None
+    return h.hexdigest()
+
+
+def _corpus_key(fmt: str, paths: list[str]) -> str:
+    """sha256 over everything that decides a parse: the format, each input's
+    name and bytes (or its absence), the parsing code's source, and the
+    Python and numpy versions."""
+    parts = [
+        fmt,
+        [[os.path.basename(p), _file_sha256(p)] for p in paths],
+        [_file_sha256(module) for module in (__file__, preprocess.__file__)],
+        sys.version,
+        np.__version__,
+    ]
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def _parse_corpus(paths: list[str], fmt: str) -> Corpus:
+    addr_path, loc_path, lab_path = paths
     addresses, addr_report = parse_address_records(addr_path, fmt)
     locations, loc_report = parse_location_log(loc_path, fmt)
     reports = {"addresses": addr_report, "locations": loc_report}
-
     if os.path.exists(lab_path):
-        labels, lab_report = parse_labels(lab_path, fmt)
-        reports["labels"] = lab_report
-    elif require_labels:
-        raise FileNotFoundError(lab_path)
+        labels, reports["labels"] = parse_labels(lab_path, fmt)
     else:
         labels = []
         reports["labels"] = LoadReport(path=lab_path, warnings=["labels file absent"])
+    return _corpus(addresses, locations, labels, reports, _find_orphans(addresses, labels))
 
+
+def _corpus(addresses, locations, labels, reports, orphans) -> Corpus:
     districts = sorted({r.district for r in addresses} | {lb.district for lb in labels})
-    orphans = _find_orphans(addresses, labels)
     return Corpus(
         addresses=addresses,
         locations=locations,
@@ -448,3 +482,140 @@ def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -
         reports=reports,
         orphan_labels=orphans,
     )
+
+
+def _text_array(text: str) -> np.ndarray:
+    # surrogatepass: a JSONL "\ud800" escape parses to a lone surrogate
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+def _write_corpus_file(path: str, key: str, corpus: Corpus):
+    """Records as int32 indices into one string table, points as one float64
+    (n, 2) array with per-user counts, reports and orphans as a JSON blob."""
+    index: dict[str, int] = {}
+
+    def ids(*texts):
+        return [index.setdefault(t, len(index)) for t in texts]
+
+    addresses = [ids(r.user_id, r.province, r.city, r.district, r.poi_name) for r in corpus.addresses]
+    labels = [ids(lb.district, lb.standard_name, lb.candidate_name) for lb in corpus.labels]
+    users = ids(*corpus.locations)
+    label_pos = {id(lb): i for i, lb in enumerate(corpus.labels)}
+    meta = {
+        "reports": {
+            name: {"n_rows": r.n_rows, "n_ok": r.n_ok, "errors": r.errors, "warnings": r.warnings}
+            for name, r in corpus.reports.items()
+        },
+        "orphans": [[label_pos[id(lb)], reason] for lb, reason in corpus.orphan_labels],
+    }
+    with _output_file(path, binary=True) as fh:
+        np.savez(
+            fh,
+            key=np.array(key),
+            strings=_text_array("".join(index)),
+            string_lengths=np.array([len(t) for t in index], dtype=np.int64),
+            addresses=np.array(addresses, dtype=np.int32).reshape(-1, len(ADDRESS_FIELDS)),
+            labels=np.array(labels, dtype=np.int32).reshape(-1, 3),
+            is_alias=np.array([lb.is_alias for lb in corpus.labels], dtype=bool),
+            users=np.array(users, dtype=np.int32),
+            point_counts=np.array([len(p) for p in corpus.locations.values()], dtype=np.int64),
+            points=np.concatenate([*corpus.locations.values(), np.empty((0, 2))]),
+            meta=_text_array(json.dumps(meta)),
+        )
+
+
+def _expect(ok: bool):
+    if not ok:
+        raise ValueError("the corpus file does not match its inputs or its layout")
+
+
+def _read_corpus_file(path: str, key: str, paths: list[str]) -> Corpus:
+    """The corpus in `path`, with `paths` as its reports' paths; raises
+    unless the file carries `key` and holds a complete, consistent corpus."""
+    with np.load(path, allow_pickle=False) as z:
+        _expect(z["key"].shape == () and str(z["key"]) == key)
+        arrays = {name: z[name] for name in z.files}
+    lengths = arrays["string_lengths"]
+    _expect(lengths.ndim == 1 and bool(np.all(lengths >= 0)))
+    text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
+    ends = np.cumsum(lengths).tolist()
+    _expect((ends[-1] if ends else 0) == len(text))
+    s = [text[a:b] for a, b in zip([0, *ends], ends)]  # the string table
+
+    addr, lab, is_alias = arrays["addresses"], arrays["labels"], arrays["is_alias"]
+    users, counts, points = arrays["users"], arrays["point_counts"], arrays["points"]
+    _expect(addr.ndim == 2 and addr.shape[1] == len(ADDRESS_FIELDS))
+    _expect(lab.ndim == 2 and lab.shape[1] == 3)
+    _expect(is_alias.dtype == bool and is_alias.shape == (len(lab),))
+    _expect(users.ndim == 1 and counts.dtype == np.int64 and counts.shape == users.shape)
+    _expect(bool(np.all(counts >= 1)))
+    _expect(points.dtype == np.float64 and points.shape == (int(counts.sum()), 2))
+    for idx in (addr, lab, users):
+        _expect(idx.dtype == np.int32 and bool(np.all((idx >= 0) & (idx < len(s)))))
+    addresses = [AddressRecord(s[a], s[b], s[c], s[d], s[e]) for a, b, c, d, e in addr.tolist()]
+    labels = [
+        GroundTruthLabel(s[d], s[std], s[cand], flag)
+        for (d, std, cand), flag in zip(lab.tolist(), is_alias.tolist())
+    ]
+    stops = np.cumsum(counts).tolist()
+    locations = {s[u]: points[a:b] for u, a, b in zip(users.tolist(), [0, *stops], stops)}
+    _expect(len(locations) == len(users))
+
+    meta = json.loads(arrays["meta"].tobytes())
+    _expect(list(meta["reports"]) == list(_INPUTS))
+    reports = {
+        name: LoadReport(
+            path=p,
+            n_rows=r["n_rows"],
+            n_ok=r["n_ok"],
+            errors=[(line, msg) for line, msg in r["errors"]],
+            warnings=r["warnings"],
+        )
+        for p, (name, r) in zip(paths, meta["reports"].items())
+    }
+    _expect(all(0 <= i < len(labels) for i, _ in meta["orphans"]))
+    orphans = [(labels[i], reason) for i, reason in meta["orphans"]]
+    return _corpus(addresses, locations, labels, reports, orphans)
+
+
+def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -> Corpus:
+    """Load addresses, locations, and labels from a data directory.
+
+    Expects addresses.<fmt>, locations.<fmt>, labels.<fmt> with fmt csv or
+    jsonl. A missing labels file is tolerated (empty label list) unless
+    `require_labels` is set.
+
+    What is parsed is kept in `<data_dir>/.poialias-corpus.<fmt>.npz`,
+    keyed by a sha256 over the format, each input's name and bytes (or its
+    absence), the parsing code's source and the Python and numpy versions.
+    A later call with the same key loads that file instead of parsing and
+    returns an equal corpus. A file that cannot be read or does not match
+    in full is a miss: the inputs are parsed and the file rewritten. A
+    failed write costs only the next call's re-parse.
+    """
+    if fmt not in FORMATS:
+        raise _unknown_format(fmt)
+    paths = [os.path.join(data_dir, f"{name}.{fmt}") for name in _INPUTS]
+    if require_labels and not os.path.exists(paths[2]):
+        raise FileNotFoundError(paths[2])
+    cache = os.path.join(data_dir, CORPUS_FILE.format(fmt=fmt))
+    key = _corpus_key(fmt, paths)
+    try:
+        corpus = _read_corpus_file(cache, key, paths)
+    except Exception as exc:
+        # an absent, damaged or mismatched file is a miss; a damaged zip
+        # alone can raise BadZipFile, EOFError, NotImplementedError,
+        # RuntimeError, KeyError, ValueError or OSError
+        logger.info("corpus=%s cache=miss reason=%r", cache, exc)
+    else:
+        logger.info("corpus=%s cache=hit", cache)
+        return corpus
+    corpus = _parse_corpus(paths, fmt)
+    # an input rewritten while it was parsed must not be filed under the old key
+    if _corpus_key(fmt, paths) == key:
+        try:
+            _write_corpus_file(cache, key, corpus)
+            logger.info("corpus=%s cache=written", cache)
+        except OSError as exc:
+            logger.info("corpus=%s cache=unwritten reason=%s", cache, exc)
+    return corpus

@@ -202,6 +202,12 @@ def _candidate_pairs(names: list[str], threshold: float):
                 yield pair
 
 
+def check_cluster_threshold(threshold: float):
+    """Raise InvalidConfigError unless `threshold` lies in (0, 1); NaN does not."""
+    if not (0.0 < threshold < 1.0):
+        raise InvalidConfigError(f"cluster threshold must lie in (0, 1), got {threshold}")
+
+
 def cluster_near_duplicates(
     names: list[tuple[str, int]], threshold: float
 ) -> CanonicalMap:
@@ -216,8 +222,7 @@ def cluster_near_duplicates(
     """
     if not names:
         raise EmptyInputError("cluster_near_duplicates with no names")
-    if not (0.0 < threshold < 1.0):
-        raise InvalidConfigError(f"cluster threshold must lie in (0, 1), got {threshold}")
+    check_cluster_threshold(threshold)
 
     freq: dict[str, int] = defaultdict(int)
     for name, count in names:

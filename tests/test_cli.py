@@ -265,6 +265,12 @@ def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tm
         ("evaluate", "--method=kl --kl-epsilon=inf", "kl_epsilon must be finite and positive, got inf"),
         ("evaluate", "--method=loccent --local-window-m=inf", "local_window_m must be finite and positive, got inf"),
         ("crossval", "--method=jaccard --kl-epsilon=-1", "kl_epsilon must be finite and positive, got -1.0"),
+        ("evaluate", "--method=kl --cluster-threshold=nan", "cluster threshold must lie in (0, 1), got nan"),
+        ("evaluate", "--cluster-threshold=0", "cluster threshold must lie in (0, 1), got 0.0"),
+        ("evaluate", "--cluster-threshold=1", "cluster threshold must lie in (0, 1), got 1.0"),
+        ("discover", "--cluster-threshold=nan", "cluster threshold must lie in (0, 1), got nan"),
+        ("sweep", "--cluster-threshold=1", "cluster threshold must lie in (0, 1), got 1.0"),
+        ("crossval", "--cluster-threshold=-0.2", "cluster threshold must lie in (0, 1), got -0.2"),
     ],
 )
 def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, capsys):
@@ -273,6 +279,36 @@ def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, 
     rc = main([command, str(tmp_path / "absent"), "--method", "jaccard", *option.split(), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: command={command} {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess", "{absent}", "--cluster-threshold=nan"],
+        ["transfer", "--source", "{absent}", "--target", "{absent}", "--method", "kl", "--cluster-threshold=0"],
+    ],
+    ids=["preprocess", "transfer"],
+)
+def test_cluster_threshold_fails_before_ingest_without_a_metric(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [a.replace("{absent}", str(tmp_path / "absent")) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: command={argv[0]} cluster threshold must lie in (0, 1)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option", ["--kl-epsilon=nan", "--local-window-m=100", "--grid-n=50", "--min-profile-points=3"]
+)
+def test_preprocess_takes_no_scoring_tunables(option, data_dir, tmp_path, capsys):
+    # preprocess scores nothing: a scoring tunable would only be echoed,
+    # unchecked, into its manifest
+    out = tmp_path / "p"
+    with pytest.raises(SystemExit) as exc:
+        main(["preprocess", str(data_dir), option, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -520,9 +556,8 @@ def test_reports_do_not_depend_on_row_order_or_format(small_city, tmp_path):
             assert main(["evaluate", *opts, "--out", str(out / "evaluate")]) == 0
             assert main(["crossval", *opts, "--out", str(out / "crossval")]) == 0
             assert main(["discover", *opts, "--out", str(out / "discover")]) == 0
-            # a report's config echoes --format, the one field it may change
             outputs.append([
-                (out / name).read_bytes().replace(b'"format": "jsonl"', b'"format": "csv"')
+                (out / name).read_bytes()
                 for name in ("evaluate/report.json", "crossval/report.json", "discover/aliases.csv")
             ])
         assert outputs[1] == outputs[0], method

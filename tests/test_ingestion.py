@@ -1,18 +1,25 @@
 """Corpus parsing, validation, serialization round-trips."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poialias import ingestion
 from poialias.cli import main
 from poialias.errors import ConflictingLabelError, InvalidConfigError
 from poialias.ingestion import (
+    ADDRESS_FIELDS,
+    LABEL_FIELDS,
     LOCATION_FIELDS,
     AddressRecord,
     GroundTruthLabel,
@@ -28,6 +35,7 @@ from poialias.ingestion import (
     write_labels,
     write_location_log,
 )
+from poialias.preprocess import clean_text
 
 
 def _write(path, text):
@@ -654,3 +662,244 @@ def test_load_corpus_tolerates_missing_labels(tmp_path):
     assert corpus.labels == []
     with pytest.raises(FileNotFoundError):
         load_corpus(str(tmp_path), require_labels=True)
+
+
+# ------------------------------------------------------- parsed-corpus file
+
+
+def _corpus_file(data, fmt="csv"):
+    return data / ingestion.CORPUS_FILE.format(fmt=fmt)
+
+
+@contextlib.contextmanager
+def _no_parse():
+    """Every parser patched to fail: a load inside must be a hit."""
+    with contextlib.ExitStack() as stack:
+        for name in ("parse_address_records", "parse_location_log", "parse_labels"):
+            stack.enter_context(mock.patch.object(ingestion, name, side_effect=AssertionError(name)))
+        yield
+
+
+def _fresh_parse(data, fmt="csv"):
+    """A parse that neither reads nor writes the corpus file."""
+    paths = [os.path.join(data, f"{name}.{fmt}") for name in ("addresses", "locations", "labels")]
+    return ingestion._parse_corpus(paths, fmt)
+
+
+def _assert_same_corpus(got, want):
+    assert got.addresses == want.addresses
+    assert got.labels == want.labels
+    assert [type(lb.is_alias) for lb in got.labels] == [bool] * len(want.labels)
+    assert got.districts == want.districts
+    assert list(got.locations) == list(want.locations)
+    for user, pts in want.locations.items():
+        assert (got.locations[user].dtype, got.locations[user].shape) == (pts.dtype, pts.shape)
+        assert got.locations[user].tobytes() == pts.tobytes()
+    assert list(got.reports) == list(want.reports)
+    assert {n: r.to_dict() for n, r in got.reports.items()} == {n: r.to_dict() for n, r in want.reports.items()}
+    assert got.reports == want.reports
+    assert got.orphan_labels == want.orphan_labels
+
+
+# names that clean to one another, to nothing, or not at all; some hold a
+# carriage return, a line feed, CJK or an astral character
+_NAMES = ["Alpha", "alpha !", "ALPHA", "东京", "东京\U0001f600", "a\rb", "a\nb", "!!!", "", " beta "]
+_IDS = ["u1", " u2 ", "u3", "", "东", "\U0001f600", "x\ry"]
+_DISTRICTS = ["H", "G", "H", "", "东区"]
+_BAD_COORD = ["nan", "inf", "95.0", "-180.5", "north", ""]
+
+
+def _mostly(good, bad):
+    """Three draws in four from `good`, the rest from `bad`."""
+    return st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(bad)
+
+
+def _rows(draw, *values):
+    """Rows drawn field by field from `values`, with some one field short or
+    long and some repeated, in shuffled order."""
+    row = st.tuples(*values).map(list)
+    short, long = row.map(lambda r: r[:-1]), row.map(lambda r: r + ["x"])
+    rows = draw(st.lists(st.one_of(row, row, row, short, long), max_size=14))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def _corpus_texts(draw, fmt):
+    """The three input files' texts, each plain, BOM-prefixed or empty; the
+    labels file may be absent (None). A label's flag is fixed by its cleaned
+    names, so rows of one triple never conflict and repeats only warn."""
+    name, ids, district = st.sampled_from(_NAMES), st.sampled_from(_IDS), st.sampled_from(_DISTRICTS)
+    addresses = _rows(draw, ids, st.just("J"), st.just("S"), district, name)
+    locations = _rows(
+        draw, ids, _mostly(["31.3", "-0.0", "1e-300"], _BAD_COORD), _mostly(["120.5", "-0.0", "12"], _BAD_COORD)
+    )
+    labels = [
+        r[:3] + [str(len(clean_text(r[1]) + clean_text(r[2])) % 2)] if r[3:] == ["flag"] else r
+        for r in _rows(draw, district, name, st.sampled_from(_NAMES[::-1]), _mostly(["flag"], ["2", ""]))
+        + [["H", "alpha !", "Beta", "flag"]] * draw(st.sampled_from([2, 0, 1]))  # a repeat warns
+    ]
+    texts = []
+    for fields, rows in ((ADDRESS_FIELDS, addresses), (LOCATION_FIELDS, locations), (LABEL_FIELDS, labels)):
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([fields, *rows])
+            text = buf.getvalue()
+        else:
+            lines = [json.dumps(dict(zip(fields, row)), ensure_ascii=False) for row in rows]
+            # a lone surrogate (an escape only JSON can carry), numbers,
+            # nulls, and lines that hold no JSON object
+            lines += draw(st.lists(st.sampled_from([
+                json.dumps(dict.fromkeys(fields, "\ud800")),
+                json.dumps(dict.fromkeys(fields, 7)),
+                json.dumps(dict.fromkeys(fields)),
+                "{", "[1]", "",
+            ]), max_size=3))
+            text = "".join(line + "\n" for line in lines)
+        shape = draw(st.sampled_from(["plain", "plain", "bom", "empty"]))
+        texts.append({"plain": text, "bom": "\ufeff" + text, "empty": ""}[shape])
+    if draw(st.sampled_from([False, False, False, True])):
+        texts[2] = None
+    return texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(["csv", "jsonl"]), data=st.data())
+def test_a_hit_equals_a_fresh_parse(fmt, data, tmp_path_factory):
+    texts = data.draw(_corpus_texts(fmt))
+    root = tmp_path_factory.mktemp("hit")
+    for name, text in zip(("addresses", "locations", "labels"), texts):
+        if text is not None:
+            (root / f"{name}.{fmt}").write_text(text, encoding="utf-8", newline="")
+    fresh = load_corpus(str(root), fmt)
+    assert _corpus_file(root, fmt).exists()
+    with _no_parse():
+        hit = load_corpus(str(root), fmt)
+    _assert_same_corpus(hit, fresh)
+
+
+def _tiny_corpus(data, labels="H,Alpha,Beta,1\nH,Alpha,Beta,1\nH,Alpha,Ghost,0\n"):
+    """A one-district corpus with a row error in each of the first two files;
+    the default labels hold a repeat and an orphan."""
+    data.mkdir(exist_ok=True)
+    _write(
+        data / "addresses.csv",
+        "user_id,province,city,district,poi_name\nu1,J,S,H,Alpha\nu2,J,S,H,Beta\n,J,S,H,X\n",
+    )
+    _write(data / "locations.csv", "user_id,lat,lon\nu1,31.3,120.5\nu2,31.4,120.6\nu1,95,1\nu1,31.5,120.7\n")
+    if labels is not None:
+        _write(data / "labels.csv", "district,standard_name,candidate_name,is_alias\n" + labels)
+    return str(data)
+
+
+def test_a_hit_names_the_directory_it_was_read_from(tmp_path):
+    load_corpus(_tiny_corpus(tmp_path / "a"))
+    moved = str(shutil.copytree(tmp_path / "a", tmp_path / "b"))
+    with _no_parse():
+        hit = load_corpus(moved)
+    assert hit.reports["locations"].path == os.path.join(moved, "locations.csv")
+    assert hit.reports["labels"].warnings == ["line 3: duplicate label for triple ('H', 'alpha', 'beta') dropped"]
+    assert [reason for _, reason in hit.orphan_labels] == ["candidate_name not in district addresses"]
+    _assert_same_corpus(hit, _fresh_parse(moved))
+
+
+def test_an_edit_that_keeps_size_and_mtime_is_reparsed(tmp_path):
+    data = _tiny_corpus(tmp_path / "d")
+    assert load_corpus(data).locations["u2"].tolist() == [[31.4, 120.6]]
+    path = tmp_path / "d" / "locations.csv"
+    before = path.stat()
+    path.write_bytes(path.read_bytes().replace(b"31.4,120.6", b"31.4,120.7"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_corpus(data).locations["u2"].tolist() == [[31.4, 120.7]]
+
+
+def test_a_labels_file_that_appears_is_parsed(tmp_path):
+    data = _tiny_corpus(tmp_path / "d", labels=None)
+    assert load_corpus(data).reports["labels"].warnings == ["labels file absent"]
+    _write(tmp_path / "d" / "labels.csv", "district,standard_name,candidate_name,is_alias\nH,Alpha,Beta,1\n")
+    assert load_corpus(data).labels == [GroundTruthLabel("H", "Alpha", "Beta", True)]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "another corpus's", "pickled"])
+def test_a_bad_corpus_file_is_a_miss(damage, tmp_path):
+    data = _tiny_corpus(tmp_path / "d")
+    load_corpus(data)
+    path = _corpus_file(tmp_path / "d")
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "garbage":
+        path.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
+    elif damage == "another corpus's":
+        other = _tiny_corpus(tmp_path / "o", labels="H,Alpha,Beta,0\n")
+        load_corpus(other)
+        shutil.copy(_corpus_file(tmp_path / "o"), path)
+    else:
+        np.savez(path, key=np.array([None], dtype=object))
+    with mock.patch.object(ingestion, "parse_location_log", wraps=ingestion.parse_location_log) as parse:
+        got = load_corpus(data)
+    assert parse.call_count == 1
+    _assert_same_corpus(got, _fresh_parse(data))
+    with _no_parse():  # rewritten
+        _assert_same_corpus(load_corpus(data), got)
+
+
+def test_a_failed_write_still_returns_the_corpus(tmp_path):
+    data = _tiny_corpus(tmp_path / "d")
+    with mock.patch.object(os, "replace", side_effect=OSError(28, "No space left on device")):
+        got = load_corpus(data)
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["addresses.csv", "labels.csv", "locations.csv"]
+    _assert_same_corpus(got, _fresh_parse(data))
+
+
+def test_an_input_rewritten_while_parsed_is_not_filed(tmp_path):
+    data = _tiny_corpus(tmp_path / "d")
+    parse_labels_first = ingestion.parse_labels
+
+    def parse_then_rewrite(path, fmt):
+        out = parse_labels_first(path, fmt)
+        _write(tmp_path / "d" / "locations.csv", "user_id,lat,lon\nu9,1,2\n")
+        return out
+
+    with mock.patch.object(ingestion, "parse_labels", side_effect=parse_then_rewrite):
+        load_corpus(data)
+    assert not _corpus_file(tmp_path / "d").exists()
+    assert list(load_corpus(data).locations) == ["u9"]
+
+
+@pytest.mark.parametrize(
+    "labels,error",
+    [
+        ("district,standard_name,candidate_name,is_alias\nH,Alpha,Beta,1\nH,alpha,BETA,0\n", ConflictingLabelError),
+        ("district,standard,candidate,is_alias\nH,Alpha,Beta,1\n", InvalidConfigError),
+        ("district,standard_name,candidate_name,is_alias\nH,Alpha,\"" + "B" * 200_000 + "\",1\n", InvalidConfigError),
+    ],
+    ids=["conflicting label", "wrong header", "oversized field"],
+)
+def test_a_failing_parse_writes_no_corpus_file(labels, error, tmp_path):
+    data = _tiny_corpus(tmp_path / "d")
+    _write(tmp_path / "d" / "labels.csv", labels)
+    with pytest.raises(error):
+        load_corpus(data)
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["addresses.csv", "labels.csv", "locations.csv"]
+
+
+def test_required_labels_are_checked_before_the_corpus_file(tmp_path):
+    data = _tiny_corpus(tmp_path / "d", labels=None)
+    load_corpus(data)
+    assert _corpus_file(tmp_path / "d").exists()
+    with pytest.raises(FileNotFoundError, match="labels.csv"):
+        load_corpus(data, require_labels=True)
+
+
+def test_a_second_evaluate_is_a_hit_with_the_same_report(small_city, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("addresses.csv", "locations.csv", "labels.csv"):
+        shutil.copy(os.path.join(small_city.dir, name), data / name)
+    argv = ["evaluate", str(data), "--method", "jaccard", "--out"]
+    assert main([*argv, str(tmp_path / "miss")]) == 0
+    with mock.patch.object(ingestion, "parse_location_log", side_effect=AssertionError):
+        assert main([*argv, str(tmp_path / "hit")]) == 0
+    assert (tmp_path / "hit" / "report.json").read_bytes() == (tmp_path / "miss" / "report.json").read_bytes()
