@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import evaluation
 from .discovery import MetricConfig, apply_threshold
@@ -278,8 +278,7 @@ def _cmd_discover(args, timer: _Timer):
     n_links = 0
     for district, pairs in scores.items():
         dd = city.districts[district]
-        matrix = apply_threshold(pairs, theta, district, dd.standard_names, dd.candidate_names)
-        n_links += len(matrix.links)
+        n_links += len(apply_threshold(pairs, theta, district, dd.standard_names, dd.candidate_names))
     n_pairs = sum(len(p) for p in scores.values())
     _log_kv(stage="discover", pairs=n_pairs, links=n_links)
     timer.stage("write")
@@ -288,7 +287,7 @@ def _cmd_discover(args, timer: _Timer):
         ["district", "standard_name", "candidate_name", "score", "decision"],
         _pair_rows(scores),
     )
-    if args.dump_density and config.method in ("kl_div", "jaccard"):
+    if args.dump_density:
         write_csv(
             os.path.join(args.out, "density.csv"),
             ["district", "name", "row", "col", "count"],
@@ -402,6 +401,8 @@ def _cmd_sweep(args, timer: _Timer):
     if not grids:
         raise InvalidConfigError(f"--grids expects comma-separated integers, got {args.grids!r}")
     base = _metric_config(args)
+    for n in grids:
+        replace(base, grid_n=n)  # MetricConfig's own grid_n check, before any input is read
     timer.stage("ingest")
     city = _load_city(args, args.data, require_labels=True)
     timer.stage("sweep")

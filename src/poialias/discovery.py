@@ -2,14 +2,14 @@
 
 Every (standard name, candidate name) pair in a district is scored with
 one similarity metric; pairs scoring strictly above the threshold become
-links in the inferred alias matrix. Similarities are reciprocals of a
-dissimilarity (geographic distance between estimated geolocations, or a
-distribution divergence), clamped to avoid division by zero.
+alias links. Similarities are reciprocals of a dissimilarity (geographic
+distance between estimated geolocations, or a distribution divergence),
+clamped to avoid division by zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,16 +67,6 @@ class ScoredPair:
     candidate_name: str
     score: float | None  # None when either profile is insufficient
     decision: str = DECISION_INSUFFICIENT
-
-
-@dataclass
-class AliasMatrix:
-    """Sparse boolean matrix of inferred (standard, candidate) alias links."""
-
-    district: str
-    standard_names: list[str]
-    candidate_names: list[str]
-    links: set = field(default_factory=set)  # {(i, j)}
 
 
 def _kernel(config: MetricConfig):
@@ -141,26 +131,24 @@ def apply_threshold(
     district: str,
     standard_names: list[str],
     candidate_names: list[str],
-) -> AliasMatrix:
-    """Fill pair decisions and build the alias matrix for one threshold.
+) -> set[tuple[int, int]]:
+    """Fill pair decisions for one threshold; return the links as
+    (standard index, candidate index) pairs.
 
     A pair links iff its score is strictly greater than the threshold;
     insufficient pairs never link and keep their no-decision marker.
+    `district` names the district the pairs belong to and is not read.
     """
     std_idx = {n: i for i, n in enumerate(standard_names)}
     cand_idx = {n: j for j, n in enumerate(candidate_names)}
-    matrix = AliasMatrix(
-        district=district,
-        standard_names=list(standard_names),
-        candidate_names=list(candidate_names),
-    )
+    links = set()
     for pair in pairs:
         if pair.score is None:
             pair.decision = DECISION_INSUFFICIENT
             continue
         if pair.score > threshold:
             pair.decision = DECISION_ALIAS
-            matrix.links.add((std_idx[pair.standard_name], cand_idx[pair.candidate_name]))
+            links.add((std_idx[pair.standard_name], cand_idx[pair.candidate_name]))
         else:
             pair.decision = DECISION_NOT_ALIAS
-    return matrix
+    return links

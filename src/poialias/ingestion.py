@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import uuid
@@ -195,63 +196,42 @@ def parse_address_records(path: str, fmt: str = "csv") -> tuple[list[AddressReco
 def parse_location_log(path: str, fmt: str = "csv") -> tuple[dict[str, np.ndarray], LoadReport]:
     """Parse user GPS points into a map user_id -> (n, 2) [lat, lon] array.
 
-    One pass over the rows interns each user_id to an int and appends
-    user, lat, lon and line number to typed buffers; the finite and range
-    checks then run vectorised over those buffers, and one stable argsort
-    groups the points by user. Out-of-range or non-finite coordinates are
-    rejected per row. Keys follow each user's first accepted row and
-    per-user point order follows file order.
+    Out-of-range or non-finite coordinates are rejected per row. Each
+    accepted point is appended to its user's typed buffer, so keys follow
+    each user's first accepted row and per-user point order follows file
+    order.
     """
+    buffers: dict[str, array] = {}
     report = LoadReport(path=str(path))
-    user_index: dict[str, int] = {}
-    users, lats, lons, lines = array("q"), array("d"), array("d"), array("q")
-    row_errors = []
     for line_no, values, err in _iter_rows(path, fmt, LOCATION_FIELDS):
+        report.n_rows += 1
         if err is not None:
-            row_errors.append((line_no, err))
+            report.errors.append((line_no, err))
             continue
         raw_user, raw_lat, raw_lon = values
         user_id = str(raw_user).strip()
         if not user_id:
-            row_errors.append((line_no, "empty user_id"))
+            report.errors.append((line_no, "empty user_id"))
             continue
         try:
             lat = float(raw_lat)
             lon = float(raw_lon)
         except (TypeError, ValueError, OverflowError):
-            row_errors.append((line_no, f"unparseable coordinates: {raw_lat!r},{raw_lon!r}"))
+            report.errors.append((line_no, f"unparseable coordinates: {raw_lat!r},{raw_lon!r}"))
             continue
-        uid = user_index.get(user_id)
-        if uid is None:
-            uid = user_index[user_id] = len(user_index)
-        users.append(uid)
-        lats.append(lat)
-        lons.append(lon)
-        lines.append(line_no)
-    report.n_rows = len(row_errors) + len(lines)
-
-    lat_a = np.frombuffer(lats, dtype=np.float64)
-    lon_a = np.frombuffer(lons, dtype=np.float64)
-    finite = np.isfinite(lat_a) & np.isfinite(lon_a)
-    ok = finite & (np.abs(lat_a) <= 90.0) & (np.abs(lon_a) <= 180.0)
-    check_errors = [
-        (lines[i], f"coordinates out of range: {lats[i]},{lons[i]}" if finite[i] else "non-finite coordinates")
-        for i in np.flatnonzero(~ok).tolist()
-    ]
-    report.errors = sorted(row_errors + check_errors)  # two runs, each in line order
-    report.n_ok = int(np.count_nonzero(ok))
-
-    uid_ok = np.frombuffer(users, dtype=np.int64)[ok]
-    points = np.column_stack((lat_a[ok], lon_a[ok]))
-    order = np.argsort(uid_ok, kind="stable")
-    grouped = uid_ok[order]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    chunks = np.split(points[order], starts[1:])
-    names = list(user_index)
-    # order[starts] is each user's first accepted row
-    locations = {
-        names[grouped[starts[k]]]: chunks[k] for k in np.argsort(order[starts], kind="stable").tolist()
-    }
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            report.errors.append((line_no, "non-finite coordinates"))
+            continue
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            report.errors.append((line_no, f"coordinates out of range: {lat},{lon}"))
+            continue
+        buf = buffers.get(user_id)
+        if buf is None:
+            buf = buffers[user_id] = array("d")
+        buf.append(lat)
+        buf.append(lon)
+        report.n_ok += 1
+    locations = {u: np.frombuffer(buf, dtype=np.float64).reshape(-1, 2) for u, buf in buffers.items()}
     return locations, report
 
 

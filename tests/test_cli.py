@@ -271,6 +271,9 @@ def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tm
         ("discover", "--cluster-threshold=nan", "cluster threshold must lie in (0, 1), got nan"),
         ("sweep", "--cluster-threshold=1", "cluster threshold must lie in (0, 1), got 1.0"),
         ("crossval", "--cluster-threshold=-0.2", "cluster threshold must lie in (0, 1), got -0.2"),
+        # every grid is checked, not only the first
+        ("sweep", "--grids=0,20", "grid_n must be >= 1, got 0"),
+        ("sweep", "--grids=20,-3", "grid_n must be >= 1, got -3"),
     ],
 )
 def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, capsys):
@@ -443,10 +446,11 @@ def test_bad_sweep_grids_fail_with_the_value(data_dir, tmp_path, capsys):
     assert "--grids expects comma-separated integers, got '20,x'" in capsys.readouterr().err
 
 
-def test_density_dump(data_dir, tmp_path):
+@pytest.mark.parametrize("method", ["jaccard", "centroid"])
+def test_density_dump(method, data_dir, tmp_path):
     out = tmp_path / "dd"
     assert main([
-        "discover", str(data_dir), "--method", "jaccard", "--threshold", "2.0",
+        "discover", str(data_dir), "--method", method, "--threshold", "2.0",
         "--out", str(out), "--dump-density", "--grid-n", "20",
     ]) == 0
     rows = list(csv.DictReader(open(out / "density.csv")))

@@ -207,8 +207,8 @@ def test_infer_links_above_threshold():
     b = blob("b", offset_north(31.3, 250.0), 120.5)  # kappa = 1/250 = 0.004
     cfg = MetricConfig(method="centroid", threshold=0.002)
     pairs = score_pairs([a], [b], cfg, bbox=None)
-    matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
-    assert matrix.links == {(0, 0)}
+    links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
+    assert links == {(0, 0)}
     assert pairs[0].decision == DECISION_ALIAS
     assert pairs[0].score == pytest.approx(0.004, rel=1e-6)
 
@@ -218,8 +218,8 @@ def test_infer_strict_inequality_at_boundary():
     b = blob("b", 31.3, 120.5)  # kappa clamps to exactly 1.0
     cfg = MetricConfig(method="centroid", threshold=1.0)
     pairs = score_pairs([a], [b], cfg, bbox=None)
-    matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
-    assert matrix.links == set()
+    links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
+    assert links == set()
     assert pairs[0].decision == DECISION_NOT_ALIAS
 
 
@@ -228,8 +228,8 @@ def test_infer_insufficient_profiles_excluded():
     tiny = blob("t", 31.3, 120.5, n=2)
     cfg = MetricConfig(method="centroid", threshold=0.0, min_profile_points=5)
     pairs = score_pairs([a], [tiny], cfg, bbox=None)
-    matrix = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["t"])
-    assert matrix.links == set()
+    links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["t"])
+    assert links == set()
     assert pairs[0].score is None
     assert pairs[0].decision == DECISION_INSUFFICIENT
 
@@ -255,11 +255,11 @@ def test_threshold_monotonicity():
     ]
     prev_links = None
     for theta in (0.1, 0.3, 0.5, 0.8):
-        m = apply_threshold([ScoredPair(p.standard_name, p.candidate_name, p.score, "") for p in pairs],
-                            theta, "d", names_s, names_c)
+        links = apply_threshold([ScoredPair(p.standard_name, p.candidate_name, p.score, "") for p in pairs],
+                                theta, "d", names_s, names_c)
         if prev_links is not None:
-            assert m.links <= prev_links
-        prev_links = m.links
+            assert links <= prev_links
+        prev_links = links
 
 
 def test_threshold_scale_invariance():
@@ -272,7 +272,7 @@ def test_threshold_scale_invariance():
 
     def links(mult, th):
         ps = [ScoredPair(s, c, v * mult, "") for (s, c), v in scores.items()]
-        return apply_threshold(ps, th, "d", names_s, names_c).links
+        return apply_threshold(ps, th, "d", names_s, names_c)
 
     assert links(1.0, theta) == links(scale, theta * scale)
 
@@ -292,10 +292,10 @@ def test_edit_distance_method_scores_text():
     b = prof("sitting", np.zeros((0, 2)))
     cfg = MetricConfig(method="edit_distance", threshold=0.5)
     pairs = score_pairs([a], [b], cfg, bbox=None)
-    matrix = apply_threshold(pairs, cfg.threshold, "d", ["kitten"], ["sitting"])
+    links = apply_threshold(pairs, cfg.threshold, "d", ["kitten"], ["sitting"])
     # similarity = 1 - 3/7
     assert pairs[0].score == pytest.approx(1.0 - 3.0 / 7.0)
-    assert matrix.links == {(0, 0)}
+    assert links == {(0, 0)}
 
 
 def test_planted_aliases_recovered_on_synthetic_district(tmp_path):
@@ -311,10 +311,10 @@ def test_planted_aliases_recovered_on_synthetic_district(tmp_path):
     scores = score_city(city, mc)
     cal = evaluation.calibrate_on_districts(city, scores, sorted(scores))
     dd = city.districts["d00"]
-    matrix = apply_threshold(
+    links = apply_threshold(
         scores["d00"], cal.theta, "d00", dd.standard_names, dd.candidate_names
     )
     planted = {pair for pair, pos in dd.labels.items() if pos}
-    found = {(dd.standard_names[i], dd.candidate_names[j]) for i, j in matrix.links}
+    found = {(dd.standard_names[i], dd.candidate_names[j]) for i, j in links}
     assert len(found & planted) >= 0.9 * len(planted)
     assert len(found - planted) <= 0.1 * max(len(found), 1)

@@ -434,7 +434,7 @@ def edit_distance_links(standards, candidates, theta_edit):
     profiles = lambda names: [MobilityProfile(n, np.zeros((0, 2)), 0, 0) for n in names]
     cfg = MetricConfig(method="edit_distance", threshold=1.0 - theta_edit)
     pairs = score_pairs(profiles(standards), profiles(candidates), cfg, bbox=None)
-    links = apply_threshold(pairs, cfg.threshold, "", standards, candidates).links
+    links = apply_threshold(pairs, cfg.threshold, "", standards, candidates)
     expected = {
         (i, j)
         for i, s in enumerate(standards)

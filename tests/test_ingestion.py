@@ -243,10 +243,10 @@ def test_parse_locations_and_labels_jsonl(tmp_path):
 
 
 def _per_row_parse_location_log(path, fmt="csv"):
-    """Oracle: the per-row parser that the single-pass one replaced.
+    """Oracle: a second per-row parser, written apart from the library's.
 
     One dict, one float() pair and one finite and range check per row;
-    accepted points are bucketed per user in file order.
+    accepted points are bucketed per user in Python lists, in file order.
     """
     buckets = {}
     report = LoadReport(path=str(path))
