@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict, fields, replace
 
 from . import evaluation
-from .discovery import MetricConfig, apply_threshold
+from .discovery import MetricConfig, apply_threshold, decide
 from .distribution import rasterize
 from .errors import InvalidConfigError, PoiAliasError
 from .ingestion import FORMATS, Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
@@ -144,11 +144,11 @@ def _load_city(args, data: str, require_labels: bool) -> CityData:
     return build_city_data(corpus, cluster_threshold=args.cluster_threshold)
 
 
-def _pair_rows(scores: dict):
+def _pair_rows(scores: dict, theta: float):
     for district in sorted(scores):
         for pair in scores[district]:
             score = "" if pair.score is None else repr(pair.score)
-            yield district, pair.standard_name, pair.candidate_name, score, pair.decision
+            yield district, pair.standard_name, pair.candidate_name, score, decide(pair.score, theta)
 
 
 def _density_rows(city: CityData, grid_n: int):
@@ -167,7 +167,7 @@ def _resolve_theta(city, scores, threshold):
     """A numeric score cutoff straight through; 'calibrate' fits on all labels."""
     if threshold != "calibrate":
         return threshold, None
-    cal = evaluation.calibrate_on_districts(city, scores, sorted(scores))
+    cal = evaluation.calibrate_on_districts(city, scores, city.labeled_districts())
     _log_kv(stage="calibrate", theta=cal.theta, train_f1=round(cal.f1, 6))
     return cal.theta, cal
 
@@ -285,7 +285,7 @@ def _cmd_discover(args, timer: _Timer):
     write_csv(
         os.path.join(args.out, "aliases.csv"),
         ["district", "standard_name", "candidate_name", "score", "decision"],
-        _pair_rows(scores),
+        _pair_rows(scores, theta),
     )
     if args.dump_density:
         write_csv(
@@ -316,16 +316,11 @@ def _cmd_evaluate(args, timer: _Timer):
     timer.stage("calibrate")
     theta, cal = _resolve_theta(city, scores, threshold)
     timer.stage("evaluate")
-    report = evaluation.evaluate_districts(
-        city,
-        scores,
-        theta,
-        method=args.method,
-        config=_report_config(args, resolved_theta=evaluation.json_safe(theta)),
-    )
+    report = evaluation.evaluate_districts(city, scores, theta, method=args.method)
     _log_kv(stage="evaluate", f1=round(report.f1, 6), precision=round(report.precision, 6), recall=round(report.recall, 6))
     timer.stage("write")
-    payload = {"command": "evaluate", "report": report.to_dict()}
+    config = _report_config(args, resolved_theta=evaluation.json_safe(theta))
+    payload = {"command": "evaluate", "report": {**report.to_dict(), "config": config}}
     if cal is not None:
         payload["calibration"] = {
             "theta": evaluation.json_safe(cal.theta),

@@ -1,10 +1,11 @@
 """Pairwise similarity scoring and threshold-based alias inference.
 
 Every (standard name, candidate name) pair in a district is scored with
-one similarity metric; pairs scoring strictly above the threshold become
-alias links. Similarities are reciprocals of a dissimilarity (geographic
-distance between estimated geolocations, or a distribution divergence),
-clamped to avoid division by zero.
+one similarity metric. Similarities are reciprocals of a dissimilarity
+(geographic distance between estimated geolocations, or a distribution
+divergence), clamped to avoid division by zero. A score is a fact that
+nothing mutates; `decide` derives a pair's decision at a threshold, and
+every decision and link count comes from it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,14 @@ class ScoredPair:
     standard_name: str
     candidate_name: str
     score: float | None  # None when either profile is insufficient
-    decision: str = DECISION_INSUFFICIENT
+
+
+def decide(score: float | None, threshold: float) -> str:
+    """The link rule: a pair with no score is insufficient, a score
+    strictly above the threshold is an alias, anything else is not."""
+    if score is None:
+        return DECISION_INSUFFICIENT
+    return DECISION_ALIAS if score > threshold else DECISION_NOT_ALIAS
 
 
 def _kernel(config: MetricConfig):
@@ -106,8 +114,9 @@ def score_pairs(
     """Score the full N x M standard-by-candidate grid.
 
     Emits one ScoredPair per (i, j) in row-major order. Pairs touching a
-    profile with fewer than min_profile_points points get score None and
-    an `insufficient` decision instead of a number. `bbox` is the district
+    profile with fewer than min_profile_points points get score None
+    instead of a number, which `decide` reads as insufficient at every
+    threshold. `bbox` is the district
     grid's extent for kl_div and jaccard; None means the district has no
     located points, so every profile is insufficient.
     """
@@ -132,23 +141,15 @@ def apply_threshold(
     standard_names: list[str],
     candidate_names: list[str],
 ) -> set[tuple[int, int]]:
-    """Fill pair decisions for one threshold; return the links as
-    (standard index, candidate index) pairs.
+    """The links at one threshold, as (standard index, candidate index)
+    pairs: the pairs that `decide` makes aliases. Mutates nothing.
 
-    A pair links iff its score is strictly greater than the threshold;
-    insufficient pairs never link and keep their no-decision marker.
     `district` names the district the pairs belong to and is not read.
     """
     std_idx = {n: i for i, n in enumerate(standard_names)}
     cand_idx = {n: j for j, n in enumerate(candidate_names)}
-    links = set()
-    for pair in pairs:
-        if pair.score is None:
-            pair.decision = DECISION_INSUFFICIENT
-            continue
-        if pair.score > threshold:
-            pair.decision = DECISION_ALIAS
-            links.add((std_idx[pair.standard_name], cand_idx[pair.candidate_name]))
-        else:
-            pair.decision = DECISION_NOT_ALIAS
-    return links
+    return {
+        (std_idx[pair.standard_name], cand_idx[pair.candidate_name])
+        for pair in pairs
+        if decide(pair.score, threshold) == DECISION_ALIAS
+    }

@@ -10,12 +10,12 @@ transfer, and the grid-resolution sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .discovery import MetricConfig, ScoredPair
+from .discovery import DECISION_ALIAS, MetricConfig, ScoredPair, decide
 from .errors import InvalidConfigError, NoPositiveLabelsError, TooFewDistrictsError
 from .pipeline import CityData, score_city
 
@@ -37,25 +37,9 @@ class EvalReport:
     method: str = ""
     threshold: float | None = None
     per_district: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "true_positive": self.true_positive,
-            "predicted_positive": self.predicted_positive,
-            "actual_positive": self.actual_positive,
-            "flags": list(self.flags),
-            "n_insufficient": self.n_insufficient,
-            "method": self.method,
-            "threshold": json_safe(self.threshold),
-            "per_district": self.per_district,
-        }
-        if self.config:
-            out["config"] = self.config
-        return out
+        return {**asdict(self), "threshold": json_safe(self.threshold)}
 
 
 def json_safe(v):
@@ -87,6 +71,31 @@ def prf_from_counts(tp: int, predicted: int, actual: int):
     return float(precision), float(recall), float(f1), flags
 
 
+_COUNTS = ("true_positive", "predicted_positive", "actual_positive", "n_insufficient")
+
+
+def prf_record(tp: int, predicted: int, actual: int, insufficient: int) -> dict:
+    """The P/R/F1 record of confusion counts: an EvalReport's count fields,
+    and one per_district entry."""
+    precision, recall, f1, flags = prf_from_counts(tp, predicted, actual)
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "true_positive": tp,
+        "predicted_positive": predicted,
+        "actual_positive": actual,
+        "n_insufficient": insufficient,
+        "flags": flags,
+    }
+
+
+def _pooled_record(records) -> dict:
+    """The P/R/F1 record of the summed counts of `records`."""
+    records = list(records)
+    return prf_record(*(sum(rec[k] for rec in records) for k in _COUNTS))
+
+
 def _labeled_scores(scored: list[ScoredPair], labels: dict):
     """One district's labeled pairs, looked up in that district's own labels.
 
@@ -115,53 +124,30 @@ class Calibration:
     n_candidates: int
 
 
+def _district_record(scored: list[ScoredPair], labels: dict, theta: float) -> dict:
+    labeled, insufficient = _labeled_scores(scored, labels)
+    linked = [pos for score, pos in labeled if decide(score, theta) == DECISION_ALIAS]
+    return prf_record(sum(linked), len(linked), sum(labels.values()), insufficient)
+
+
 def evaluate_districts(
     city: CityData,
     scores: DistrictScores,
     theta: float,
     districts: list[str] | None = None,
     method: str = "",
-    config: dict | None = None,
 ) -> EvalReport:
-    """Pooled + per-district evaluation of scored pairs at one threshold."""
-    if districts is None:
-        districts = sorted(d for d in scores if city.districts[d].labels)
-    tot_tp = tot_pred = tot_act = tot_ins = 0
-    per_district = {}
-    for d in districts:
-        dd = city.districts[d]
-        labeled, ins = _labeled_scores(scores.get(d, []), dd.labels)
-        above = [pos for score, pos in labeled if score > theta]
-        tp, pred, act = sum(above), len(above), sum(dd.labels.values())
-        p, r, f1, flags = prf_from_counts(tp, pred, act)
-        per_district[d] = {
-            "precision": p,
-            "recall": r,
-            "f1": f1,
-            "true_positive": tp,
-            "predicted_positive": pred,
-            "actual_positive": act,
-            "n_insufficient": ins,
-            "flags": flags,
-        }
-        tot_tp += tp
-        tot_pred += pred
-        tot_act += act
-        tot_ins += ins
-    p, r, f1, flags = prf_from_counts(tot_tp, tot_pred, tot_act)
+    """Pooled + per-district evaluation of scored pairs at one threshold;
+    `districts` defaults to the city's labeled districts."""
+    per_district = {
+        d: _district_record(scores.get(d, []), city.districts[d].labels, theta)
+        for d in (city.labeled_districts() if districts is None else districts)
+    }
     return EvalReport(
-        precision=p,
-        recall=r,
-        f1=f1,
-        true_positive=tot_tp,
-        predicted_positive=tot_pred,
-        actual_positive=tot_act,
-        flags=flags,
-        n_insufficient=tot_ins,
+        **_pooled_record(per_district.values()),
         method=method,
         threshold=theta,
         per_district=per_district,
-        config=config or {},
     )
 
 
@@ -243,7 +229,7 @@ def district_cross_validation(
     tested exactly once across the folds. Reports both the per-fold mean
     and the pooled-count aggregate.
     """
-    labeled = [d for d in city.labeled_districts() if d in scores]
+    labeled = city.labeled_districts()
     k = len(labeled)
     if k < 2:
         raise TooFewDistrictsError(f"cross-validation needs >= 2 labeled districts, got {k}")
@@ -256,7 +242,6 @@ def district_cross_validation(
         assignments[i % n_folds].append(d)
 
     folds = []
-    tot_tp = tot_pred = tot_act = 0
     f1s, ps, rs = [], [], []
     for f in range(n_folds):
         test = assignments[f]
@@ -276,20 +261,7 @@ def district_cross_validation(
         f1s.append(rep.f1)
         ps.append(rep.precision)
         rs.append(rep.recall)
-        tot_tp += rep.true_positive
-        tot_pred += rep.predicted_positive
-        tot_act += rep.actual_positive
-    p, r, f1, flags = prf_from_counts(tot_tp, tot_pred, tot_act)
-    pooled = EvalReport(
-        precision=p,
-        recall=r,
-        f1=f1,
-        true_positive=tot_tp,
-        predicted_positive=tot_pred,
-        actual_positive=tot_act,
-        flags=flags,
-        method=method,
-    )
+    pooled = EvalReport(**_pooled_record(fold["test"] for fold in folds), method=method)
     return CrossValReport(
         folds=folds,
         mean_f1=sum(f1s) / len(f1s),
@@ -321,7 +293,7 @@ def cross_city_transfer(
     method: str = "",
 ) -> TransferReport:
     """Calibrate on all source labels, apply unchanged to the target city."""
-    cal = calibrate_on_districts(source_city, source_scores, sorted(source_scores))
+    cal = calibrate_on_districts(source_city, source_scores, source_city.labeled_districts())
     src = evaluate_districts(source_city, source_scores, cal.theta, method=method)
     tgt = evaluate_districts(target_city, target_scores, cal.theta, method=method)
     return TransferReport(theta=cal.theta, source_report=src, target_report=tgt)
@@ -345,6 +317,6 @@ def resolution_sweep(
     for n in grid_values:
         cfg = replace(base_config, method=method, grid_n=int(n))
         scores = score_city(city, cfg, workers=workers)
-        cal = calibrate_on_districts(city, scores, sorted(scores))
+        cal = calibrate_on_districts(city, scores, city.labeled_districts())
         results.append((int(n), evaluate_districts(city, scores, cal.theta, method=method)))
     return results

@@ -57,23 +57,24 @@ def build_district_data(
     locations,
     labels,
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> DistrictData | None:
+) -> DistrictData:
     """Assemble one district's canonical map, profiles, and name split.
 
-    Returns None for a district with no usable address names. The standard
-    registry is taken from the district's labels: a name is a standard iff
-    some label lists it as one; every other canonical name becomes a
-    candidate. Raw labels that resolve to one canonical pair merge when
-    they agree and raise ConflictingLabelError when they do not.
+    The standard registry is taken from the district's labels: a name is a
+    standard iff some label lists it as one; every other canonical name
+    becomes a candidate. A district with no usable address names gets an
+    empty canonical map and no profiles; its labels stay, so its positives
+    count against recall. Raw labels that resolve to one canonical pair
+    merge when they agree and raise ConflictingLabelError when they do not.
     """
     freq: dict[str, int] = {}
     for rec in addresses:
         cleaned = clean_text(rec.poi_name)
         if cleaned:
             freq[cleaned] = freq.get(cleaned, 0) + 1
-    if not freq:
-        return None
-    canonical = cluster_near_duplicates(sorted(freq.items()), cluster_threshold)
+    canonical = CanonicalMap()
+    if freq:
+        canonical = cluster_near_duplicates(sorted(freq.items()), cluster_threshold)
     index = build_associated_users(addresses, canonical)
     profiles = build_all_profiles(index, locations)
 
@@ -112,22 +113,23 @@ def build_district_data(
 def build_city_data(
     corpus: Corpus, cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
 ) -> CityData:
-    """District-partitioned pipeline state for one corpus."""
+    """District-partitioned pipeline state for one corpus: one DistrictData
+    for every district with usable address names or labels."""
     by_district = partition_by_district(corpus.addresses)
     labels_by_district: dict[str, list] = {}
     for lb in corpus.labels:
         labels_by_district.setdefault(lb.district, []).append(lb)
 
     districts: dict[str, DistrictData] = {}
-    for district in sorted(by_district):
+    for district in sorted(by_district.keys() | labels_by_district.keys()):
         dd = build_district_data(
             district,
-            by_district[district],
+            by_district.get(district, []),
             corpus.locations,
             labels_by_district.get(district, []),
             cluster_threshold,
         )
-        if dd is None:
+        if not (dd.canonical_map.mapping or dd.labels):
             logger.warning("district=%s skipped reason=no-usable-names", district)
             continue
         districts[district] = dd

@@ -350,6 +350,32 @@ def test_district_without_gps_is_insufficient_under_every_method(tmp_path):
         assert report["recall"] == 0.5, method
 
 
+@pytest.mark.parametrize("d2_rows", [[], [("c1", "!!!"), ("c2", "???")]], ids=["no-rows", "names-clean-to-empty"])
+def test_positives_of_a_district_without_usable_names_count_against_recall(d2_rows, tmp_path):
+    # d0 and d1 each link their one positive; d2's positive has no profile
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = [("a1", "d0", "kappa"), ("a2", "d0", "omega"), ("b1", "d1", "delta"), ("b2", "d1", "theta")]
+    rows += [(u, "d2", name) for u, name in d2_rows]
+    (data / "addresses.csv").write_text(
+        "user_id,province,city,district,poi_name\n" + "".join(f"{u},J,S,{d},{n}\n" for u, d, n in rows)
+    )
+    (data / "locations.csv").write_text(
+        "user_id,lat,lon\n"
+        + "".join(f"{u},{31.0 + k * 1e-5},120.0\n" for u, _, _ in rows for k in range(6))
+    )
+    (data / "labels.csv").write_text(
+        "district,standard_name,candidate_name,is_alias\n"
+        "d0,kappa,omega,1\nd1,delta,theta,1\nd2,sigma,lambda,1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["evaluate", str(data), "--method", "centroid", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert (report["true_positive"], report["actual_positive"]) == (2, 3)
+    assert report["recall"] == 2 / 3
+    assert report["per_district"]["d2"]["actual_positive"] == 1
+
+
 STAGES = {
     "ingest-check": ["ingest", "write"],
     "preprocess": ["ingest", "write"],
@@ -444,6 +470,25 @@ def test_bad_sweep_grids_fail_with_the_value(data_dir, tmp_path, capsys):
                "--out", str(tmp_path / "sw")])
     assert rc == 1
     assert "--grids expects comma-separated integers, got '20,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["centroid", "loccent", "kl", "jaccard", "editdist"])
+def test_aliases_decision_is_the_link_rule_at_the_resolved_theta(method, small_city, tmp_path):
+    def discover(threshold: str, out: Path) -> list[dict]:
+        assert main(["discover", small_city.dir, "--method", method, "--threshold", threshold, "--out", str(out)]) == 0
+        theta = float(json.loads((out / "run_manifest.json").read_text())["config"]["resolved_theta"])
+        rows = list(csv.DictReader(open(out / "aliases.csv")))
+        for r in rows:
+            assert (r["decision"] == "insufficient") == (r["score"] == ""), r
+            assert (r["decision"] == "alias") == (r["score"] != "" and float(r["score"]) > theta), r
+        return rows
+
+    calibrated = discover("calibrate", tmp_path / "calibrate")
+    scores = sorted(float(r["score"]) for r in calibrated if r["score"])
+    median = scores[len(scores) // 2]
+    # an editdist --threshold is a distance cutoff, 1 - the score cutoff
+    numeric = discover(repr(1.0 - median if method == "editdist" else median), tmp_path / "numeric")
+    assert {"alias", "not-alias"} <= {r["decision"] for r in calibrated + numeric}
 
 
 @pytest.mark.parametrize("method", ["jaccard", "centroid"])

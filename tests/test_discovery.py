@@ -1,5 +1,7 @@
 """Pairwise similarity scoring and threshold inference."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from poialias.discovery import (
     MetricConfig,
     ScoredPair,
     apply_threshold,
+    decide,
     score_pairs,
 )
 from poialias.distribution import (
@@ -101,8 +104,7 @@ def test_distance_similarity_insufficient_is_none():
         cfg = MetricConfig(method=method, threshold=0.0, min_profile_points=5)
         pairs = score_pairs([a], [b], cfg, bbox=BBOX)
         assert pairs[0].score is None
-        apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
-        assert pairs[0].decision == DECISION_INSUFFICIENT
+        assert apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"]) == set()
 
 
 # --------------------------------------------------- distribution similarity
@@ -209,7 +211,6 @@ def test_infer_links_above_threshold():
     pairs = score_pairs([a], [b], cfg, bbox=None)
     links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
     assert links == {(0, 0)}
-    assert pairs[0].decision == DECISION_ALIAS
     assert pairs[0].score == pytest.approx(0.004, rel=1e-6)
 
 
@@ -220,7 +221,7 @@ def test_infer_strict_inequality_at_boundary():
     pairs = score_pairs([a], [b], cfg, bbox=None)
     links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
     assert links == set()
-    assert pairs[0].decision == DECISION_NOT_ALIAS
+    assert pairs[0].score == 1.0
 
 
 def test_infer_insufficient_profiles_excluded():
@@ -231,7 +232,23 @@ def test_infer_insufficient_profiles_excluded():
     links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["t"])
     assert links == set()
     assert pairs[0].score is None
-    assert pairs[0].decision == DECISION_INSUFFICIENT
+
+
+def test_decide_is_the_link_rule():
+    above = float(np.nextafter(1.0, 2.0))
+    assert decide(None, 0.0) == DECISION_INSUFFICIENT
+    assert decide(None, -np.inf) == DECISION_INSUFFICIENT
+    assert decide(1.0, 1.0) == DECISION_NOT_ALIAS
+    assert decide(above, 1.0) == DECISION_ALIAS
+    assert decide(0.0, -np.inf) == DECISION_ALIAS
+    assert decide(1e300, np.inf) == DECISION_NOT_ALIAS
+
+
+def test_apply_threshold_mutates_no_pair():
+    pairs = [ScoredPair("s", "a", 2.0), ScoredPair("s", "b", 0.5), ScoredPair("s", "c", None)]
+    before = [astuple(p) for p in pairs]
+    assert apply_threshold(pairs, 1.0, "d", ["s"], ["a", "b", "c"]) == {(0, 0)}
+    assert [astuple(p) for p in pairs] == before
 
 
 def test_infer_pairs_exhaustive_and_ordered():
@@ -249,14 +266,13 @@ def test_threshold_monotonicity():
     names_s = [f"s{i}" for i in range(6)]
     names_c = [f"c{j}" for j in range(6)]
     pairs = [
-        ScoredPair(s, c, float(rng.uniform(0, 1)), "")
+        ScoredPair(s, c, float(rng.uniform(0, 1)))
         for s in names_s
         for c in names_c
     ]
     prev_links = None
     for theta in (0.1, 0.3, 0.5, 0.8):
-        links = apply_threshold([ScoredPair(p.standard_name, p.candidate_name, p.score, "") for p in pairs],
-                                theta, "d", names_s, names_c)
+        links = apply_threshold(pairs, theta, "d", names_s, names_c)
         if prev_links is not None:
             assert links <= prev_links
         prev_links = links
@@ -271,7 +287,7 @@ def test_threshold_scale_invariance():
     scale = 3.7
 
     def links(mult, th):
-        ps = [ScoredPair(s, c, v * mult, "") for (s, c), v in scores.items()]
+        ps = [ScoredPair(s, c, v * mult) for (s, c), v in scores.items()]
         return apply_threshold(ps, th, "d", names_s, names_c)
 
     assert links(1.0, theta) == links(scale, theta * scale)

@@ -104,7 +104,7 @@ def test_prf_matches_rational_oracle_randomized():
 
 
 def _pairs(scored):
-    return [ScoredPair("s", f"c{i}", s, "") for i, s in enumerate(scored)]
+    return [ScoredPair("s", f"c{i}", s) for i, s in enumerate(scored)]
 
 
 def _labels(flags):
@@ -210,7 +210,7 @@ def test_calibrate_midpoint_rounding_onto_upper_score():
 
 
 def test_calibrate_skips_insufficient_pairs():
-    pairs = _pairs([0.9, 0.1]) + [ScoredPair("s", "c9", None, "")]
+    pairs = _pairs([0.9, 0.1]) + [ScoredPair("s", "c9", None)]
     labels = _labels([1, 0])
     labels[("s", "c9")] = True  # positive but unscoreable
     cal = calibrate_threshold(pairs, labels)
@@ -335,6 +335,26 @@ def test_crossval_deterministic():
     a = district_cross_validation(city, scores).to_dict()
     b = district_cross_validation(city, scores).to_dict()
     assert a == b
+
+
+def test_crossval_pooled_counts_are_the_sums_over_the_folds():
+    # each district has one labeled pair left unscored by an insufficient profile
+    city, scores = labeled_city(
+        {
+            "d0": {("a", "x"): (0.9, True), ("a", "y"): (0.1, False), ("a", "z"): (None, True)},
+            "d1": {("b", "x"): (0.8, True), ("b", "y"): (0.85, False), ("b", "w"): (None, False)},
+        }
+    )
+    rep = district_cross_validation(city, scores)
+    tests = [fold["test"] for fold in rep.folds]
+    pooled = rep.to_dict()["pooled"]
+    for key in ("true_positive", "predicted_positive", "actual_positive", "n_insufficient"):
+        assert pooled[key] == sum(t[key] for t in tests), key
+    assert pooled["n_insufficient"] == 2
+    assert (pooled["precision"], pooled["recall"], pooled["f1"], pooled["flags"]) == (
+        *fraction_oracle(pooled["true_positive"], pooled["predicted_positive"], pooled["actual_positive"]),
+        [],
+    )
 
 
 def test_crossval_needs_two_districts():
