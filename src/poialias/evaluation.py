@@ -34,6 +34,7 @@ class EvalReport:
     actual_positive: int
     flags: list = field(default_factory=list)
     n_insufficient: int = 0
+    n_unscorable: int = 0
     method: str = ""
     threshold: float | None = None
     per_district: dict = field(default_factory=dict)
@@ -71,12 +72,20 @@ def prf_from_counts(tp: int, predicted: int, actual: int):
     return float(precision), float(recall), float(f1), flags
 
 
-_COUNTS = ("true_positive", "predicted_positive", "actual_positive", "n_insufficient")
+_COUNTS = (
+    "true_positive",
+    "predicted_positive",
+    "actual_positive",
+    "n_insufficient",
+    "n_unscorable",
+)
 
 
-def prf_record(tp: int, predicted: int, actual: int, insufficient: int) -> dict:
+def prf_record(tp: int, predicted: int, actual: int, insufficient: int, unscorable: int) -> dict:
     """The P/R/F1 record of confusion counts: an EvalReport's count fields,
-    and one per_district entry."""
+    and one per_district entry. `insufficient` counts the labeled pairs of
+    the scored grid left without a score by a thin profile; `unscorable`
+    the labeled pairs outside the grid, which no method can ever score."""
     precision, recall, f1, flags = prf_from_counts(tp, predicted, actual)
     return {
         "precision": precision,
@@ -86,6 +95,7 @@ def prf_record(tp: int, predicted: int, actual: int, insufficient: int) -> dict:
         "predicted_positive": predicted,
         "actual_positive": actual,
         "n_insufficient": insufficient,
+        "n_unscorable": unscorable,
         "flags": flags,
     }
 
@@ -99,8 +109,11 @@ def _pooled_record(records) -> dict:
 def _labeled_scores(scored: list[ScoredPair], labels: dict):
     """One district's labeled pairs, looked up in that district's own labels.
 
-    Returns the (score, is_alias) list of the scored ones and the number of
-    labeled pairs left unscored by an insufficient profile.
+    Returns the (score, is_alias) list of the scored ones, the number of
+    labeled pairs left unscored by an insufficient profile, and the number
+    of labeled pairs that are not in the scored grid at all: a name with no
+    profile, a standard and candidate that resolve to one name, or a
+    candidate that is itself a standard.
     """
     out = []
     insufficient = 0
@@ -112,7 +125,7 @@ def _labeled_scores(scored: list[ScoredPair], labels: dict):
             insufficient += 1
         else:
             out.append((pair.score, is_alias))
-    return out, insufficient
+    return out, insufficient, len(labels) - len(out) - insufficient
 
 
 @dataclass
@@ -125,9 +138,9 @@ class Calibration:
 
 
 def _district_record(scored: list[ScoredPair], labels: dict, theta: float) -> dict:
-    labeled, insufficient = _labeled_scores(scored, labels)
+    labeled, insufficient, unscorable = _labeled_scores(scored, labels)
     linked = [pos for score, pos in labeled if decide(score, theta) == DECISION_ALIAS]
-    return prf_record(sum(linked), len(linked), sum(labels.values()), insufficient)
+    return prf_record(sum(linked), len(linked), sum(labels.values()), insufficient, unscorable)
 
 
 def evaluate_districts(

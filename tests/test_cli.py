@@ -376,6 +376,51 @@ def test_positives_of_a_district_without_usable_names_count_against_recall(d2_ro
     assert report["per_district"]["d2"]["actual_positive"] == 1
 
 
+def test_labeled_pairs_outside_the_scored_grid_are_counted_unscorable(tmp_path):
+    # d0's labels: two scored pairs, one thin profile ("rho", 2 points),
+    # a candidate with no address row ("ghost") and a candidate that is
+    # itself a standard ("kappa"); d1: one scored pair; d2: no address rows
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = [("a1", "d0", "kappa"), ("a2", "d0", "omega"), ("a3", "d0", "sigma"), ("a4", "d0", "tau"),
+            ("a5", "d0", "rho"), ("b1", "d1", "delta"), ("b2", "d1", "theta")]
+    spot = {"a3": 31.05}  # sigma is 5 km from the others
+    (data / "addresses.csv").write_text(
+        "user_id,province,city,district,poi_name\n" + "".join(f"{u},J,S,{d},{n}\n" for u, d, n in rows)
+    )
+    (data / "locations.csv").write_text(
+        "user_id,lat,lon\n"
+        + "".join(
+            f"{u},{spot.get(u, 31.0) + k * 1e-5},120.0\n"
+            for u, _, _ in rows
+            for k in range(2 if u == "a5" else 6)
+        )
+    )
+    (data / "labels.csv").write_text(
+        "district,standard_name,candidate_name,is_alias\n"
+        "d0,kappa,omega,1\nd0,kappa,sigma,0\nd0,kappa,rho,0\nd0,kappa,ghost,1\nd0,tau,kappa,0\n"
+        "d1,delta,theta,1\nd2,sigma,lambda,1\n"
+    )
+    for method in ("centroid", "loccent", "kl", "jaccard", "editdist"):
+        out = tmp_path / method
+        assert main(["evaluate", str(data), "--method", method, "--out", str(out)]) == 0, method
+        report = json.loads((out / "report.json").read_text())["report"]
+        per = report["per_district"]
+        assert [per[d]["n_unscorable"] for d in ("d0", "d1", "d2")] == [2, 0, 1], method
+        assert report["n_unscorable"] == 3, method
+        # a thin profile is insufficient, not unscorable
+        thin = 0 if method == "editdist" else 1
+        assert (report["n_insufficient"], per["d0"]["n_insufficient"]) == (thin, thin), method
+        assert report["actual_positive"] == 4, method
+
+        out = tmp_path / f"crossval-{method}"
+        assert main(["crossval", str(data), "--method", method, "--out", str(out)]) == 0, method
+        rep = json.loads((out / "report.json").read_text())["report"]
+        tests = [fold["test"] for fold in rep["folds"]]
+        assert sorted(t["n_unscorable"] for t in tests) == [0, 1, 2], method
+        assert rep["pooled"]["n_unscorable"] == 3, method
+
+
 STAGES = {
     "ingest-check": ["ingest", "write"],
     "preprocess": ["ingest", "write"],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poialias.discovery import MetricConfig
 from poialias.errors import EmptyInputError, InvalidConfigError
 from poialias.geo import (
     EARTH_RADIUS_M,
@@ -215,6 +216,72 @@ def test_window_equals_exhaustive_corners_on_integer_points(case):
     win = max_coverage_window(pts, side)
     assert win.count == count
     assert (win.x0, win.y0) == corner
+
+
+@st.composite
+def _clustered_point_sets(draw):
+    """A dense cluster of integer points plus outliers on a coarse grid far
+    from it: the shape of a real profile, where the search skips most
+    anchors. Small integer ranges give duplicate x values and tied counts,
+    and outliers may pile up into groups that tie with the cluster."""
+    side = draw(st.integers(2, 10))
+    spread = draw(st.integers(0, 2 * side))
+    coord = st.integers(0, spread)
+    cluster = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
+    cell = st.integers(-4, 4).map(lambda k: 4 * side * k)
+    jitter = st.integers(0, side)
+    outliers = draw(
+        st.lists(st.builds(lambda cx, cy, jx, jy: (cx + jx, cy + jy), cell, cell, jitter, jitter), max_size=20)
+    )
+    return np.array(cluster + outliers, dtype=float), float(side)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clustered_point_sets())
+def test_window_equals_exhaustive_corners_on_clustered_points(case):
+    pts, side = case
+    count, corner = brute_force_window_corner(pts, side)
+    win = max_coverage_window(pts, side)
+    assert win.count == count
+    assert (win.x0, win.y0) == corner
+
+
+def test_window_with_every_point_in_one_slab():
+    rng = np.random.default_rng(41)
+    side = 50.0
+    # x spans exactly one side, so the first anchor's slab holds everything
+    pts = np.column_stack([rng.integers(0, 51, 120), rng.integers(0, 400, 120)]).astype(float)
+    pts[0, 0], pts[1, 0] = 0.0, 50.0
+    count, corner = brute_force_window_corner(pts, side)
+    win = max_coverage_window(pts, side)
+    assert (win.count, (win.x0, win.y0)) == (count, corner)
+
+
+def test_window_with_every_x_more_than_a_side_apart():
+    rng = np.random.default_rng(43)
+    side = 10.0
+    # every slab is one column of points sharing an x value
+    xs = np.repeat(np.arange(12) * 25.0, 15)
+    pts = np.column_stack([xs, rng.integers(0, 60, xs.size)]).astype(float)
+    count, corner = brute_force_window_corner(pts, side)
+    win = max_coverage_window(pts, side)
+    assert (win.count, (win.x0, win.y0)) == (count, corner)
+
+
+def test_window_count_on_every_sufficient_profile_of_a_city(small_city):
+    # each profile projected as local_region_centroid projects it
+    cfg = MetricConfig(method="loc_cent", threshold=0.0)
+    profiles = [
+        p
+        for dd in small_city.city.districts.values()
+        for p in dd.profiles.values()
+        if p.point_count >= cfg.min_profile_points
+    ]
+    assert len(profiles) > 50
+    for p in profiles:
+        xy = project_local(p.points, centroid(p.points))
+        win = max_coverage_window(xy, cfg.local_window_m)
+        assert win.count == brute_force_window_count(xy, cfg.local_window_m), p.name
 
 
 def test_window_translation_invariance():
