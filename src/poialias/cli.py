@@ -433,24 +433,25 @@ def _add_data_opts(p):
 def _add_common_opts(p):
     p.add_argument("--out", default="out", help="output directory (default: out)")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker pool size for per-district scoring (default: 1)",
-    )
 
 
 def _add_cluster_threshold(p):
     p.add_argument("--cluster-threshold", type=float, default=DEFAULT_CLUSTER_THRESHOLD)
 
 
-def _add_tunables(p):
+def _add_scoring_opts(p):
+    """The options of the five commands that score pairs."""
     defaults = {f.name: f.default for f in fields(MetricConfig)}
     for name in _TUNABLES:
         default = defaults[name]
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     _add_cluster_threshold(p)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker pool size for per-district scoring (default: 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump-profiles", action="store_true", dest="dump_profiles")
             p.add_argument("--dump-density", action="store_true", dest="dump_density")
         _add_common_opts(p)
-        _add_tunables(p)
+        _add_scoring_opts(p)
         p.set_defaults(func=handler)
 
     p = sub.add_parser("transfer", help="calibrate on a source city, evaluate on a target city")
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--method", choices=sorted(CLI_METHODS), required=True)
     _add_common_opts(p)
-    _add_tunables(p)
+    _add_scoring_opts(p)
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("sweep", help="calibrate and evaluate across grid resolutions")
@@ -517,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("kl", "jaccard"), required=True)
     p.add_argument("--grids", default="20,50,150,300,500")
     _add_common_opts(p)
-    _add_tunables(p)
+    _add_scoring_opts(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -10,6 +10,7 @@ every decision and link count comes from it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ class MetricConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
+        # below the smallest normal float, 1 / kl_epsilon overflows
+        if self.kl_epsilon < sys.float_info.min:
+            raise InvalidConfigError(
+                f"kl_epsilon must be at least {sys.float_info.min} (the smallest normal float), "
+                f"got {self.kl_epsilon}"
+            )
         if self.grid_n < 1:
             raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
         # a profile without points is then always insufficient, so no

@@ -14,6 +14,7 @@ cells.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -236,8 +237,11 @@ def kl_divergence(p: Distribution, q: Distribution, epsilon: float = 1e-9) -> fl
     one set intersection and one exactly rounded sum.
     """
     _check_same_grid(p, q)
-    if not (epsilon > 0.0):
-        raise InvalidConfigError(f"epsilon must be positive, got {epsilon}")
+    # a subnormal epsilon overflows p / epsilon, and every divergence with it
+    if not (epsilon >= sys.float_info.min):
+        raise InvalidConfigError(
+            f"epsilon must be at least {sys.float_info.min} (the smallest normal float), got {epsilon}"
+        )
     tp = p.kl_terms(epsilon)
     tq = q.kl_terms(epsilon)
     kl = tp.neg_entropy - tq.log_floor * tp.mass - tp.floor * tq.log_ratio_sum

@@ -89,14 +89,42 @@ def _unknown_format(fmt) -> InvalidConfigError:
     return InvalidConfigError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
+def _not_utf8(path: str) -> InvalidConfigError:
+    """The error for a file that does not decode as UTF-8, naming the
+    physical line and file offset of its first bad byte.
+
+    A decode error's own position counts from the start of the decoder's
+    buffer, so the file is read again line by line; no byte of a UTF-8
+    sequence is a line feed, so each line decodes on its own.
+    """
+    hint = "not UTF-8; convert GBK/GB18030 exports to UTF-8"
+    offset = 0
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return InvalidConfigError(f"{path}:{line_no}: byte {offset + exc.start}: {hint}")
+            offset += len(line)
+    return InvalidConfigError(f"{path}: {hint}")
+
+
 def _iter_rows(path: str, fmt: str, fields: list[str]):
     """Yield (line_number, values_or_None, error_message_or_None).
 
     `values` holds the row's field values in `fields` order. A JSONL value
     must be a string or a number: null, booleans, arrays and objects are
     row errors naming the field. A leading UTF-8 byte-order mark is
-    dropped in both formats.
+    dropped in both formats; a file that is not UTF-8 raises
+    InvalidConfigError.
     """
+    try:
+        yield from _decoded_rows(path, fmt, fields)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _decoded_rows(path: str, fmt: str, fields: list[str]):
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)

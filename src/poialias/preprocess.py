@@ -145,29 +145,28 @@ def _chunked(s: str, pieces: int) -> list[str]:
     return out
 
 
+def _edit_budget(threshold: float, length: int) -> int:
+    """Edits allowed to a pair whose longer name has `length` characters;
+    the epsilon keeps e.g. 0.35 * 180 = 62.99... at 63."""
+    return int(math.floor(threshold * length + 1e-12))
+
+
 def _candidate_pairs(names: list[str], threshold: float):
     """Yield index pairs that can possibly be within the distance threshold.
 
-    Pigeonhole blocking: with at most k edits allowed between two strings,
-    splitting one of them into k + 1 chunks leaves at least one chunk
-    untouched, so it occurs verbatim as a substring of the other. Indexing
-    chunks and probing substrings generates a candidate superset without
-    the quadratic scan; every candidate is then verified exactly.
+    Pigeonhole blocking with a budget per name (the partition filter of
+    Pass-Join, Li et al. 2011). A name s allows k_s = floor(threshold * |s|)
+    edits when it is the longer name of a pair, and is indexed by its
+    k_s + 1 chunks. A pair within the longer name's budget leaves one of
+    that name's chunks untouched, so the chunk occurs verbatim as a
+    substring of the other name; every name probes its substrings of each
+    indexed chunk length. Whether a pair is a candidate thus depends on its
+    two names alone, and every candidate is then verified exactly.
     """
-    lmax = max(len(s) for s in names)
-    k_global = int(math.floor(threshold * lmax + 1e-12))
-    if k_global <= 0:
-        return
-    pieces = k_global + 1
-
     chunk_index: dict[str, list[int]] = defaultdict(list)
     chunk_lengths: set[int] = set()
-    short_ids = []  # too short to chunk; handled exhaustively below
     for idx, s in enumerate(names):
-        if len(s) < pieces:
-            short_ids.append(idx)
-            continue
-        for chunk in _chunked(s, pieces):
+        for chunk in _chunked(s, _edit_budget(threshold, len(s)) + 1):
             chunk_index[chunk].append(idx)
             chunk_lengths.add(len(chunk))
 
@@ -189,17 +188,6 @@ def _candidate_pairs(names: list[str], threshold: float):
                     if pair not in seen:
                         seen.add(pair)
                         yield pair
-    # short names: a partner within threshold cannot be much longer
-    for idx in short_ids:
-        ls = len(names[idx])
-        max_partner = int(math.floor(ls / (1.0 - threshold))) + 1
-        for other, t in enumerate(names):
-            if other == idx or len(t) > max_partner:
-                continue
-            pair = (idx, other) if idx < other else (other, idx)
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
 
 
 def check_cluster_threshold(threshold: float):
@@ -233,7 +221,7 @@ def cluster_near_duplicates(
     for i, j in _candidate_pairs(distinct, threshold):
         a, b = distinct[i], distinct[j]
         lm = max(len(a), len(b))
-        k = int(math.floor(threshold * lm + 1e-12))
+        k = _edit_budget(threshold, lm)
         d = limited_edit_distance(a, b, k)
         if d <= k and d / lm <= threshold:
             uf.union(i, j)

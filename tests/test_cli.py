@@ -315,6 +315,61 @@ def test_preprocess_takes_no_scoring_tunables(option, data_dir, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "ingest-check", "preprocess"])
+def test_commands_that_score_nothing_take_no_workers(command, data_dir, tmp_path, capsys):
+    argv = [command] if command == "synth" else [command, str(data_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "1", "--out", str(tmp_path / "w")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+
+
+def test_subnormal_kl_epsilon_fails_before_ingest(data_dir, tmp_path, capsys):
+    # 1 / 1e-320 overflows: every divergence would clamp and every pair link
+    out = tmp_path / "sub"
+    rc = main(["discover", str(data_dir), "--method", "kl", "--kl-epsilon", "1e-320", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: command=discover kl_epsilon must be at least 2.2250738585072014e-308 "
+        "(the smallest normal float), got 1e-320\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_non_utf8_input_fails_with_the_file_line_and_byte(fmt, tmp_path, capsys):
+    # a GBK export: the bad byte lies past the first 8 KiB the decoder reads
+    data = tmp_path / "gbk"
+    data.mkdir()
+    fields = ["user_id", "province", "city", "district", "poi_name"]
+    rows = [[f"u{i}", "J", "S", "d0", f"poi{i % 7}"] for i in range(600)] + [["u600", "J", "S", "d0", "西湖公园"]]
+    if fmt == "csv":
+        lines = [",".join(fields)] + [",".join(r) for r in rows]
+    else:
+        lines = [json.dumps(dict(zip(fields, r)), ensure_ascii=False) for r in rows]
+    text = "".join(line + "\n" for line in lines)
+    (data / f"addresses.{fmt}").write_bytes(text.encode("gbk"))
+    (data / f"locations.{fmt}").write_text(
+        "user_id,lat,lon\nu1,31.0,120.0\n" if fmt == "csv"
+        else json.dumps({"user_id": "u1", "lat": 31.0, "lon": 120.0}) + "\n"
+    )
+    (data / f"labels.{fmt}").write_text(
+        "district,standard_name,candidate_name,is_alias\nd0,poi1,poi2,0\n" if fmt == "csv"
+        else json.dumps({"district": "d0", "standard_name": "poi1", "candidate_name": "poi2", "is_alias": "0"}) + "\n"
+    )
+    line_no = len(lines)
+    offset = len("".join(line + "\n" for line in lines[:-1]).encode()) + lines[-1].index("西")
+    assert offset > 8192
+    for command in (["ingest-check"], ["evaluate", "--method", "centroid"]):
+        rc = main([command[0], str(data), *command[1:], "--format", fmt, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: command={command[0]} {data / f'addresses.{fmt}'}:{line_no}: byte {offset}: "
+            "not UTF-8; convert GBK/GB18030 exports to UTF-8\n"
+        )
+    assert not [p.name for p in data.iterdir() if p.name.startswith(".poialias-corpus")]
+
+
 def test_district_without_gps_is_insufficient_under_every_method(tmp_path):
     # district A: six points per user, "omega" on "kappa"'s spot and
     # "sigma" 5 km away; district B: no writer has a location row
@@ -439,9 +494,9 @@ def test_manifest_echoes_every_option(command, data_dir, tmp_path):
         argv = [command, "--source", str(data_dir), "--target", str(data_dir)]
     else:
         argv = [command, str(data_dir)]
+    argv += ["--out", str(out)]
     if command not in ("ingest-check", "preprocess"):
-        argv += ["--method", "jaccard"]
-    argv += ["--out", str(out), "--workers", "1"]
+        argv += ["--method", "jaccard", "--workers", "1"]  # only scoring commands take --workers
     assert main(argv) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     expected = dict(vars(build_parser().parse_args(argv)))
@@ -624,12 +679,13 @@ def test_every_csv_artifact_reads_back_as_written(district, standard, candidate,
 _METHODS = ("centroid", "loccent", "kl", "jaccard", "editdist")
 
 
-def _shuffled_copy(src, dst, fmt, rng):
-    """The three input files of `src` with their rows shuffled, as CSV or JSONL."""
+def _copy_inputs(src, dst, fmt="csv", edit=lambda name, rows: rows):
+    """The three input files of `src`, each file's rows passed through
+    `edit(name, rows)`, as CSV or JSONL."""
     dst.mkdir()
     for name in ("addresses", "locations", "labels"):
         header, *rows = _read_csv(os.path.join(src, f"{name}.csv"))
-        rows = [rows[i] for i in rng.permutation(len(rows))]
+        rows = edit(name, rows)
         with open(dst / f"{name}.{fmt}", "w", newline="", encoding="utf-8") as fh:
             if fmt == "csv":
                 csv.writer(fh, lineterminator="\n").writerows([header, *rows])
@@ -639,8 +695,12 @@ def _shuffled_copy(src, dst, fmt, rng):
 
 def test_reports_do_not_depend_on_row_order_or_format(small_city, tmp_path):
     rng = np.random.default_rng(11)
-    _shuffled_copy(small_city.dir, tmp_path / "shuffled", "csv", rng)
-    _shuffled_copy(small_city.dir, tmp_path / "jsonl", "jsonl", rng)
+
+    def shuffle(name, rows):
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    _copy_inputs(small_city.dir, tmp_path / "shuffled", "csv", shuffle)
+    _copy_inputs(small_city.dir, tmp_path / "jsonl", "jsonl", shuffle)
     inputs = [(small_city.dir, "csv"), (str(tmp_path / "shuffled"), "csv"), (str(tmp_path / "jsonl"), "jsonl")]
     for method in _METHODS:
         outputs = []
@@ -656,3 +716,41 @@ def test_reports_do_not_depend_on_row_order_or_format(small_city, tmp_path):
             ])
         assert outputs[1] == outputs[0], method
         assert outputs[2] == outputs[0], method
+
+
+def test_reports_do_not_depend_on_user_ids_or_unnamed_users(small_city, tmp_path):
+    # metamorphic relations (Chen, Cheung and Yiu 1998): neither renaming
+    # every user nor adding users that write no address can move a score
+    _, *addresses = _read_csv(os.path.join(small_city.dir, "addresses.csv"))
+    _, *locations = _read_csv(os.path.join(small_city.dir, "locations.csv"))
+    users = sorted({row[0] for row in addresses} | {row[0] for row in locations})
+    # a bijection that reverses the users' sort order, and with it the
+    # order in which each profile gathers its writers' points
+    rename = {u: f"w{len(users) - i:06d}" for i, u in enumerate(users)}
+    assert sorted(users, key=rename.get) == users[::-1]
+    rng = np.random.default_rng(23)
+    # unnamed users on and around the named users' points, some past every
+    # district's edge
+    picks = rng.integers(0, len(locations), 800).tolist()
+    shifts = rng.choice([0.0, 0.3, -0.3], (800, 2)).tolist()
+    extra = [
+        [f"ghost{k % 40}", repr(float(locations[i][1]) + dy), repr(float(locations[i][2]) + dx)]
+        for k, (i, (dy, dx)) in enumerate(zip(picks, shifts))
+    ]
+    assert not {row[0] for row in extra} & set(users)
+    _copy_inputs(
+        small_city.dir,
+        tmp_path / "renamed",
+        edit=lambda name, rows: rows if name == "labels" else [[rename[row[0]], *row[1:]] for row in rows],
+    )
+    _copy_inputs(
+        small_city.dir, tmp_path / "unnamed", edit=lambda name, rows: rows + extra if name == "locations" else rows
+    )
+    for method in _METHODS:
+        reports = []
+        for data in (small_city.dir, tmp_path / "renamed", tmp_path / "unnamed"):
+            out = tmp_path / method / os.path.basename(data)
+            assert main(["evaluate", str(data), "--method", method, "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[1] == reports[0], method
+        assert reports[2] == reports[0], method

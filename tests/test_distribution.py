@@ -1,6 +1,7 @@
 """Rasterization, normalization, and distribution divergences."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_kl_zero_mass_cells_finite_and_decreasing_in_epsilon():
     values = [kl_divergence(p, q, epsilon=e) for e in (1e-9, 1e-6, 1e-3)]
     assert all(math.isfinite(v) for v in values)
     assert values[0] > values[1] > values[2]
+
+
+def test_kl_is_finite_down_to_the_smallest_normal_epsilon():
+    p = _dist_from_counts([[4, 0], [1, 0]])
+    q = _dist_from_counts([[0, 4], [1, 0]])
+    values = [kl_divergence(a, b, epsilon=sys.float_info.min) for a, b in ((p, q), (q, p), (p, p))]
+    assert all(math.isfinite(v) for v in values)
+    # a subnormal epsilon overflows p / epsilon
+    for epsilon in (sys.float_info.min / 2, 1e-320, 5e-324):
+        with pytest.raises(InvalidConfigError, match="smallest normal float"):
+            kl_divergence(p, q, epsilon=epsilon)
 
 
 def test_kl_sparse_equals_dense_oracle():

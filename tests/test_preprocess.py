@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from poialias.errors import EmptyInputError, InvalidConfigError
 from poialias.preprocess import (
+    _candidate_pairs,
     clean_text,
     cluster_near_duplicates,
     limited_edit_distance,
@@ -278,7 +279,7 @@ def _single_linkage_oracle(names, threshold):
 @given(_near_duplicate_names(), st.sampled_from([0.1, 0.2, 0.25, 0.35, 0.5, 0.9]))
 # 0.35 * 180 rounds to 62.99..., but 63 edits in 180 characters is 0.35
 @example(["a" * 180, "b" * 63 + "a" * 117, "b" * 64 + "a" * 116], 0.35)
-# names shorter than k + 1 characters take the exhaustive branch
+# names far shorter than the longest, each split by its own budget
 @example(["a", "b", "ab", "\U0001f600" * 40, "\U0001f600" * 39 + "a"], 0.35)
 def test_cluster_equals_brute_force_single_linkage(names, threshold):
     cmap = cluster_near_duplicates([(n, 1) for n in names], threshold)
@@ -290,3 +291,40 @@ def test_cluster_rejects_bad_inputs():
         cluster_near_duplicates([], 0.2)
     with pytest.raises(InvalidConfigError):
         cluster_near_duplicates([("a", 1)], 1.5)
+
+
+def _candidate_names(names, threshold):
+    return {frozenset((names[i], names[j])) for i, j in _candidate_pairs(names, threshold)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _near_duplicate_names(),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+)
+def test_a_pair_is_a_candidate_whatever_other_names_it_is_clustered_with(names, threshold):
+    # each name is split by its own budget, so the candidate set of a list
+    # is the union of what each pair gives on its own
+    whole = _candidate_names(names, threshold)
+    for a, b in itertools.combinations(names, 2):
+        assert (frozenset((a, b)) in whole) == bool(_candidate_names([a, b], threshold)), (a, b)
+
+
+def test_one_long_name_adds_only_its_own_candidates():
+    rng = random.Random(17)
+    chars = [chr(0x4E00 + i) for i in range(2500)]
+    names = set()
+    while len(names) < 2000:
+        base = "".join(rng.choices(chars, k=rng.randint(4, 12)))
+        i = rng.randrange(len(base))
+        names.update((base, base[:i] + rng.choice(chars) + base[i + 1:]))
+    names = sorted(names)
+    before = _candidate_names(names, 0.2)
+    assert before  # the typo variants are candidates of their bases
+    long_name = "".join(rng.choices(chars, k=60))
+    with_long = [*names, long_name]
+    # streamed, so a filter that makes every pair a candidate fails at once
+    for i, j in _candidate_pairs(with_long, 0.2):
+        pair = frozenset((with_long[i], with_long[j]))
+        assert long_name in pair or pair in before, sorted(pair)
+    assert before <= _candidate_names(with_long, 0.2)
