@@ -125,7 +125,7 @@ def _load_corpus(args, data: str, require_labels: bool) -> Corpus:
         stage="ingest",
         addresses=len(corpus.addresses),
         users=len(corpus.locations),
-        labels=len(corpus.labels),
+        labels=len(corpus.label_ids),
         districts=len(corpus.districts),
         orphan_labels=len(corpus.orphan_labels),
     )
@@ -216,7 +216,7 @@ def _cmd_ingest_check(args, timer: _Timer):
             d: {"addresses": len(recs)} for d, recs in sorted(by_district.items())
         },
         "n_users_with_locations": len(corpus.locations),
-        "n_labels": len(corpus.labels),
+        "n_labels": len(corpus.label_ids),
         "orphan_labels": [
             {
                 "district": lb.district,
@@ -232,7 +232,7 @@ def _cmd_ingest_check(args, timer: _Timer):
     counts = {
         "addresses": len(corpus.addresses),
         "users": len(corpus.locations),
-        "labels": len(corpus.labels),
+        "labels": len(corpus.label_ids),
         "row_errors": sum(r.n_errors for r in corpus.reports.values()),
         "orphan_labels": len(corpus.orphan_labels),
     }

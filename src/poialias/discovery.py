@@ -18,7 +18,7 @@ import numpy as np
 from . import distribution as dist
 from .errors import InvalidConfigError
 from .geo import centroid, haversine, local_region_centroid
-from .preprocess import normalized_edit_distance
+from .preprocess import edit_distances
 from .profile import MobilityProfile
 
 METHODS = ("centroid", "loc_cent", "kl_div", "jaccard", "edit_distance")
@@ -61,6 +61,12 @@ class MetricConfig:
             )
         if self.grid_n < 1:
             raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
+        # kl smoothing adds kl_epsilon to each of the grid's grid_n**2 cells
+        if not dist.kl_smoothing_is_finite(self.kl_epsilon, self.grid_n):
+            raise InvalidConfigError(
+                f"kl_epsilon * grid_n**2 must be finite, got kl_epsilon={self.kl_epsilon} "
+                f"and grid_n={self.grid_n}"
+            )
         # a profile without points is then always insufficient, so no
         # feature is built from an empty point set or a missing bbox
         if self.min_profile_points < 1:
@@ -91,18 +97,27 @@ def _kernel(config: MetricConfig):
     if config.method == "kl_div":
         eps = config.kl_epsilon
         return lambda fi, fj: 1.0 / max(dist.kl_divergence(fi, fj, eps), MIN_DIVERGENCE)
-    if config.method == "jaccard":
-        return lambda fi, fj: 1.0 / max(dist.jaccard_distance(fi, fj), MIN_DIVERGENCE)
-    # edit_distance: similarity in [0, 1]; a distance cutoff theta_edit
-    # corresponds to the score threshold 1 - theta_edit
-    return lambda fi, fj: 1.0 - normalized_edit_distance(fi, fj)
+    # jaccard; edit_distance scores whole grids in `_edit_similarities`
+    return lambda fi, fj: 1.0 / max(dist.jaccard_distance(fi, fj), MIN_DIVERGENCE)
+
+
+def _edit_similarities(standards, candidates) -> list[float]:
+    """1 - normalized edit distance of every (standard, candidate) name
+    pair in row-major order, as Python floats: a similarity in [0, 1]. A
+    distance cutoff theta_edit corresponds to the score threshold
+    1 - theta_edit."""
+    names = [p.name for p in standards] + [p.name for p in candidates]
+    n, m = len(standards), len(candidates)
+    left, right = np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)
+    lengths = np.array([len(s) for s in names], dtype=np.int64)
+    longer = np.maximum(lengths[left], lengths[right])
+    # two empty names are at distance 0, and 0 / 1 is 0.0
+    return (1.0 - edit_distances(names, left, right) / np.maximum(longer, 1)).tolist()
 
 
 def _feature(profile: MobilityProfile, config: MetricConfig, bbox: dist.BoundingBox | None):
     """The profile's feature for the configured method, or None when it has
     too few points."""
-    if config.method == "edit_distance":
-        return profile.name
     if profile.point_count < config.min_profile_points:
         return None
     if config.method == "centroid":
@@ -120,15 +135,19 @@ def score_pairs(
 ) -> list[ScoredPair]:
     """Score the full N x M standard-by-candidate grid.
 
-    Emits one ScoredPair per (i, j) in row-major order. Pairs touching a
-    profile with fewer than min_profile_points points get score None
-    instead of a number, which `decide` reads as insufficient at every
-    threshold. `bbox` is the district
-    grid's extent for kl_div and jaccard; None means the district has no
-    located points, so every profile is insufficient.
+    Emits one ScoredPair per (i, j) in row-major order. Under a location
+    method, pairs touching a profile with fewer than min_profile_points
+    points get score None instead of a number, which `decide` reads as
+    insufficient at every threshold; edit_distance reads names only and
+    scores every pair. `bbox` is the district grid's extent for kl_div and
+    jaccard; None means the district has no located points, so every
+    profile is insufficient.
     """
     if not standards or not candidates:
         return []  # no pairs, so no features to build
+    if config.method == "edit_distance":  # scored from the names alone, in one batch
+        scores = iter(_edit_similarities(standards, candidates))
+        return [ScoredPair(ci.name, cj.name, next(scores)) for ci in standards for cj in candidates]
     kernel = _kernel(config)
     cands = [(cj.name, _feature(cj, config, bbox)) for cj in candidates]
     pairs = []

@@ -196,6 +196,15 @@ def _check_same_grid(p: Distribution, q: Distribution):
         )
 
 
+def kl_smoothing_is_finite(epsilon: float, n_grid: int) -> bool:
+    """Whether epsilon * n_grid**2, the mass that smoothing adds to an
+    n_grid x n_grid grid, is a finite float."""
+    try:
+        return math.isfinite(epsilon * (n_grid * n_grid))
+    except OverflowError:  # a cell count past the largest float
+        return False
+
+
 def _kl_terms(p: Distribution, epsilon: float) -> _KLTerms:
     n_cells = p.n_grid * p.n_grid
     n_empty = n_cells - len(p.cells)
@@ -241,6 +250,11 @@ def kl_divergence(p: Distribution, q: Distribution, epsilon: float = 1e-9) -> fl
     if not (epsilon >= sys.float_info.min):
         raise InvalidConfigError(
             f"epsilon must be at least {sys.float_info.min} (the smallest normal float), got {epsilon}"
+        )
+    # past the largest float, the smoothed mass is inf and every floor 0
+    if not kl_smoothing_is_finite(epsilon, p.n_grid):
+        raise InvalidConfigError(
+            f"epsilon * n_grid**2 must be finite, got epsilon={epsilon} and n_grid={p.n_grid}"
         )
     tp = p.kl_terms(epsilon)
     tq = q.kl_terms(epsilon)

@@ -23,7 +23,9 @@ import uuid
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -398,16 +400,80 @@ def write_labels(path: str, labels: list[GroundTruthLabel]):
     write_csv(path, LABEL_FIELDS, rows)
 
 
-@dataclass
+@dataclass(eq=False)
 class Corpus:
-    """All parsed inputs for one city, partitioned by district downstream."""
+    """All parsed inputs for one city, partitioned by district downstream.
+
+    Labels are columnar, as the parsed-corpus file stores them: row i of
+    `label_ids` holds the `strings` indices of label i's district, standard
+    name and candidate name, and `is_alias[i]` its value. `labels` and
+    `orphan_labels` build GroundTruthLabel records only when asked for.
+    """
 
     addresses: list[AddressRecord]
     locations: dict[str, np.ndarray]
-    labels: list[GroundTruthLabel]
+    strings: list[str]  # the string table: distinct, in first-use order
+    label_ids: np.ndarray  # (n, 3) int32: district, standard, candidate
+    is_alias: np.ndarray  # (n,) bool
     districts: list[str]
     reports: dict[str, LoadReport]
-    orphan_labels: list = field(default_factory=list)  # (label, reason)
+    orphans: list = field(default_factory=list)  # (label row, reason)
+
+    @classmethod
+    def from_records(cls, addresses, locations, labels, reports=None, orphans=()) -> "Corpus":
+        """The corpus of parsed records; `orphans` pairs label rows with reasons.
+
+        The string table takes the address fields, then the label fields,
+        then the user ids, each string at its first use.
+        """
+        index: dict[str, int] = {}
+        _interned(index, map(_address_fields, addresses), len(ADDRESS_FIELDS))
+        label_ids = _interned(index, map(_label_names, labels), 3)
+        _interned(index, ((user,) for user in locations), 1)
+        strings = list(index)
+        return cls(
+            addresses=addresses,
+            locations=locations,
+            strings=strings,
+            label_ids=label_ids,
+            is_alias=np.array([lb.is_alias for lb in labels], dtype=bool),
+            districts=_districts(addresses, strings, label_ids),
+            reports={} if reports is None else reports,
+            orphans=list(orphans),
+        )
+
+    def _records(self, rows) -> list[GroundTruthLabel]:
+        s = self.strings
+        ids, flags = self.label_ids[rows].tolist(), self.is_alias[rows].tolist()
+        return [GroundTruthLabel(s[d], s[std], s[cand], flag) for (d, std, cand), flag in zip(ids, flags)]
+
+    @cached_property
+    def labels(self) -> list[GroundTruthLabel]:
+        return self._records(slice(None))
+
+    @property
+    def orphan_labels(self) -> list:
+        """(label, reason) for each label naming a POI that its district's
+        addresses never name."""
+        records = self._records([row for row, _ in self.orphans])
+        return [(lb, reason) for lb, (_, reason) in zip(records, self.orphans)]
+
+
+_address_fields = attrgetter(*ADDRESS_FIELDS)
+_label_names = attrgetter("district", "standard_name", "candidate_name")
+
+
+def _interned(index: dict[str, int], rows, width: int) -> np.ndarray:
+    """(n, width) int32 indices of each row's strings in `index`, which
+    gains the strings it lacks."""
+    ids = [index.setdefault(text, len(index)) for row in rows for text in row]
+    return np.array(ids, dtype=np.int32).reshape(-1, width)
+
+
+def _districts(addresses, strings: list[str], label_ids: np.ndarray) -> list[str]:
+    """Every district an address or a label names, sorted."""
+    labeled = {strings[i] for i in set(label_ids[:, 0].tolist())}
+    return sorted({r.district for r in addresses} | labeled)
 
 
 def partition_by_district(addresses: list[AddressRecord]) -> dict[str, list[AddressRecord]]:
@@ -419,12 +485,13 @@ def partition_by_district(addresses: list[AddressRecord]) -> dict[str, list[Addr
 
 
 def _find_orphans(addresses, labels):
-    """Labels whose names never occur (after cleaning) in the district's addresses."""
+    """(row, reason) of each label whose names never occur (after cleaning)
+    in its district's addresses."""
     names_by_district: dict[str, set] = {}
     for rec in addresses:
         names_by_district.setdefault(rec.district, set()).add(clean_text(rec.poi_name))
     orphans = []
-    for lb in labels:
+    for row, lb in enumerate(labels):
         known = names_by_district.get(lb.district, set())
         missing = []
         if clean_text(lb.standard_name) not in known:
@@ -432,7 +499,7 @@ def _find_orphans(addresses, labels):
         if clean_text(lb.candidate_name) not in known:
             missing.append("candidate_name")
         if missing:
-            orphans.append((lb, "+".join(missing) + " not in district addresses"))
+            orphans.append((row, "+".join(missing) + " not in district addresses"))
     return orphans
 
 
@@ -477,19 +544,7 @@ def _parse_corpus(paths: list[str], fmt: str) -> Corpus:
     else:
         labels = []
         reports["labels"] = LoadReport(path=lab_path, warnings=["labels file absent"])
-    return _corpus(addresses, locations, labels, reports, _find_orphans(addresses, labels))
-
-
-def _corpus(addresses, locations, labels, reports, orphans) -> Corpus:
-    districts = sorted({r.district for r in addresses} | {lb.district for lb in labels})
-    return Corpus(
-        addresses=addresses,
-        locations=locations,
-        labels=labels,
-        districts=districts,
-        reports=reports,
-        orphan_labels=orphans,
-    )
+    return Corpus.from_records(addresses, locations, labels, reports, _find_orphans(addresses, labels))
 
 
 def _text_array(text: str) -> np.ndarray:
@@ -498,23 +553,18 @@ def _text_array(text: str) -> np.ndarray:
 
 
 def _write_corpus_file(path: str, key: str, corpus: Corpus):
-    """Records as int32 indices into one string table, points as one float64
-    (n, 2) array with per-user counts, reports and orphans as a JSON blob."""
-    index: dict[str, int] = {}
-
-    def ids(*texts):
-        return [index.setdefault(t, len(index)) for t in texts]
-
-    addresses = [ids(r.user_id, r.province, r.city, r.district, r.poi_name) for r in corpus.addresses]
-    labels = [ids(lb.district, lb.standard_name, lb.candidate_name) for lb in corpus.labels]
-    users = ids(*corpus.locations)
-    label_pos = {id(lb): i for i, lb in enumerate(corpus.labels)}
+    """The columnar labels as they are, addresses and users as int32
+    indices into the same string table, points as one float64 (n, 2) array
+    with per-user counts, reports and orphans as a JSON blob."""
+    index = {text: i for i, text in enumerate(corpus.strings)}
+    addresses = _interned(index, map(_address_fields, corpus.addresses), len(ADDRESS_FIELDS))
+    users = _interned(index, ((user,) for user in corpus.locations), 1).ravel()
     meta = {
         "reports": {
             name: {"n_rows": r.n_rows, "n_ok": r.n_ok, "errors": r.errors, "warnings": r.warnings}
             for name, r in corpus.reports.items()
         },
-        "orphans": [[label_pos[id(lb)], reason] for lb, reason in corpus.orphan_labels],
+        "orphans": [[row, reason] for row, reason in corpus.orphans],
     }
     with _output_file(path, binary=True) as fh:
         np.savez(
@@ -522,10 +572,10 @@ def _write_corpus_file(path: str, key: str, corpus: Corpus):
             key=np.array(key),
             strings=_text_array("".join(index)),
             string_lengths=np.array([len(t) for t in index], dtype=np.int64),
-            addresses=np.array(addresses, dtype=np.int32).reshape(-1, len(ADDRESS_FIELDS)),
-            labels=np.array(labels, dtype=np.int32).reshape(-1, 3),
-            is_alias=np.array([lb.is_alias for lb in corpus.labels], dtype=bool),
-            users=np.array(users, dtype=np.int32),
+            addresses=addresses,
+            labels=corpus.label_ids,
+            is_alias=corpus.is_alias,
+            users=users,
             point_counts=np.array([len(p) for p in corpus.locations.values()], dtype=np.int64),
             points=np.concatenate([*corpus.locations.values(), np.empty((0, 2))]),
             meta=_text_array(json.dumps(meta)),
@@ -549,6 +599,7 @@ def _read_corpus_file(path: str, key: str, paths: list[str]) -> Corpus:
     ends = np.cumsum(lengths).tolist()
     _expect((ends[-1] if ends else 0) == len(text))
     s = [text[a:b] for a, b in zip([0, *ends], ends)]  # the string table
+    _expect(len(set(s)) == len(s))  # one index per string: labels group by index
 
     addr, lab, is_alias = arrays["addresses"], arrays["labels"], arrays["is_alias"]
     users, counts, points = arrays["users"], arrays["point_counts"], arrays["points"]
@@ -561,10 +612,6 @@ def _read_corpus_file(path: str, key: str, paths: list[str]) -> Corpus:
     for idx in (addr, lab, users):
         _expect(idx.dtype == np.int32 and bool(np.all((idx >= 0) & (idx < len(s)))))
     addresses = [AddressRecord(s[a], s[b], s[c], s[d], s[e]) for a, b, c, d, e in addr.tolist()]
-    labels = [
-        GroundTruthLabel(s[d], s[std], s[cand], flag)
-        for (d, std, cand), flag in zip(lab.tolist(), is_alias.tolist())
-    ]
     stops = np.cumsum(counts).tolist()
     locations = {s[u]: points[a:b] for u, a, b in zip(users.tolist(), [0, *stops], stops)}
     _expect(len(locations) == len(users))
@@ -581,9 +628,18 @@ def _read_corpus_file(path: str, key: str, paths: list[str]) -> Corpus:
         )
         for p, (name, r) in zip(paths, meta["reports"].items())
     }
-    _expect(all(0 <= i < len(labels) for i, _ in meta["orphans"]))
-    orphans = [(labels[i], reason) for i, reason in meta["orphans"]]
-    return _corpus(addresses, locations, labels, reports, orphans)
+    orphans = [(row, reason) for row, reason in meta["orphans"]]
+    _expect(all(type(row) is int and 0 <= row < len(lab) for row, _ in orphans))
+    return Corpus(
+        addresses=addresses,
+        locations=locations,
+        strings=s,
+        label_ids=lab,
+        is_alias=is_alias,
+        districts=_districts(addresses, s, lab),
+        reports=reports,
+        orphans=orphans,
+    )
 
 
 def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -> Corpus:

@@ -55,17 +55,22 @@ def build_district_data(
     district: str,
     addresses,
     locations,
-    labels,
+    strings: list[str],
+    label_ids: np.ndarray,
+    is_alias: np.ndarray,
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
 ) -> DistrictData:
     """Assemble one district's canonical map, profiles, and name split.
 
-    The standard registry is taken from the district's labels: a name is a
-    standard iff some label lists it as one; every other canonical name
-    becomes a candidate. A district with no usable address names gets an
-    empty canonical map and no profiles; its labels stay, so its positives
-    count against recall. Raw labels that resolve to one canonical pair
-    merge when they agree and raise ConflictingLabelError when they do not.
+    The district's labels are columnar, as `Corpus` holds them: rows of
+    `label_ids` (district, standard, candidate indices into `strings`) in
+    file order, and their `is_alias` values. The standard registry is taken
+    from them: a name is a standard iff some label lists it as one; every
+    other canonical name becomes a candidate. A district with no usable
+    address names gets an empty canonical map and no profiles; its labels
+    stay, so its positives count against recall. Raw labels that resolve to
+    one canonical pair merge when they agree and raise
+    ConflictingLabelError when they do not.
     """
     freq: dict[str, int] = {}
     for rec in addresses:
@@ -77,21 +82,7 @@ def build_district_data(
         canonical = cluster_near_duplicates(sorted(freq.items()), cluster_threshold)
     index = build_associated_users(addresses, canonical)
     profiles = build_all_profiles(index, locations)
-
-    first: dict = {}  # canonical (std, cand) -> first raw label resolving to it
-    registry: set[str] = set()
-    for lb in labels:
-        std = canonical.resolve(clean_text(lb.standard_name))
-        cand = canonical.resolve(clean_text(lb.candidate_name))
-        registry.add(std)
-        prev = first.setdefault((std, cand), lb)
-        if prev.is_alias != lb.is_alias:
-            raise ConflictingLabelError(
-                f"district {district!r}: labels ({prev.standard_name!r}, "
-                f"{prev.candidate_name!r}) and ({lb.standard_name!r}, {lb.candidate_name!r}) "
-                f"both resolve to ({std!r}, {cand!r}) with different is_alias values"
-            )
-    label_map = {key: lb.is_alias for key, lb in first.items()}
+    label_map, registry = _label_map(district, canonical, strings, label_ids, is_alias)
 
     standard_names = sorted(n for n in profiles if n in registry)
     candidate_names = sorted(n for n in profiles if n not in registry)
@@ -110,23 +101,70 @@ def build_district_data(
     )
 
 
+def _label_map(district, canonical: CanonicalMap, strings, label_ids, is_alias) -> tuple[dict, set]:
+    """The canonical (std, cand) -> is_alias map, in order of first
+    occurrence, and the set of canonical standards.
+
+    Each distinct raw name is cleaned and resolved once; the labels then
+    group by their canonical pair's ids. A group whose values disagree
+    raises for its first label and the earliest label that differs from it.
+    """
+    if not len(label_ids):
+        return {}, set()
+    named = np.zeros(len(strings), dtype=bool)
+    named[label_ids[:, 1:]] = True
+    raw = np.flatnonzero(named)
+    ids: dict[str, int] = {}  # canonical name -> its id here
+    canonical_id = np.zeros(len(strings), dtype=np.int32)  # a raw name's index -> its canonical id
+    canonical_id[raw] = [
+        ids.setdefault(canonical.resolve(clean_text(strings[i])), len(ids)) for i in raw.tolist()
+    ]
+    names = list(ids)
+    pairs = canonical_id[label_ids[:, 1:]]  # each label's canonical (std, cand) ids
+    key = pairs[:, 0].astype(np.int64) * len(names) + pairs[:, 1]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    differs = is_alias != is_alias[first[group]]
+    if differs.any():
+        later = int(np.argmax(differs))
+        prev = int(first[group[later]])
+        (p_std, p_cand), (l_std, l_cand) = (
+            [strings[i] for i in row] for row in label_ids[[prev, later], 1:].tolist()
+        )
+        std, cand = (names[i] for i in pairs[later].tolist())
+        raise ConflictingLabelError(
+            f"district {district!r}: labels ({p_std!r}, {p_cand!r}) and ({l_std!r}, {l_cand!r}) "
+            f"both resolve to ({std!r}, {cand!r}) with different is_alias values"
+        )
+    firsts = np.sort(first)
+    canon = np.array(names, dtype=object)
+    keys = zip(canon[pairs[firsts, 0]].tolist(), canon[pairs[firsts, 1]].tolist())
+    return dict(zip(keys, is_alias[firsts].tolist())), set(canon[pairs[:, 0]].tolist())
+
+
 def build_city_data(
     corpus: Corpus, cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
 ) -> CityData:
     """District-partitioned pipeline state for one corpus: one DistrictData
     for every district with usable address names or labels."""
     by_district = partition_by_district(corpus.addresses)
-    labels_by_district: dict[str, list] = {}
-    for lb in corpus.labels:
-        labels_by_district.setdefault(lb.district, []).append(lb)
+    # each district's label rows, in file order
+    col = corpus.label_ids[:, 0]
+    order = np.argsort(col, kind="stable")
+    district_ids, starts = np.unique(col[order], return_index=True)
+    label_rows = {
+        corpus.strings[i]: rows for i, rows in zip(district_ids.tolist(), np.split(order, starts[1:]))
+    }
 
     districts: dict[str, DistrictData] = {}
-    for district in sorted(by_district.keys() | labels_by_district.keys()):
+    for district in sorted(by_district.keys() | label_rows.keys()):
+        rows = label_rows.get(district, order[:0])
         dd = build_district_data(
             district,
             by_district.get(district, []),
             corpus.locations,
-            labels_by_district.get(district, []),
+            corpus.strings,
+            corpus.label_ids[rows],
+            corpus.is_alias[rows],
             cluster_threshold,
         )
         if not (dd.canonical_map.mapping or dd.labels):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poialias import cli
 from poialias.cli import build_parser, main
 from poialias.preprocess import clean_text
 
@@ -332,6 +333,31 @@ def test_subnormal_kl_epsilon_fails_before_ingest(data_dir, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: command=discover kl_epsilon must be at least 2.2250738585072014e-308 "
         "(the smallest normal float), got 1e-320\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the default grid_n is 50: 1e306 * 50**2 overflows
+        (["discover", "--method", "kl", "--kl-epsilon", "1e306"], "kl_epsilon=1e+306 and grid_n=50"),
+        # 1e303 * 20**2 .. 1e303 * 300**2 are finite; only grid 500 overflows
+        (["sweep", "--method", "kl", "--kl-epsilon", "1e303"], "kl_epsilon=1e+303 and grid_n=500"),
+    ],
+    ids=["discover", "sweep"],
+)
+def test_an_overflowing_kl_epsilon_fails_before_ingest(argv, message, data_dir, tmp_path, monkeypatch, capsys):
+    # epsilon * grid_n**2 past the largest float floors every smoothed cell
+    # to 0, whose log would raise deep in scoring
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "load_corpus", no_ingest)
+    out = tmp_path / "eps"
+    assert main([argv[0], str(data_dir), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: command={argv[0]} kl_epsilon * grid_n**2 must be finite, got {message}\n"
     )
     assert not out.exists()
 
@@ -754,3 +780,64 @@ def test_reports_do_not_depend_on_user_ids_or_unnamed_users(small_city, tmp_path
             reports.append((out / "report.json").read_bytes())
         assert reports[1] == reports[0], method
         assert reports[2] == reports[0], method
+
+
+# a numeric score cutoff per method, each near the small city's calibrated
+# one, so every district links some pairs. editdist's is a distance cutoff:
+# every labeled pair of the small city is at the largest edit distance its
+# lengths allow (a score of 0), so only a cutoff above 1 links any of them
+_NUMERIC_THRESHOLDS = {"centroid": "0.002", "loccent": "0.02", "kl": "0.15", "jaccard": "3.0", "editdist": "1.5"}
+
+
+def _pooled_counts(report: dict) -> dict:
+    return {k: report[k] for k in ("true_positive", "predicted_positive", "actual_positive", "n_insufficient", "n_unscorable")}
+
+
+def test_reports_carry_a_renamed_or_duplicated_district(small_city, tmp_path):
+    # metamorphic relations at a numeric threshold: renaming a district
+    # carries its record over under the new name, and a copy of it under a
+    # new name, with fresh user ids, gets the original's record and adds it
+    # once more to the pooled counts. Calibration would fit on the changed
+    # pool, so the threshold is fixed
+    _, *addresses = _read_csv(os.path.join(small_city.dir, "addresses.csv"))
+    district = "d00"
+    copied_users = {row[0] for row in addresses if row[3] == district}
+    assert copied_users and len({row[3] for row in addresses}) > 1
+
+    def rename(name, rows):
+        if name == "locations":
+            return rows
+        col = 3 if name == "addresses" else 0
+        return [[*row[:col], "zz-renamed" if row[col] == district else row[col], *row[col + 1:]] for row in rows]
+
+    def duplicate(name, rows):
+        if name == "addresses":
+            copy = [["copy-" + row[0], *row[1:3], "d00-copy", row[4]] for row in rows if row[3] == district]
+        elif name == "locations":
+            copy = [["copy-" + row[0], *row[1:]] for row in rows if row[0] in copied_users]
+        else:
+            copy = [["d00-copy", *row[1:]] for row in rows if row[0] == district]
+        return rows + copy
+
+    _copy_inputs(small_city.dir, tmp_path / "renamed", edit=rename)
+    _copy_inputs(small_city.dir, tmp_path / "duplicated", edit=duplicate)
+    for method in _METHODS:
+        reports = {}
+        for data in (small_city.dir, tmp_path / "renamed", tmp_path / "duplicated"):
+            out = tmp_path / method / os.path.basename(data)
+            argv = ["evaluate", str(data), "--method", method, "--threshold", _NUMERIC_THRESHOLDS[method]]
+            assert main([*argv, "--out", str(out)]) == 0
+            reports[os.path.basename(data)] = json.loads((out / "report.json").read_text())["report"]
+        base, renamed, duplicated = reports.values()
+        record = base["per_district"][district]
+        assert record["true_positive"] > 0, method
+
+        assert renamed["per_district"] == {
+            ("zz-renamed" if d == district else d): rec for d, rec in base["per_district"].items()
+        }, method
+        assert _pooled_counts(renamed) == _pooled_counts(base), method
+
+        assert duplicated["per_district"] == {**base["per_district"], "d00-copy": record}, method
+        assert _pooled_counts(duplicated) == {
+            k: v + record[k] for k, v in _pooled_counts(base).items()
+        }, method

@@ -1,9 +1,12 @@
 """Pairwise similarity scoring and threshold inference."""
 
+import re
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poialias.discovery import (
     DECISION_ALIAS,
@@ -26,6 +29,7 @@ from poialias.distribution import (
 )
 from poialias.errors import InvalidConfigError
 from poialias.geo import METERS_PER_DEG, GeoPoint, haversine
+from poialias.preprocess import normalized_edit_distance
 from poialias.profile import MobilityProfile
 
 BBOX = BoundingBox(31.0, 32.0, 120.0, 121.0)
@@ -201,6 +205,18 @@ def test_metric_config_validation():
             MetricConfig(method=method, threshold=0.0, min_profile_points=0)
 
 
+def test_metric_config_rejects_a_kl_epsilon_whose_smoothed_mass_overflows():
+    # kl_epsilon * grid_n**2: 1e302 * 500**2 is finite, 1e303 * 500**2 is not
+    MetricConfig(method="kl_div", threshold=0.0, kl_epsilon=1e302, grid_n=500)
+    MetricConfig(method="kl_div", threshold=0.0, kl_epsilon=1e303, grid_n=50)
+    message = "kl_epsilon * grid_n**2 must be finite, got kl_epsilon=1e+303 and grid_n=500"
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        MetricConfig(method="kl_div", threshold=0.0, kl_epsilon=1e303, grid_n=500)
+    # a cell count past the largest float
+    with pytest.raises(InvalidConfigError, match="must be finite"):
+        MetricConfig(method="jaccard", threshold=0.0, grid_n=10**200)
+
+
 # ---------------------------------------------------------------- inference
 
 
@@ -312,6 +328,25 @@ def test_edit_distance_method_scores_text():
     # similarity = 1 - 3/7
     assert pairs[0].score == pytest.approx(1.0 - 3.0 / 7.0)
     assert links == {(0, 0)}
+
+
+_EDIT_NAMES = ["kitten", "sitting", "", "\u4e2d\u6587", "\U0001f600" * 70, "a" * 64, "a" * 65 + "b", "\ud800b"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_EDIT_NAMES) | st.text("ab\u4e2d", max_size=70), min_size=1, max_size=5),
+    st.lists(st.sampled_from(_EDIT_NAMES) | st.text("ab\u4e2d", max_size=70), min_size=1, max_size=5),
+)
+def test_edit_distance_grid_equals_the_per_pair_scalar(std_names, cand_names):
+    # the batched grid gives every pair 1 - normalized_edit_distance bit for
+    # bit, as a Python float, whatever its points
+    stds = [prof(n, np.zeros((0, 2))) for n in std_names]
+    cands = [prof(n, [[31.5, 120.5]]) for n in cand_names]
+    pairs = score_pairs(stds, cands, MetricConfig(method="edit_distance", threshold=0.0), bbox=None)
+    assert [(p.standard_name, p.candidate_name) for p in pairs] == [(a, b) for a in std_names for b in cand_names]
+    assert [p.score for p in pairs] == [1.0 - normalized_edit_distance(a, b) for a in std_names for b in cand_names]
+    assert all(type(p.score) is float for p in pairs)
 
 
 def test_planted_aliases_recovered_on_synthetic_district(tmp_path):

@@ -205,6 +205,17 @@ def test_kl_is_finite_down_to_the_smallest_normal_epsilon():
             kl_divergence(p, q, epsilon=epsilon)
 
 
+def test_kl_rejects_an_epsilon_whose_smoothed_mass_overflows():
+    points = np.array([[31.2, 120.2], [31.7, 120.8], [31.7, 120.8]])
+    p = normalize(rasterize(points, BBOX, 500))
+    q = normalize(rasterize(points[:2], BBOX, 500))
+    # 1e302 * 500**2 is finite: every term stays finite
+    assert math.isfinite(kl_divergence(p, q, epsilon=1e302))
+    # 1e303 * 500**2 overflows, and every smoothed cell would floor to 0
+    with pytest.raises(InvalidConfigError, match="epsilon=1e\\+303 and n_grid=500"):
+        kl_divergence(p, q, epsilon=1e303)
+
+
 def test_kl_sparse_equals_dense_oracle():
     rng = np.random.default_rng(43)
     for _ in range(20):

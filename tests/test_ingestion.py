@@ -35,6 +35,7 @@ from poialias.ingestion import (
     write_labels,
     write_location_log,
 )
+from poialias.pipeline import build_city_data
 from poialias.preprocess import clean_text
 
 
@@ -688,6 +689,11 @@ def _fresh_parse(data, fmt="csv"):
 
 def _assert_same_corpus(got, want):
     assert got.addresses == want.addresses
+    # the columnar labels, and the records built from them
+    assert got.strings == want.strings
+    assert (got.label_ids.dtype, got.label_ids.shape) == (np.int32, (len(want.is_alias), 3))
+    assert got.label_ids.tolist() == want.label_ids.tolist()
+    assert (got.is_alias.dtype, got.is_alias.tolist()) == (bool, want.is_alias.tolist())
     assert got.labels == want.labels
     assert [type(lb.is_alias) for lb in got.labels] == [bool] * len(want.labels)
     assert got.districts == want.districts
@@ -843,6 +849,34 @@ def test_a_bad_corpus_file_is_a_miss(damage, tmp_path):
     _assert_same_corpus(got, _fresh_parse(data))
     with _no_parse():  # rewritten
         _assert_same_corpus(load_corpus(data), got)
+
+
+def test_a_hit_raises_the_conflict_a_fresh_parse_raises(tmp_path):
+    # lakeview, lakeviev and lakeviex cluster into lakeview, so the second
+    # canonical pair's labels disagree: its first label and the earliest
+    # one that differs are named, whichever path built the corpus
+    data = tmp_path / "d"
+    data.mkdir()
+    names = ["alpha", "beta", "lakeview", "lakeview", "lakeviev", "lakeviex"]
+    _write(data / "addresses.csv", "user_id,province,city,district,poi_name\n"
+           + "".join(f"u{i},J,S,H,{n}\n" for i, n in enumerate(names)))
+    _write(data / "locations.csv", "user_id,lat,lon\n" + "".join(f"u{i},31.3,120.5\n" for i in range(6)))
+    _write(data / "labels.csv", "district,standard_name,candidate_name,is_alias\n"
+           "H,alpha,beta,1\nH,alpha,lakeview,0\nH,alpha,LakeViev,0\nH,alpha,beta2,1\nH,alpha,lakeviex,1\n")
+    messages = []
+    for corpus in (_fresh_parse(str(data)), load_corpus(str(data))):
+        with pytest.raises(ConflictingLabelError) as exc:
+            build_city_data(corpus)
+        messages.append(str(exc.value))
+    with _no_parse():
+        hit = load_corpus(str(data))
+    with pytest.raises(ConflictingLabelError) as exc:
+        build_city_data(hit)
+    assert messages == [str(exc.value)] * 2
+    assert str(exc.value) == (
+        "district 'H': labels ('alpha', 'lakeview') and ('alpha', 'lakeviex') both resolve to "
+        "('alpha', 'lakeview') with different is_alias values"
+    )
 
 
 def test_a_failed_write_still_returns_the_corpus(tmp_path):

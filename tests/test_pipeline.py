@@ -22,6 +22,14 @@ def _addr(user, name, district="d0"):
     return AddressRecord(user, "p", "c", district, name)
 
 
+def _district(addresses, locations, labels):
+    """District d0 of the corpus these records make."""
+    corpus = Corpus.from_records(addresses, locations, labels)
+    return build_district_data(
+        "d0", addresses, locations, corpus.strings, corpus.label_ids, corpus.is_alias
+    )
+
+
 def _locs(users, base=(31.3, 120.5)):
     rng = np.random.default_rng(1)
     return {
@@ -41,7 +49,7 @@ def test_typo_spellings_merge_into_one_profile():
     ]
     locations = _locs(["u1", "u2", "u3", "u4"])
     labels = [GroundTruthLabel("d0", "stdname", "lakeview", True)]
-    dd = build_district_data("d0", addresses, locations, labels)
+    dd = _district(addresses, locations, labels)
     assert "lakeview" in dd.profiles
     assert dd.profiles["lakeview"].user_count == 3
     assert "lakeviev" not in dd.profiles
@@ -53,7 +61,7 @@ def test_registry_from_labels_splits_standards_and_candidates():
         GroundTruthLabel("d0", "alpha", "beta", True),
         GroundTruthLabel("d0", "alpha", "gamma", False),
     ]
-    dd = build_district_data("d0", addresses, _locs(["u1", "u2", "u3"]), labels)
+    dd = _district(addresses, _locs(["u1", "u2", "u3"]), labels)
     assert dd.standard_names == ["alpha"]
     assert dd.candidate_names == ["beta", "gamma"]
     assert dd.labels == {("alpha", "beta"): True, ("alpha", "gamma"): False}
@@ -97,18 +105,18 @@ def test_conflicting_labels_after_canonicalisation_raise():
         GroundTruthLabel("d0", "alpha", "lakeview", True),
         GroundTruthLabel("d0", "alpha", "lakeviev", True),
     ]
-    dd = build_district_data("d0", addresses, locations, agree)
+    dd = _district(addresses, locations, agree)
     assert dd.labels == {("alpha", dd.canonical_map.resolve("lakeview")): True}
     conflict = [agree[0], GroundTruthLabel("d0", "alpha", "lakeviev", False)]
     with pytest.raises(ConflictingLabelError) as exc:
-        build_district_data("d0", addresses, locations, conflict)
+        _district(addresses, locations, conflict)
     msg = str(exc.value)
     assert "'d0'" in msg and "'lakeview'" in msg and "'lakeviev'" in msg
 
 
 def test_district_without_labels_scores_no_pairs():
     addresses = [_addr("u1", "alpha"), _addr("u2", "beta")]
-    dd = build_district_data("d0", addresses, _locs(["u1", "u2"]), [])
+    dd = _district(addresses, _locs(["u1", "u2"]), [])
     assert dd.standard_names == []
     pairs = score_city(
         type("C", (), {"districts": {"d0": dd}})(),
@@ -118,13 +126,12 @@ def test_district_without_labels_scores_no_pairs():
 
 
 def test_build_city_skips_unusable_districts():
-    corpus = Corpus(
-        addresses=[_addr("u1", "!!!", district="dbad"), _addr("u2", "fine", district="dok")],
-        locations=_locs(["u1", "u2"]),
-        labels=[],
-        districts=["dbad", "dok"],
-        reports={},
+    corpus = Corpus.from_records(
+        [_addr("u1", "!!!", district="dbad"), _addr("u2", "fine", district="dok")],
+        _locs(["u1", "u2"]),
+        [],
     )
+    assert corpus.districts == ["dbad", "dok"]
     city = build_city_data(corpus)
     assert sorted(city.districts) == ["dok"]
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from poialias.errors import EmptyInputError, InvalidConfigError
 from poialias.preprocess import (
     _candidate_pairs,
+    _edit_budget,
     clean_text,
     cluster_near_duplicates,
+    edit_distances,
     limited_edit_distance,
     normalized_edit_distance,
 )
@@ -142,6 +145,47 @@ def test_edit_distance_at_word_boundaries(n):
         assert normalized_edit_distance(base, other) == full / max(n, len(other))
 
 
+# the 64- and 128-character edges of the kernel's pattern words
+_WORD_EDGES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 150]
+# ASCII, CJK, an astral code point and a lone surrogate (a JSONL escape)
+_KERNEL_ALPHABETS = ["ab", "abc\u4e2d\u6587", "\u4e2d\U0001f600\ud800", "ab\u4e2d\U0001f600\ud800"]
+
+
+@st.composite
+def _kernel_batch(draw):
+    """Names of mixed lengths 0-150 over one small alphabet, some edited
+    copies of others, and index pairs over them."""
+    alphabet = draw(st.sampled_from(_KERNEL_ALPHABETS))
+    lengths = st.sampled_from(_WORD_EDGES) | st.integers(0, 150)
+    names = [draw(st.text(alphabet, min_size=n, max_size=n)) for n in draw(st.lists(lengths, min_size=1, max_size=5))]
+    for _ in range(draw(st.integers(0, 3))):
+        s = list(draw(st.sampled_from(names)))
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(s)))
+            s[i:i + draw(st.integers(0, 1))] = draw(st.text(alphabet, max_size=2))
+        names.append("".join(s))
+    index = st.integers(0, len(names) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=10))
+    return names, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_batch())
+@example((["a" * 63, "a" * 64 + "b", "b" * 128, "", "\ud800" * 129, "a" * 65], [(0, 1), (1, 2), (2, 4), (3, 5), (5, 4), (4, 3)]))
+def test_edit_distances_equal_the_full_dp(batch):
+    names, pairs = batch
+    left, right = (list(side) for side in zip(*pairs))
+    got = edit_distances(names, left, right)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_full_dp(names[i], names[j]) for i, j in pairs]
+    assert edit_distances(names, right, left).tolist() == got.tolist()
+
+
+def test_edit_distances_of_no_pairs_or_empty_names():
+    assert edit_distances([], [], []).tolist() == []
+    assert edit_distances(["", "abc"], [0, 1, 0], [0, 0, 1]).tolist() == [0, 3, 3]
+
+
 # --------------------------------------------------------------- clustering
 
 
@@ -213,8 +257,6 @@ def test_cluster_chain_connectivity_is_single_linkage():
 def test_cluster_reduction_desk_scale():
     # miniature of the perturbation-collapse construction: every variant
     # sits within threshold of its base, bases far apart
-    import numpy as np
-
     rng = np.random.default_rng(4)
     alphabet = "abcdefghijklmnopqrstuvwxyz"
     bases = set()
@@ -236,9 +278,9 @@ _NAME_CHARS = "ab\u4e2d\u6587\U0001f600"
 
 
 @st.composite
-def _near_duplicate_names(draw):
+def _near_duplicate_names(draw, max_lengths=(3, 12, 60)):
     """Distinct names, some a few edits from another, some of one character."""
-    max_len = draw(st.sampled_from([3, 12, 60]))
+    max_len = draw(st.sampled_from(max_lengths))
     names = draw(st.lists(st.text(_NAME_CHARS, min_size=1, max_size=max_len), min_size=1, max_size=8))
     for _ in range(draw(st.integers(0, 8))):
         s = list(draw(st.sampled_from(names)))
@@ -328,3 +370,51 @@ def test_one_long_name_adds_only_its_own_candidates():
         pair = frozenset((with_long[i], with_long[j]))
         assert long_name in pair or pair in before, sorted(pair)
     assert before <= _candidate_names(with_long, 0.2)
+
+
+def _scalar_cluster(names: list[tuple[str, int]], threshold: float):
+    """Reference: every candidate pair checked one at a time with the
+    scalar `limited_edit_distance`, then single linkage as in
+    `cluster_near_duplicates`."""
+    freq = {}
+    for name, count in names:
+        freq[name] = freq.get(name, 0) + count
+    distinct = sorted(freq)
+    parent = list(range(len(distinct)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in _candidate_pairs(distinct, threshold):
+        a, b = distinct[i], distinct[j]
+        lm = max(len(a), len(b))
+        k = _edit_budget(threshold, lm)
+        d = limited_edit_distance(a, b, k)
+        if d <= k and d / lm <= threshold:
+            parent[find(i)] = find(j)
+    members = {}
+    for i, name in enumerate(distinct):
+        members.setdefault(find(i), []).append(name)
+    mapping, sizes = {}, {}
+    for group in members.values():
+        canonical = min(group, key=lambda nm: (-freq[nm], nm))
+        mapping.update(dict.fromkeys(group, canonical))
+        sizes[canonical] = len(group)
+    return mapping, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _near_duplicate_names(max_lengths=(12, 70, 150)),
+    st.sampled_from([0.1, 0.2, 0.35, 0.5]),
+    st.data(),
+)
+def test_cluster_equals_the_scalar_check_reference(names, threshold, data):
+    counted = [(n, data.draw(st.integers(1, 3))) for n in names]
+    cmap = cluster_near_duplicates(counted, threshold)
+    mapping, sizes = _scalar_cluster(counted, threshold)
+    # the same clusters, canonicals and dict order
+    assert list(cmap.mapping.items()) == list(mapping.items())
+    assert list(cmap.cluster_sizes.items()) == list(sizes.items())
