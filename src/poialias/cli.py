@@ -127,7 +127,7 @@ def _load_corpus(args, data: str, require_labels: bool) -> Corpus:
         users=len(corpus.locations),
         labels=len(corpus.label_ids),
         districts=len(corpus.districts),
-        orphan_labels=len(corpus.orphan_labels),
+        orphan_labels=len(corpus.orphans),
     )
     return corpus
 
@@ -234,7 +234,7 @@ def _cmd_ingest_check(args, timer: _Timer):
         "users": len(corpus.locations),
         "labels": len(corpus.label_ids),
         "row_errors": sum(r.n_errors for r in corpus.reports.values()),
-        "orphan_labels": len(corpus.orphan_labels),
+        "orphan_labels": len(corpus.orphans),
     }
     _log_kv(stage="ingest-check", row_errors=counts["row_errors"])
     return counts, _resolved_config(args)

@@ -67,6 +67,8 @@ class MetricConfig:
                 f"kl_epsilon * grid_n**2 must be finite, got kl_epsilon={self.kl_epsilon} "
                 f"and grid_n={self.grid_n}"
             )
+        if self.grid_n > dist.MAX_GRID_N:
+            raise InvalidConfigError(f"grid_n must be at most {dist.MAX_GRID_N}, got {self.grid_n}")
         # a profile without points is then always insufficient, so no
         # feature is built from an empty point set or a missing bbox
         if self.min_profile_points < 1:

@@ -137,6 +137,10 @@ class Distribution:
         return terms
 
 
+#: the largest grid whose flat cell indices (row * n_grid + col) fit in int64
+MAX_GRID_N = math.isqrt(np.iinfo(np.int64).max)
+
+
 def rasterize(profile, bbox: BoundingBox, n_grid: int) -> DensityMatrix:
     """Count a profile's points per grid cell over `bbox`.
 
@@ -144,8 +148,8 @@ def rasterize(profile, bbox: BoundingBox, n_grid: int) -> DensityMatrix:
     Points outside the bounding box are dropped and counted in the result's
     `dropped` field; if nothing remains the operation raises.
     """
-    if not isinstance(n_grid, int) or n_grid < 1:
-        raise InvalidConfigError(f"n_grid must be a positive integer, got {n_grid!r}")
+    if not isinstance(n_grid, int) or not 1 <= n_grid <= MAX_GRID_N:
+        raise InvalidConfigError(f"n_grid must be an integer in [1, {MAX_GRID_N}], got {n_grid!r}")
     pts = np.asarray(getattr(profile, "points", profile), dtype=float).reshape(-1, 2)
 
     lat = pts[:, 0]

@@ -408,39 +408,18 @@ class Corpus:
     `label_ids` holds the `strings` indices of label i's district, standard
     name and candidate name, and `is_alias[i]` its value. `labels` and
     `orphan_labels` build GroundTruthLabel records only when asked for.
+    `_corpus_from_arrays` builds every Corpus, on a corpus-file hit and on
+    a miss alike.
     """
 
     addresses: list[AddressRecord]
     locations: dict[str, np.ndarray]
     strings: list[str]  # the string table: distinct, in first-use order
+    address_ids: np.ndarray  # (n, 5) int32: the ADDRESS_FIELDS of address i
     label_ids: np.ndarray  # (n, 3) int32: district, standard, candidate
     is_alias: np.ndarray  # (n,) bool
-    districts: list[str]
     reports: dict[str, LoadReport]
-    orphans: list = field(default_factory=list)  # (label row, reason)
-
-    @classmethod
-    def from_records(cls, addresses, locations, labels, reports=None, orphans=()) -> "Corpus":
-        """The corpus of parsed records; `orphans` pairs label rows with reasons.
-
-        The string table takes the address fields, then the label fields,
-        then the user ids, each string at its first use.
-        """
-        index: dict[str, int] = {}
-        _interned(index, map(_address_fields, addresses), len(ADDRESS_FIELDS))
-        label_ids = _interned(index, map(_label_names, labels), 3)
-        _interned(index, ((user,) for user in locations), 1)
-        strings = list(index)
-        return cls(
-            addresses=addresses,
-            locations=locations,
-            strings=strings,
-            label_ids=label_ids,
-            is_alias=np.array([lb.is_alias for lb in labels], dtype=bool),
-            districts=_districts(addresses, strings, label_ids),
-            reports={} if reports is None else reports,
-            orphans=list(orphans),
-        )
+    orphans: list  # (label row, reason)
 
     def _records(self, rows) -> list[GroundTruthLabel]:
         s = self.strings
@@ -458,22 +437,13 @@ class Corpus:
         records = self._records([row for row, _ in self.orphans])
         return [(lb, reason) for lb, (_, reason) in zip(records, self.orphans)]
 
-
-_address_fields = attrgetter(*ADDRESS_FIELDS)
-_label_names = attrgetter("district", "standard_name", "candidate_name")
-
-
-def _interned(index: dict[str, int], rows, width: int) -> np.ndarray:
-    """(n, width) int32 indices of each row's strings in `index`, which
-    gains the strings it lacks."""
-    ids = [index.setdefault(text, len(index)) for row in rows for text in row]
-    return np.array(ids, dtype=np.int32).reshape(-1, width)
-
-
-def _districts(addresses, strings: list[str], label_ids: np.ndarray) -> list[str]:
-    """Every district an address or a label names, sorted."""
-    labeled = {strings[i] for i in set(label_ids[:, 0].tolist())}
-    return sorted({r.district for r in addresses} | labeled)
+    @property
+    def districts(self) -> list[str]:
+        """Every district an address or a label names, sorted."""
+        # a set, not np.union1d: numpy 2's plain np.unique imports numpy.ma (about 1 MB)
+        ids = set(self.address_ids[:, ADDRESS_FIELDS.index("district")].tolist())
+        ids.update(self.label_ids[:, 0].tolist())
+        return sorted(self.strings[i] for i in ids)
 
 
 def partition_by_district(addresses: list[AddressRecord]) -> dict[str, list[AddressRecord]]:
@@ -534,7 +504,28 @@ def _corpus_key(fmt: str, paths: list[str]) -> str:
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
-def _parse_corpus(paths: list[str], fmt: str) -> Corpus:
+def _text_array(text: str) -> np.ndarray:
+    # surrogatepass: a JSONL "\ud800" escape parses to a lone surrogate
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+_address_fields = attrgetter(*ADDRESS_FIELDS)
+_label_names = attrgetter("district", "standard_name", "candidate_name")
+
+
+def _interned(index: dict[str, int], rows, width: int) -> np.ndarray:
+    """(n, width) int32 indices of each row's strings in `index`, which
+    gains the strings it lacks."""
+    ids = [index.setdefault(text, len(index)) for row in rows for text in row]
+    return np.array(ids, dtype=np.int32).reshape(-1, width)
+
+
+def _parse_corpus(paths: list[str], fmt: str) -> dict[str, np.ndarray]:
+    """Parse the three inputs into the parsed-corpus file's arrays: one
+    string table (address fields, then label fields, then user ids, each
+    string at its first use), addresses, labels and users as int32 indices
+    into it, the points as one float64 (n, 2) array with per-user counts,
+    and the reports and orphans as a JSON blob."""
     addr_path, loc_path, lab_path = paths
     addresses, addr_report = parse_address_records(addr_path, fmt)
     locations, loc_report = parse_location_log(loc_path, fmt)
@@ -544,42 +535,28 @@ def _parse_corpus(paths: list[str], fmt: str) -> Corpus:
     else:
         labels = []
         reports["labels"] = LoadReport(path=lab_path, warnings=["labels file absent"])
-    return Corpus.from_records(addresses, locations, labels, reports, _find_orphans(addresses, labels))
-
-
-def _text_array(text: str) -> np.ndarray:
-    # surrogatepass: a JSONL "\ud800" escape parses to a lone surrogate
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-
-
-def _write_corpus_file(path: str, key: str, corpus: Corpus):
-    """The columnar labels as they are, addresses and users as int32
-    indices into the same string table, points as one float64 (n, 2) array
-    with per-user counts, reports and orphans as a JSON blob."""
-    index = {text: i for i, text in enumerate(corpus.strings)}
-    addresses = _interned(index, map(_address_fields, corpus.addresses), len(ADDRESS_FIELDS))
-    users = _interned(index, ((user,) for user in corpus.locations), 1).ravel()
     meta = {
         "reports": {
             name: {"n_rows": r.n_rows, "n_ok": r.n_ok, "errors": r.errors, "warnings": r.warnings}
-            for name, r in corpus.reports.items()
+            for name, r in reports.items()
         },
-        "orphans": [[row, reason] for row, reason in corpus.orphans],
+        "orphans": _find_orphans(addresses, labels),
     }
-    with _output_file(path, binary=True) as fh:
-        np.savez(
-            fh,
-            key=np.array(key),
-            strings=_text_array("".join(index)),
-            string_lengths=np.array([len(t) for t in index], dtype=np.int64),
-            addresses=addresses,
-            labels=corpus.label_ids,
-            is_alias=corpus.is_alias,
-            users=users,
-            point_counts=np.array([len(p) for p in corpus.locations.values()], dtype=np.int64),
-            points=np.concatenate([*corpus.locations.values(), np.empty((0, 2))]),
-            meta=_text_array(json.dumps(meta)),
-        )
+    index: dict[str, int] = {}
+    address_ids = _interned(index, map(_address_fields, addresses), len(ADDRESS_FIELDS))
+    label_ids = _interned(index, map(_label_names, labels), 3)
+    users = _interned(index, ((user,) for user in locations), 1).ravel()
+    return {
+        "strings": _text_array("".join(index)),
+        "string_lengths": np.array([len(t) for t in index], dtype=np.int64),
+        "addresses": address_ids,
+        "labels": label_ids,
+        "is_alias": np.array([lb.is_alias for lb in labels], dtype=bool),
+        "users": users,
+        "point_counts": np.array([len(p) for p in locations.values()], dtype=np.int64),
+        "points": np.concatenate([*locations.values(), np.empty((0, 2))]),
+        "meta": _text_array(json.dumps(meta)),
+    }
 
 
 def _expect(ok: bool):
@@ -587,12 +564,9 @@ def _expect(ok: bool):
         raise ValueError("the corpus file does not match its inputs or its layout")
 
 
-def _read_corpus_file(path: str, key: str, paths: list[str]) -> Corpus:
-    """The corpus in `path`, with `paths` as its reports' paths; raises
-    unless the file carries `key` and holds a complete, consistent corpus."""
-    with np.load(path, allow_pickle=False) as z:
-        _expect(z["key"].shape == () and str(z["key"]) == key)
-        arrays = {name: z[name] for name in z.files}
+def _corpus_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> Corpus:
+    """The corpus that the parsed-corpus file's arrays hold, with `paths`
+    as its reports' paths; raises unless they are complete and consistent."""
     lengths = arrays["string_lengths"]
     _expect(lengths.ndim == 1 and bool(np.all(lengths >= 0)))
     text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
@@ -634,9 +608,9 @@ def _read_corpus_file(path: str, key: str, paths: list[str]) -> Corpus:
         addresses=addresses,
         locations=locations,
         strings=s,
+        address_ids=addr,
         label_ids=lab,
         is_alias=is_alias,
-        districts=_districts(addresses, s, lab),
         reports=reports,
         orphans=orphans,
     )
@@ -665,7 +639,10 @@ def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -
     cache = os.path.join(data_dir, CORPUS_FILE.format(fmt=fmt))
     key = _corpus_key(fmt, paths)
     try:
-        corpus = _read_corpus_file(cache, key, paths)
+        with np.load(cache, allow_pickle=False) as z:
+            _expect(z["key"].shape == () and str(z["key"]) == key)
+            arrays = {name: z[name] for name in z.files}
+        corpus = _corpus_from_arrays(arrays, paths)
     except Exception as exc:
         # an absent, damaged or mismatched file is a miss; a damaged zip
         # alone can raise BadZipFile, EOFError, NotImplementedError,
@@ -674,11 +651,13 @@ def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -
     else:
         logger.info("corpus=%s cache=hit", cache)
         return corpus
-    corpus = _parse_corpus(paths, fmt)
+    arrays = _parse_corpus(paths, fmt)
+    corpus = _corpus_from_arrays(arrays, paths)
     # an input rewritten while it was parsed must not be filed under the old key
     if _corpus_key(fmt, paths) == key:
         try:
-            _write_corpus_file(cache, key, corpus)
+            with _output_file(cache, binary=True) as fh:
+                np.savez(fh, key=np.array(key), **arrays)
             logger.info("corpus=%s cache=written", cache)
         except OSError as exc:
             logger.info("corpus=%s cache=unwritten reason=%s", cache, exc)

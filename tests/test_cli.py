@@ -275,6 +275,8 @@ def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tm
         # every grid is checked, not only the first
         ("sweep", "--grids=0,20", "grid_n must be >= 1, got 0"),
         ("sweep", "--grids=20,-3", "grid_n must be >= 1, got -3"),
+        # past isqrt(2**63 - 1) a flat cell index overflows int64
+        ("sweep", "--grids=20,4000000000", "grid_n must be at most 3037000499, got 4000000000"),
     ],
 )
 def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Rasterization, normalization, and distribution divergences."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -107,6 +108,15 @@ def test_rasterize_all_outside_errors():
 def test_rasterize_invalid_grid():
     with pytest.raises(InvalidConfigError):
         rasterize(np.array([[31.5, 120.5]]), BBOX, 0)
+
+
+def test_rasterize_largest_grid_whose_cells_fit_int64():
+    n = 3_037_000_499  # isqrt(2**63 - 1)
+    pts = [[0.9, 0.9], [0.1, 0.1]]
+    dm = rasterize(pts, BoundingBox(0, 1, 0, 1), n)
+    assert [divmod(c, n) for c in dm.cells.tolist()] == [(303700049, 303700049), (2733300449, 2733300449)]
+    with pytest.raises(InvalidConfigError, match=re.escape("n_grid must be an integer in [1, 3037000499], got 3037000500")):
+        rasterize(pts, BoundingBox(0, 1, 0, 1), n + 1)
 
 
 def test_rasterize_matches_floor_index_oracle():

@@ -681,10 +681,14 @@ def _no_parse():
         yield
 
 
+def _input_paths(data, fmt="csv"):
+    return [os.path.join(data, f"{name}.{fmt}") for name in ("addresses", "locations", "labels")]
+
+
 def _fresh_parse(data, fmt="csv"):
     """A parse that neither reads nor writes the corpus file."""
-    paths = [os.path.join(data, f"{name}.{fmt}") for name in ("addresses", "locations", "labels")]
-    return ingestion._parse_corpus(paths, fmt)
+    paths = _input_paths(data, fmt)
+    return ingestion._corpus_from_arrays(ingestion._parse_corpus(paths, fmt), paths)
 
 
 def _assert_same_corpus(got, want):
@@ -783,6 +787,28 @@ def test_a_hit_equals_a_fresh_parse(fmt, data, tmp_path_factory):
     with _no_parse():
         hit = load_corpus(str(root), fmt)
     _assert_same_corpus(hit, fresh)
+
+    # both equal what the three parsers make of the same files
+    addr_path, loc_path, lab_path = _input_paths(str(root), fmt)
+    addresses, addr_report = parse_address_records(addr_path, fmt)
+    locations, loc_report = parse_location_log(loc_path, fmt)
+    if texts[2] is None:
+        labels, lab_report = [], LoadReport(path=lab_path, warnings=["labels file absent"])
+    else:
+        labels, lab_report = parse_labels(lab_path, fmt)
+    reports = {"addresses": addr_report, "locations": loc_report, "labels": lab_report}
+    orphans = [(labels[row], reason) for row, reason in ingestion._find_orphans(addresses, labels)]
+    for corpus in (fresh, hit):
+        assert corpus.addresses == addresses
+        assert corpus.labels == labels
+        assert list(corpus.locations) == list(locations)
+        for user, pts in locations.items():
+            assert (corpus.locations[user].dtype, corpus.locations[user].shape) == (pts.dtype, pts.shape)
+            assert corpus.locations[user].tobytes() == pts.tobytes()
+        assert list(corpus.reports) == list(reports)
+        assert corpus.reports == reports
+        assert corpus.orphan_labels == orphans
+        assert corpus.districts == sorted({r.district for r in addresses} | {lb.district for lb in labels})
 
 
 def _tiny_corpus(data, labels="H,Alpha,Beta,1\nH,Alpha,Beta,1\nH,Alpha,Ghost,0\n"):

@@ -7,7 +7,6 @@ from poialias.discovery import MetricConfig
 from poialias.errors import ConflictingLabelError
 from poialias.ingestion import (
     AddressRecord,
-    Corpus,
     GroundTruthLabel,
     load_corpus,
     write_address_records,
@@ -22,11 +21,19 @@ def _addr(user, name, district="d0"):
     return AddressRecord(user, "p", "c", district, name)
 
 
-def _district(addresses, locations, labels):
+def _corpus(data, addresses, locations, labels):
+    """The corpus that `load_corpus` reads from these records, written to `data`."""
+    write_address_records(str(data / "addresses.csv"), addresses)
+    write_location_log(str(data / "locations.csv"), locations)
+    write_labels(str(data / "labels.csv"), labels)
+    return load_corpus(str(data))
+
+
+def _district(data, addresses, locations, labels):
     """District d0 of the corpus these records make."""
-    corpus = Corpus.from_records(addresses, locations, labels)
+    corpus = _corpus(data, addresses, locations, labels)
     return build_district_data(
-        "d0", addresses, locations, corpus.strings, corpus.label_ids, corpus.is_alias
+        "d0", corpus.addresses, corpus.locations, corpus.strings, corpus.label_ids, corpus.is_alias
     )
 
 
@@ -40,7 +47,7 @@ def _locs(users, base=(31.3, 120.5)):
     }
 
 
-def test_typo_spellings_merge_into_one_profile():
+def test_typo_spellings_merge_into_one_profile(tmp_path):
     addresses = [
         _addr("u1", "LakeView"),
         _addr("u2", "lakeview"),
@@ -49,39 +56,34 @@ def test_typo_spellings_merge_into_one_profile():
     ]
     locations = _locs(["u1", "u2", "u3", "u4"])
     labels = [GroundTruthLabel("d0", "stdname", "lakeview", True)]
-    dd = _district(addresses, locations, labels)
+    dd = _district(tmp_path, addresses, locations, labels)
     assert "lakeview" in dd.profiles
     assert dd.profiles["lakeview"].user_count == 3
     assert "lakeviev" not in dd.profiles
 
 
-def test_registry_from_labels_splits_standards_and_candidates():
+def test_registry_from_labels_splits_standards_and_candidates(tmp_path):
     addresses = [_addr("u1", "alpha"), _addr("u2", "beta"), _addr("u3", "gamma")]
     labels = [
         GroundTruthLabel("d0", "alpha", "beta", True),
         GroundTruthLabel("d0", "alpha", "gamma", False),
     ]
-    dd = _district(addresses, _locs(["u1", "u2", "u3"]), labels)
+    dd = _district(tmp_path, addresses, _locs(["u1", "u2", "u3"]), labels)
     assert dd.standard_names == ["alpha"]
     assert dd.candidate_names == ["beta", "gamma"]
     assert dd.labels == {("alpha", "beta"): True, ("alpha", "gamma"): False}
 
 
 def test_orphan_labels_counted(tmp_path):
-    users = ["u1", "u2", "u3", "u4"]
-    write_address_records(
-        str(tmp_path / "addresses.csv"),
+    corpus = _corpus(
+        tmp_path,
         [_addr("u1", "alpha"), _addr("u2", "lakeview"), _addr("u3", "lakeview"), _addr("u4", "lakeviev")],
-    )
-    write_location_log(str(tmp_path / "locations.csv"), _locs(users))
-    write_labels(
-        str(tmp_path / "labels.csv"),
+        _locs(["u1", "u2", "u3", "u4"]),
         [
             GroundTruthLabel("d0", "alpha", "ghost", True),
             GroundTruthLabel("d0", "alpha", "LakeViev", True),  # a typo spelling
         ],
     )
-    corpus = load_corpus(str(tmp_path))
     assert [(lb.candidate_name, reason) for lb, reason in corpus.orphan_labels] == [
         ("ghost", "candidate_name not in district addresses")
     ]
@@ -98,25 +100,25 @@ def test_orphan_labels_counted(tmp_path):
     assert unprofiled == [lb for lb, _ in corpus.orphan_labels]
 
 
-def test_conflicting_labels_after_canonicalisation_raise():
+def test_conflicting_labels_after_canonicalisation_raise(tmp_path):
     addresses = [_addr("u1", "alpha"), _addr("u2", "lakeview"), _addr("u3", "lakeviev")]
     locations = _locs(["u1", "u2", "u3"])
     agree = [
         GroundTruthLabel("d0", "alpha", "lakeview", True),
         GroundTruthLabel("d0", "alpha", "lakeviev", True),
     ]
-    dd = _district(addresses, locations, agree)
+    dd = _district(tmp_path, addresses, locations, agree)
     assert dd.labels == {("alpha", dd.canonical_map.resolve("lakeview")): True}
     conflict = [agree[0], GroundTruthLabel("d0", "alpha", "lakeviev", False)]
     with pytest.raises(ConflictingLabelError) as exc:
-        _district(addresses, locations, conflict)
+        _district(tmp_path, addresses, locations, conflict)
     msg = str(exc.value)
     assert "'d0'" in msg and "'lakeview'" in msg and "'lakeviev'" in msg
 
 
-def test_district_without_labels_scores_no_pairs():
+def test_district_without_labels_scores_no_pairs(tmp_path):
     addresses = [_addr("u1", "alpha"), _addr("u2", "beta")]
-    dd = _district(addresses, _locs(["u1", "u2"]), [])
+    dd = _district(tmp_path, addresses, _locs(["u1", "u2"]), [])
     assert dd.standard_names == []
     pairs = score_city(
         type("C", (), {"districts": {"d0": dd}})(),
@@ -125,8 +127,9 @@ def test_district_without_labels_scores_no_pairs():
     assert pairs == {"d0": []}
 
 
-def test_build_city_skips_unusable_districts():
-    corpus = Corpus.from_records(
+def test_build_city_skips_unusable_districts(tmp_path):
+    corpus = _corpus(
+        tmp_path,
         [_addr("u1", "!!!", district="dbad"), _addr("u2", "fine", district="dok")],
         _locs(["u1", "u2"]),
         [],
