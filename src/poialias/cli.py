@@ -20,10 +20,13 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from itertools import repeat
+
+import numpy as np
 
 from . import evaluation
 from .discovery import MetricConfig, apply_threshold, decide
-from .distribution import rasterize
+from .distribution import rasterize_all
 from .errors import InvalidConfigError, PoiAliasError
 from .ingestion import FORMATS, Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
 from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, score_city
@@ -146,21 +149,26 @@ def _load_city(args, data: str, require_labels: bool) -> CityData:
 
 def _pair_rows(scores: dict, theta: float):
     for district in sorted(scores):
-        for pair in scores[district]:
-            score = "" if pair.score is None else repr(pair.score)
-            yield district, pair.standard_name, pair.candidate_name, score, decide(pair.score, theta)
+        table = scores[district]
+        m = len(table.candidate_names)
+        # repr of Python floats: numpy 2 would print np.float64(...)
+        values = list(map(repr, table.score.tolist()))
+        for k in np.flatnonzero(np.isnan(table.score)).tolist():
+            values[k] = ""
+        standards = [s for s in table.standard_names for _ in range(m)]
+        candidates = table.candidate_names * len(table.standard_names)
+        yield from zip(repeat(district), standards, candidates, values, decide(table.score, theta))
 
 
 def _density_rows(city: CityData, grid_n: int):
     for district, dd in sorted(city.districts.items()):
         if dd.bbox is None:
             continue
-        for name, prof in sorted(dd.profiles.items()):
-            if not prof.point_count:
-                continue
-            dm = rasterize(prof, dd.bbox, grid_n)
-            for cell, count in zip(dm.cells.tolist(), dm.counts.tolist()):
-                yield district, name, str(cell // dm.n_grid), str(cell % dm.n_grid), str(count)
+        located = [p for _, p in sorted(dd.profiles.items()) if p.point_count]
+        grids = rasterize_all(located, dd.bbox, grid_n)
+        owners = [p.name for p in located]
+        for owner, cell, count in zip(grids.owner.tolist(), grids.cells.tolist(), grids.counts.tolist()):
+            yield district, owners[owner], str(cell // grid_n), str(cell % grid_n), str(count)
 
 
 def _resolve_theta(city, scores, threshold):

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
-from .discovery import DECISION_ALIAS, MetricConfig, ScoredPair, decide
+import numpy as np
+
+from .discovery import MetricConfig, ScoreTable
 from .errors import InvalidConfigError, NoPositiveLabelsError, TooFewDistrictsError
-from .pipeline import CityData, score_city
+from .pipeline import CityData, DistrictData, score_city
 
-DistrictScores = dict[str, list[ScoredPair]]
+DistrictScores = dict[str, ScoreTable]
 
 DEFAULT_TRAIN_FRAC = 0.8
 
@@ -106,26 +106,31 @@ def _pooled_record(records) -> dict:
     return prf_record(*(sum(rec[k] for rec in records) for k in _COUNTS))
 
 
-def _labeled_scores(scored: list[ScoredPair], labels: dict):
-    """One district's labeled pairs, looked up in that district's own labels.
+@dataclass
+class _Labeled:
+    """One district's labeled pairs, read from its score table: the scores
+    and is_alias of the scored ones, then the is_alias of those left
+    unscored by an insufficient profile (`insufficient`) and of those not
+    in the scored grid at all (`unscorable`)."""
 
-    Returns the (score, is_alias) list of the scored ones, the number of
-    labeled pairs left unscored by an insufficient profile, and the number
-    of labeled pairs that are not in the scored grid at all: a name with no
-    profile, a standard and candidate that resolve to one name, or a
-    candidate that is itself a standard.
-    """
-    out = []
-    insufficient = 0
-    for pair in scored:
-        is_alias = labels.get((pair.standard_name, pair.candidate_name))
-        if is_alias is None:
-            continue
-        if pair.score is None:
-            insufficient += 1
-        else:
-            out.append((pair.score, is_alias))
-    return out, insufficient, len(labels) - len(out) - insufficient
+    score: np.ndarray
+    is_alias: np.ndarray
+    insufficient: np.ndarray
+    unscorable: np.ndarray
+
+    @property
+    def actual(self) -> int:
+        return int(self.is_alias.sum() + self.insufficient.sum() + self.unscorable.sum())
+
+
+def _labeled(table: ScoreTable, dd: DistrictData) -> _Labeled:
+    if table.standard_names != dd.standard_names or table.candidate_names != dd.candidate_names:
+        raise ValueError(f"district {dd.district!r}: the score table is not over the district's grid")
+    pos, is_alias = dd.label_grid
+    in_grid = pos >= 0
+    score, alias = table.score[pos[in_grid]], is_alias[in_grid]
+    scored = ~np.isnan(score)
+    return _Labeled(score[scored], alias[scored], alias[~scored], is_alias[~in_grid])
 
 
 @dataclass
@@ -137,10 +142,11 @@ class Calibration:
     n_candidates: int
 
 
-def _district_record(scored: list[ScoredPair], labels: dict, theta: float) -> dict:
-    labeled, insufficient, unscorable = _labeled_scores(scored, labels)
-    linked = [pos for score, pos in labeled if decide(score, theta) == DECISION_ALIAS]
-    return prf_record(sum(linked), len(linked), sum(labels.values()), insufficient, unscorable)
+def _district_record(table: ScoreTable, dd: DistrictData, theta: float) -> dict:
+    lab = _labeled(table, dd)
+    linked = lab.score > theta  # `decide`'s link rule
+    tp, predicted = int(lab.is_alias[linked].sum()), int(linked.sum())
+    return prf_record(tp, predicted, lab.actual, len(lab.insufficient), len(lab.unscorable))
 
 
 def evaluate_districts(
@@ -153,7 +159,7 @@ def evaluate_districts(
     """Pooled + per-district evaluation of scored pairs at one threshold;
     `districts` defaults to the city's labeled districts."""
     per_district = {
-        d: _district_record(scores.get(d, []), city.districts[d].labels, theta)
+        d: _district_record(scores[d], city.districts[d], theta)
         for d in (city.labeled_districts() if districts is None else districts)
     }
     return EvalReport(
@@ -175,38 +181,51 @@ def calibrate_on_districts(
     largest threshold (fewest links). Labeled pairs left unscored by an
     insufficient profile still count as actual positives.
 
-    F1 = 2tp / (predicted + actual), so candidates compare exactly by
+    A candidate links the scores strictly above it, so each candidate's
+    counts come from one `searchsorted` over the sorted scores. F1 =
+    2tp / (predicted + actual): the float quotient tp / (predicted +
+    actual) rounds monotonically, so the best candidates are among those
+    whose quotient is largest, and those compare exactly by
     cross-multiplied integer counts; only the winner's P/R/F1 is computed.
     """
-    labeled = []
-    actual = 0
-    for d in districts:
-        labels = city.districts[d].labels
-        labeled += _labeled_scores(scores.get(d, []), labels)[0]
-        actual += sum(labels.values())
-    if not any(pos for _, pos in labeled):
-        raise NoPositiveLabelsError("no positive labels among the scored pairs")
-    labeled.sort(key=itemgetter(0))
-    distinct = [s for s, _ in groupby(s for s, _ in labeled)]
-    candidates = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])] + [math.inf]
-    predicted, tp = len(labeled), sum(pos for _, pos in labeled)
-    best = (-math.inf, tp, predicted)
-    i = 0
-    for theta in candidates:
-        # compare with theta, not the next run: the midpoint of two adjacent
-        # floats can round onto the upper score, which then does not link
-        while i < len(labeled) and labeled[i][0] <= theta:
-            predicted -= 1
-            tp -= labeled[i][1]
-            i += 1
+    parts = [_labeled(scores[d], city.districts[d]) for d in districts]
+    actual = sum(lab.actual for lab in parts)
+    score = np.concatenate([lab.score for lab in parts])
+    is_alias = np.concatenate([lab.is_alias for lab in parts])
+    if not is_alias.any():
+        raise NoPositiveLabelsError(_no_positives_message(parts))
+    order = np.argsort(score, kind="stable")
+    score = score[order]
+    distinct = np.unique(score)
+    # a midpoint of two adjacent floats can round onto the upper score,
+    # which then does not link: searchsorted compares with the midpoint
+    thetas = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2.0, [math.inf]))
+    unlinked = np.searchsorted(score, thetas, side="right")
+    positives_unlinked = np.concatenate(([0], np.cumsum(is_alias[order])))[unlinked]
+    tp = (int(positives_unlinked[-1]) - positives_unlinked).tolist()
+    predicted = (len(score) - unlinked).tolist()
+    quotient = np.array(tp) / (np.array(predicted) + actual)
+    best = None
+    for k in np.flatnonzero(quotient == quotient.max()).tolist():
         # >= implements the tie rule: later candidates are larger thresholds
-        _, best_tp, best_pred = best
-        if tp * (best_pred + actual) >= best_tp * (predicted + actual):
-            best = (theta, tp, predicted)
-    theta, tp, predicted = best
-    p, r, f1, _ = prf_from_counts(tp, predicted, actual)
+        if best is None or tp[k] * (predicted[best] + actual) >= tp[best] * (predicted[k] + actual):
+            best = k
+    p, r, f1, _ = prf_from_counts(tp[best], predicted[best], actual)
     return Calibration(
-        theta=theta, f1=f1, precision=p, recall=r, n_candidates=len(candidates) + 1
+        theta=float(thetas[best]), f1=f1, precision=p, recall=r, n_candidates=len(thetas)
+    )
+
+
+def _no_positives_message(parts: list[_Labeled]) -> str:
+    def counted(arrays) -> str:
+        arrays = list(arrays)
+        return f"{sum(map(len, arrays))} ({sum(int(a.sum()) for a in arrays)} positive)"
+
+    return (
+        "no positive labels among the scored pairs: labeled pairs scored "
+        f"{counted(lab.is_alias for lab in parts)}, insufficient "
+        f"{counted(lab.insufficient for lab in parts)}, unscorable "
+        f"{counted(lab.unscorable for lab in parts)}"
     )
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +53,31 @@ def haversine(p: GeoPoint, q: GeoPoint) -> float:
     dlon = math.radians(q.lon - p.lon)
     a = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+
+
+def haversine_grid(ps: list[GeoPoint], qs: list[GeoPoint]) -> np.ndarray:
+    """`haversine` of every (p, q) pair, bit for bit, as a len(ps) x
+    len(qs) array.
+
+    numpy does the arithmetic, `sqrt` and `radians`, which round as
+    `math`'s do. `sin`, `cos`, `asin` and the squares go through `math`
+    and Python's `**` per element: numpy's `arcsin` and square differ from
+    libm's `asin` and `pow` in the last bit on some arguments.
+    """
+
+    def each(fn, values: np.ndarray, *args) -> np.ndarray:
+        out = map(fn, values.ravel().tolist(), *(repeat(a) for a in args))
+        return np.fromiter(out, dtype=float, count=values.size).reshape(values.shape)
+
+    def sin_squared(x: np.ndarray) -> np.ndarray:
+        return each(pow, each(math.sin, x), 2)  # pow(v, 2) is v ** 2
+
+    lat1, lat2 = (np.radians([p.lat for p in pts]) for pts in (ps, qs))
+    dlat = lat2[None, :] - lat1[:, None]
+    dlon = np.radians(np.array([q.lon for q in qs])[None, :] - np.array([p.lon for p in ps])[:, None])
+    cos_cos = each(math.cos, lat1)[:, None] * each(math.cos, lat2)[None, :]
+    a = sin_squared(dlat / 2.0) + cos_cos * sin_squared(dlon / 2.0)
+    return 2.0 * EARTH_RADIUS_M * each(math.asin, np.minimum(1.0, np.sqrt(a)))
 
 
 def centroid(points: np.ndarray) -> GeoPoint:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .discovery import MetricConfig, ScoredPair, score_pairs
+from .discovery import MetricConfig, ScoreTable, score_pairs
 from .distribution import BoundingBox
 from .errors import ConflictingLabelError
 from .ingestion import Corpus, partition_by_district
@@ -41,6 +43,26 @@ class DistrictData:
 
     def candidate_profiles(self) -> list[MobilityProfile]:
         return [self.profiles[n] for n in self.candidate_names]
+
+    @cached_property
+    def label_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each label's row-major position in the standard x candidate
+        grid, -1 for a pair outside it, and its is_alias, in label order.
+
+        A pair is outside the grid when a name has no profile, when the
+        standard and candidate resolve to one name, or when the candidate
+        is itself a standard. Built on first use; `labels` and the name
+        lists must not change after that.
+        """
+
+        def index(names: list[str], labeled) -> np.ndarray:  # -1 for a name not in `names`
+            at = {n: k for k, n in enumerate(names)}
+            return np.fromiter(map(at.get, labeled, repeat(-1)), np.int64, len(labeled))
+
+        stds, cands = zip(*self.labels) if self.labels else ((), ())
+        i, j = index(self.standard_names, stds), index(self.candidate_names, cands)
+        pos = np.where((i >= 0) & (j >= 0), i * len(self.candidate_names) + j, -1)
+        return pos, np.fromiter(self.labels.values(), bool, len(self.labels))
 
 
 @dataclass
@@ -182,13 +204,11 @@ def build_city_data(
     return CityData(districts=districts)
 
 
-def score_city(
-    city: CityData, config: MetricConfig, workers: int = 1
-) -> dict[str, list[ScoredPair]]:
-    """Exhaustive N x M scored pairs per district; districts may score in
-    parallel."""
+def score_city(city: CityData, config: MetricConfig, workers: int = 1) -> dict[str, ScoreTable]:
+    """The score table of every district's N x M grid; districts may score
+    in parallel."""
 
-    def score(d: str) -> list[ScoredPair]:
+    def score(d: str) -> ScoreTable:
         dd = city.districts[d]
         return score_pairs(dd.standard_profiles(), dd.candidate_profiles(), config, bbox=dd.bbox)
 

@@ -459,10 +459,10 @@ def test_positives_of_a_district_without_usable_names_count_against_recall(d2_ro
     assert report["per_district"]["d2"]["actual_positive"] == 1
 
 
-def test_labeled_pairs_outside_the_scored_grid_are_counted_unscorable(tmp_path):
-    # d0's labels: two scored pairs, one thin profile ("rho", 2 points),
-    # a candidate with no address row ("ghost") and a candidate that is
-    # itself a standard ("kappa"); d1: one scored pair; d2: no address rows
+def _corpus_with_unscorable_labels(tmp_path) -> Path:
+    """d0's labels: two scored pairs, one thin profile ("rho", 2 points),
+    a candidate with no address row ("ghost") and a candidate that is
+    itself a standard ("kappa"); d1: one scored pair; d2: no address rows."""
     data = tmp_path / "data"
     data.mkdir()
     rows = [("a1", "d0", "kappa"), ("a2", "d0", "omega"), ("a3", "d0", "sigma"), ("a4", "d0", "tau"),
@@ -484,6 +484,11 @@ def test_labeled_pairs_outside_the_scored_grid_are_counted_unscorable(tmp_path):
         "d0,kappa,omega,1\nd0,kappa,sigma,0\nd0,kappa,rho,0\nd0,kappa,ghost,1\nd0,tau,kappa,0\n"
         "d1,delta,theta,1\nd2,sigma,lambda,1\n"
     )
+    return data
+
+
+def test_labeled_pairs_outside_the_scored_grid_are_counted_unscorable(tmp_path):
+    data = _corpus_with_unscorable_labels(tmp_path)
     for method in ("centroid", "loccent", "kl", "jaccard", "editdist"):
         out = tmp_path / method
         assert main(["evaluate", str(data), "--method", method, "--out", str(out)]) == 0, method
@@ -502,6 +507,17 @@ def test_labeled_pairs_outside_the_scored_grid_are_counted_unscorable(tmp_path):
         tests = [fold["test"] for fold in rep["folds"]]
         assert sorted(t["n_unscorable"] for t in tests) == [0, 1, 2], method
         assert rep["pooled"]["n_unscorable"] == 3, method
+
+
+def test_calibration_without_a_scored_positive_names_its_counts(tmp_path, capsys):
+    # every profile is thin, so each labeled pair is insufficient or unscorable
+    data = _corpus_with_unscorable_labels(tmp_path)
+    argv = ["evaluate", str(data), "--method", "kl", "--min-profile-points", "100000", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: command=evaluate no positive labels among the scored pairs: labeled pairs scored "
+        "0 (0 positive), insufficient 4 (2 positive), unscorable 3 (2 positive)\n"
+    )
 
 
 STAGES = {

@@ -1,8 +1,6 @@
 """Pairwise similarity scoring and threshold inference."""
 
 import re
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +12,15 @@ from poialias.discovery import (
     DECISION_NOT_ALIAS,
     METHODS,
     MIN_DIVERGENCE,
+    MIN_GEO_DISTANCE_M,
     MetricConfig,
-    ScoredPair,
+    ScoreTable,
     apply_threshold,
     decide,
     score_pairs,
 )
 from poialias.distribution import (
+    MAX_GRID_N,
     BoundingBox,
     jaccard_distance,
     kl_divergence,
@@ -28,7 +28,7 @@ from poialias.distribution import (
     rasterize,
 )
 from poialias.errors import InvalidConfigError
-from poialias.geo import METERS_PER_DEG, GeoPoint, haversine
+from poialias.geo import METERS_PER_DEG, GeoPoint, centroid, haversine, local_region_centroid
 from poialias.preprocess import normalized_edit_distance
 from poialias.profile import MobilityProfile
 
@@ -106,9 +106,10 @@ def test_distance_similarity_insufficient_is_none():
     b = blob("b", 31.3, 120.5)
     for method in ("centroid", "loc_cent", "kl_div", "jaccard"):
         cfg = MetricConfig(method=method, threshold=0.0, min_profile_points=5)
-        pairs = score_pairs([a], [b], cfg, bbox=BBOX)
-        assert pairs[0].score is None
-        assert apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"]) == set()
+        table = score_pairs([a], [b], cfg, bbox=BBOX)
+        [pair] = table
+        assert pair.score is None
+        assert apply_threshold(table, cfg.threshold, "d", ["a"], ["b"]) == set()
 
 
 # --------------------------------------------------- distribution similarity
@@ -157,35 +158,81 @@ def test_distribution_jaccard_symmetry():
     assert ab == ba
 
 
+def reference_scores(stds, cands, cfg, bbox):
+    """Every pair's score from the per-pair functions, on features built
+    anew per profile as a caller outside score_pairs would build them: the
+    reference for score_pairs' whole-grid kernels."""
+
+    def feature(p):
+        if p.point_count < cfg.min_profile_points:
+            return None
+        if cfg.method == "centroid":
+            return centroid(p.points)
+        if cfg.method == "loc_cent":
+            return local_region_centroid(p.points, cfg.local_window_m)
+        return normalize(rasterize(p, bbox, cfg.grid_n))
+
+    def kernel(f, g):
+        if cfg.method in ("centroid", "loc_cent"):
+            return 1.0 / max(haversine(f, g), MIN_GEO_DISTANCE_M)
+        if cfg.method == "kl_div":
+            return 1.0 / max(kl_divergence(f, g, cfg.kl_epsilon), MIN_DIVERGENCE)
+        return 1.0 / max(jaccard_distance(f, g), MIN_DIVERGENCE)
+
+    fs, gs = [feature(p) for p in stds], [feature(p) for p in cands]
+    return [None if f is None or g is None else kernel(f, g) for f in fs for g in gs]
+
+
+def assert_table_is_the_reference(stds, cands, cfg, bbox):
+    table = score_pairs(stds, cands, cfg, bbox=bbox)
+    assert len(table) == len(stds) * len(cands)
+    assert [(row.standard_name, row.candidate_name) for row in table] == [(a.name, b.name) for a in stds for b in cands]
+    scores = [row.score for row in table]
+    assert all(s is None or type(s) is float for s in scores)
+    assert scores == reference_scores(stds, cands, cfg, bbox)
+    return scores
+
+
+LOCATION_METHODS = ("centroid", "loc_cent", "kl_div", "jaccard")
+
+
 @pytest.mark.parametrize("grid_n", [20, 500])
 def test_score_pairs_reproduce_the_kernels_on_fresh_distributions(small_city, grid_n):
-    # the per-pair kernels on distributions built anew, as a caller outside
-    # score_pairs would build them, give score_pairs' scores bit for bit
-    kernels = {
-        "kl_div": lambda p, q, cfg: kl_divergence(p, q, cfg.kl_epsilon),
-        "jaccard": lambda p, q, cfg: jaccard_distance(p, q),
-    }
-    for method, kernel in kernels.items():
+    for method in LOCATION_METHODS:
         cfg = MetricConfig(method=method, threshold=0.0, grid_n=grid_n)
         n_scored = 0
         for dd in small_city.city.districts.values():
-            stds, cands = dd.standard_profiles(), dd.candidate_profiles()
-            pairs = score_pairs(stds, cands, cfg, bbox=dd.bbox)
-            expected = []
-            for a in stds:
-                for b in cands:
-                    if min(a.point_count, b.point_count) < cfg.min_profile_points:
-                        expected.append(None)
-                        continue
-                    p = normalize(rasterize(a, dd.bbox, grid_n))
-                    q = normalize(rasterize(b, dd.bbox, grid_n))
-                    expected.append(1.0 / max(kernel(p, q, cfg), MIN_DIVERGENCE))
-            assert [pr.score for pr in pairs] == expected, (method, dd.district)
-            assert [(pr.standard_name, pr.candidate_name) for pr in pairs] == [
-                (a.name, b.name) for a in stds for b in cands
-            ]
-            n_scored += sum(s is not None for s in expected)
-        assert n_scored > 0
+            scores = assert_table_is_the_reference(dd.standard_profiles(), dd.candidate_profiles(), cfg, dd.bbox)
+            n_scored += sum(s is not None for s in scores)
+        assert n_scored > 0, method
+
+
+def _profiles(prefix):
+    # duplicates, and points on the box's min and max edges
+    lat = st.sampled_from([31.0, 31.3, 31.5, 32.0]) | st.floats(31.0, 32.0)
+    lon = st.sampled_from([120.0, 120.5, 121.0]) | st.floats(120.0, 121.0)
+    point_sets = st.lists(st.lists(st.tuples(lat, lon), max_size=10), max_size=4)
+    return point_sets.map(lambda sets: [prof(f"{prefix}{k}", pts) for k, pts in enumerate(sets)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(LOCATION_METHODS),
+    grid_n=st.sampled_from([1, 50, 500, MAX_GRID_N]),
+    stds=_profiles("s"),
+    cands=_profiles("c"),
+    min_points=st.integers(1, 4),
+    located=st.booleans(),
+)
+def test_score_table_equals_the_per_pair_kernels(method, grid_n, stds, cands, min_points, located):
+    # zero standards or candidates, thin profiles, no bbox, and grids up to
+    # the largest whose cell keys fit int64
+    bbox = BBOX if located else None
+    if bbox is None and method in ("kl_div", "jaccard"):
+        # a district without a bbox has no located points: nothing is gridded
+        min_points = 1 + max((p.point_count for p in stds + cands), default=0)
+    cfg = MetricConfig(method=method, threshold=0.0, grid_n=grid_n, min_profile_points=min_points)
+    assert_table_is_the_reference(stds, cands, cfg, bbox)
 
 
 # ------------------------------------------------------------------- config
@@ -224,30 +271,33 @@ def test_infer_links_above_threshold():
     a = blob("a", 31.3, 120.5)
     b = blob("b", offset_north(31.3, 250.0), 120.5)  # kappa = 1/250 = 0.004
     cfg = MetricConfig(method="centroid", threshold=0.002)
-    pairs = score_pairs([a], [b], cfg, bbox=None)
-    links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
+    table = score_pairs([a], [b], cfg, bbox=None)
+    links = apply_threshold(table, cfg.threshold, "d", ["a"], ["b"])
     assert links == {(0, 0)}
-    assert pairs[0].score == pytest.approx(0.004, rel=1e-6)
+    [pair] = table
+    assert pair.score == pytest.approx(0.004, rel=1e-6)
 
 
 def test_infer_strict_inequality_at_boundary():
     a = blob("a", 31.3, 120.5)
     b = blob("b", 31.3, 120.5)  # kappa clamps to exactly 1.0
     cfg = MetricConfig(method="centroid", threshold=1.0)
-    pairs = score_pairs([a], [b], cfg, bbox=None)
-    links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["b"])
+    table = score_pairs([a], [b], cfg, bbox=None)
+    links = apply_threshold(table, cfg.threshold, "d", ["a"], ["b"])
     assert links == set()
-    assert pairs[0].score == 1.0
+    [pair] = table
+    assert pair.score == 1.0
 
 
 def test_infer_insufficient_profiles_excluded():
     a = blob("a", 31.3, 120.5)
     tiny = blob("t", 31.3, 120.5, n=2)
     cfg = MetricConfig(method="centroid", threshold=0.0, min_profile_points=5)
-    pairs = score_pairs([a], [tiny], cfg, bbox=None)
-    links = apply_threshold(pairs, cfg.threshold, "d", ["a"], ["t"])
+    table = score_pairs([a], [tiny], cfg, bbox=None)
+    links = apply_threshold(table, cfg.threshold, "d", ["a"], ["t"])
     assert links == set()
-    assert pairs[0].score is None
+    [pair] = table
+    assert pair.score is None
 
 
 def test_decide_is_the_link_rule():
@@ -261,10 +311,19 @@ def test_decide_is_the_link_rule():
 
 
 def test_apply_threshold_mutates_no_pair():
-    pairs = [ScoredPair("s", "a", 2.0), ScoredPair("s", "b", 0.5), ScoredPair("s", "c", None)]
-    before = [astuple(p) for p in pairs]
-    assert apply_threshold(pairs, 1.0, "d", ["s"], ["a", "b", "c"]) == {(0, 0)}
-    assert [astuple(p) for p in pairs] == before
+    table = ScoreTable(["s"], ["a", "b", "c"], np.array([2.0, 0.5, np.nan]))
+    before = [(p.standard_name, p.candidate_name, p.score) for p in table]
+    assert apply_threshold(table, 1.0, "d", ["s"], ["a", "b", "c"]) == {(0, 0)}
+    assert [(p.standard_name, p.candidate_name, p.score) for p in table] == before
+    assert before == [("s", "a", 2.0), ("s", "b", 0.5), ("s", "c", None)]
+
+
+def test_decide_on_a_score_array_is_the_rule_per_pair():
+    scores = [None, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0]
+    for theta in (-np.inf, 0.5, 1.0, np.inf):
+        array = np.array([np.nan if v is None else v for v in scores])
+        assert decide(array, theta) == [decide(v, theta) for v in scores]
+    assert decide(np.array([]), 1.0) == []
 
 
 def test_infer_pairs_exhaustive_and_ordered():
@@ -281,14 +340,10 @@ def test_threshold_monotonicity():
     rng = np.random.default_rng(17)
     names_s = [f"s{i}" for i in range(6)]
     names_c = [f"c{j}" for j in range(6)]
-    pairs = [
-        ScoredPair(s, c, float(rng.uniform(0, 1)))
-        for s in names_s
-        for c in names_c
-    ]
+    table = ScoreTable(names_s, names_c, rng.uniform(0, 1, len(names_s) * len(names_c)))
     prev_links = None
     for theta in (0.1, 0.3, 0.5, 0.8):
-        links = apply_threshold(pairs, theta, "d", names_s, names_c)
+        links = apply_threshold(table, theta, "d", names_s, names_c)
         if prev_links is not None:
             assert links <= prev_links
         prev_links = links
@@ -298,13 +353,12 @@ def test_threshold_scale_invariance():
     rng = np.random.default_rng(19)
     names_s = [f"s{i}" for i in range(5)]
     names_c = [f"c{j}" for j in range(5)]
-    scores = {(s, c): float(rng.uniform(0, 1)) for s in names_s for c in names_c}
+    scores = rng.uniform(0, 1, len(names_s) * len(names_c))
     theta = 0.42
     scale = 3.7
 
     def links(mult, th):
-        ps = [ScoredPair(s, c, v * mult) for (s, c), v in scores.items()]
-        return apply_threshold(ps, th, "d", names_s, names_c)
+        return apply_threshold(ScoreTable(names_s, names_c, scores * mult), th, "d", names_s, names_c)
 
     assert links(1.0, theta) == links(scale, theta * scale)
 
@@ -323,10 +377,11 @@ def test_edit_distance_method_scores_text():
     a = prof("kitten", np.zeros((0, 2)))
     b = prof("sitting", np.zeros((0, 2)))
     cfg = MetricConfig(method="edit_distance", threshold=0.5)
-    pairs = score_pairs([a], [b], cfg, bbox=None)
-    links = apply_threshold(pairs, cfg.threshold, "d", ["kitten"], ["sitting"])
+    table = score_pairs([a], [b], cfg, bbox=None)
+    links = apply_threshold(table, cfg.threshold, "d", ["kitten"], ["sitting"])
     # similarity = 1 - 3/7
-    assert pairs[0].score == pytest.approx(1.0 - 3.0 / 7.0)
+    [pair] = table
+    assert pair.score == pytest.approx(1.0 - 3.0 / 7.0)
     assert links == {(0, 0)}
 
 

@@ -11,14 +11,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poialias.distribution import (
+    _CHUNK_POINTS,
     BoundingBox,
     DensityMatrix,
     Distribution,
+    ProfileGrids,
     jaccard_distance,
     jaccard_overlap,
+    jaccard_overlaps,
     kl_divergence,
     normalize,
     rasterize,
+    rasterize_all,
 )
 from poialias.errors import (
     AllPointsOutsideBboxError,
@@ -137,6 +141,66 @@ def test_rasterize_matches_floor_index_oracle():
     for (r, c), count in oracle.items():
         assert dense[r, c] == count
     assert sum(oracle.values()) == int(dense.sum())
+
+
+def test_rasterize_all_counts_each_profile_as_the_floor_index_oracle():
+    # profiles that share numpy passes, one larger than a pass, and points
+    # outside the box
+    rng = np.random.default_rng(17)
+    sizes = [3, _CHUNK_POINTS // 2, _CHUNK_POINTS // 2 + 1, 2 * _CHUNK_POINTS, 1, 700]
+    sets = [
+        np.column_stack([rng.uniform(30.99, 32.0, n), rng.uniform(120.0, 121.01, n)]).round(3) for n in sizes
+    ]
+    n_grid = 40
+    grids = rasterize_all(sets, BBOX, n_grid)
+    assert len(grids) == len(sets)
+    for k, pts in enumerate(sets):
+        oracle = {}
+        for lat, lon in pts.tolist():
+            rc = cell_index(lat, lon, BBOX, n_grid)
+            if rc is not None:
+                oracle[rc[0] * n_grid + rc[1]] = oracle.get(rc[0] * n_grid + rc[1], 0) + 1
+        a, b = grids.starts[k], grids.starts[k + 1]
+        assert dict(zip(grids.cells[a:b].tolist(), grids.counts[a:b].tolist())) == oracle
+        assert grids.cells[a:b].tolist() == sorted(oracle)
+        assert grids.dropped[k] == len(pts) - sum(oracle.values())
+        assert grids.totals[k] == sum(oracle.values())
+    with pytest.raises(AllPointsOutsideBboxError, match="no points of the input"):
+        rasterize_all([sets[0], np.array([[40.0, 100.0]])], BBOX, n_grid)
+
+
+def _profile_grids(profiles, n_grid=4):
+    """ProfileGrids of profiles given as {cell: count} maps."""
+    return ProfileGrids(
+        cells=np.array([c for p in profiles for c in sorted(p)], dtype=np.int64),
+        counts=np.array([p[c] for p in profiles for c in sorted(p)], dtype=np.int64),
+        starts=np.cumsum([0] + [len(p) for p in profiles]),
+        dropped=np.zeros(len(profiles), dtype=np.int64),
+        n_grid=n_grid,
+        bbox=BBOX,
+    )
+
+
+def test_jaccard_overlaps_stay_exact_at_large_totals():
+    # 2 * T_p * T_q passes 2**53, where a float64 numerator rounds: the
+    # kernel must still give the Python-int formula
+    rng = np.random.default_rng(71)
+    ps, qs = (
+        [{int(c): int(rng.integers(2**26, 2**31)) for c in rng.choice(16, 5, replace=False)} for _ in range(6)]
+        for _ in range(2)
+    )
+    got = jaccard_overlaps(_profile_grids(ps), _profile_grids(qs))
+    naive_differs = False
+    for i, p in enumerate(ps):
+        for j, q in enumerate(qs):
+            common = p.keys() & q.keys()
+            cp, cq = sum(p[c] for c in common), sum(q[c] for c in common)
+            tp, tq = sum(p.values()), sum(q.values())
+            assert 2 * tp * tq >= 2**53
+            exact = (cp * tq + cq * tp) / (2 * tp * tq)
+            assert got[i, j] == exact
+            naive_differs |= (float(cp) * tq + float(cq) * tp) / (2.0 * tp * tq) != exact
+    assert naive_differs
 
 
 def test_rasterize_sum_invariant_across_grids():

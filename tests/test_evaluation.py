@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poialias import evaluation
-from poialias.discovery import METHODS, MetricConfig, ScoredPair, apply_threshold, score_pairs
+from poialias.discovery import METHODS, MetricConfig, ScoreTable, apply_threshold, score_pairs
 from poialias.errors import NoPositiveLabelsError, TooFewDistrictsError
 from poialias.evaluation import (
+    Calibration,
     cross_city_transfer,
     district_cross_validation,
     evaluate_districts,
@@ -33,20 +36,36 @@ def fraction_oracle(tp, pred, act):
     return float(p), float(r), float(f1)
 
 
+#: a labeled pair's score that leaves the pair out of the scored grid
+UNSCORABLE = "unscorable"
+
+
 def labeled_city(districts):
-    """A city of districts given as {(std, cand): (score, is_alias)} maps."""
+    """A city of districts given as {(std, cand): (score, is_alias)} maps.
+
+    Each district's score table is the grid of its names with NaN on the
+    pairs the map does not give. A score None is NaN too (insufficient);
+    UNSCORABLE labels the pair but leaves its candidate out of the grid.
+    An is_alias None scores the pair without labeling it.
+    """
     city = CityData(districts={})
     scores = {}
     for d, pairs in districts.items():
+        stds = sorted({s for s, _ in pairs})
+        cands = sorted({c for (_, c), (score, _) in pairs.items() if score is not UNSCORABLE})
+        grid = np.full(len(stds) * len(cands), np.nan)
+        for (s, c), (score, _) in pairs.items():
+            if score is not UNSCORABLE:
+                grid[stds.index(s) * len(cands) + cands.index(c)] = np.nan if score is None else score
         city.districts[d] = DistrictData(
             district=d,
             canonical_map=CanonicalMap(),
             profiles={},
-            standard_names=sorted({s for s, _ in pairs}),
-            candidate_names=sorted({c for _, c in pairs}),
-            labels={key: pos for key, (_, pos) in pairs.items()},
+            standard_names=stds,
+            candidate_names=cands,
+            labels={key: pos for key, (_, pos) in pairs.items() if pos is not None},
         )
-        scores[d] = [ScoredPair(s, c, score) for (s, c), (score, _) in pairs.items()]
+        scores[d] = ScoreTable(stds, cands, grid)
     return city, scores
 
 
@@ -83,8 +102,8 @@ def test_prf_no_predictions_flagged_zero():
 
 
 def test_prf_ignores_unlabeled_predictions():
-    city, scores = links_at({("a", "x"): True}, {("a", "x")})
-    scores["d"].append(ScoredPair("a", "q", 1.0))  # (a, q) is unlabeled
+    # (a, q) scores above the threshold but is unlabeled
+    city, scores = labeled_city({"d": {("a", "x"): (1.0, True), ("a", "q"): (1.0, None)}})
     rep = evaluate_districts(city, scores, 0.5)
     assert rep.predicted_positive == 1
     assert rep.precision == 1.0
@@ -103,40 +122,32 @@ def test_prf_matches_rational_oracle_randomized():
 # -------------------------------------------------------------- calibration
 
 
-def _pairs(scored):
-    return [ScoredPair("s", f"c{i}", s) for i, s in enumerate(scored)]
-
-
-def _labels(flags):
-    return {("s", f"c{i}"): bool(v) for i, v in enumerate(flags)}
-
-
-def calibrate_threshold(scored, labels):
-    """calibrate_on_districts on a one-district city of `scored` pairs."""
-    dd = DistrictData("d", CanonicalMap(), {}, [], [], labels=labels)
-    return evaluation.calibrate_on_districts(CityData(districts={"d": dd}), {"d": scored}, ["d"])
+def calibrate_threshold(scored, flags):
+    """calibrate_on_districts on a one-district city whose pairs
+    ("s", "c<i>") score `scored` (None: insufficient) and are labeled
+    `flags`."""
+    pairs = {("s", f"c{i}"): (score, bool(v)) for i, (score, v) in enumerate(zip(scored, flags))}
+    city, scores = labeled_city({"d": pairs})
+    return evaluation.calibrate_on_districts(city, scores, ["d"])
 
 
 def test_calibrate_separable_example():
     scored = [0.9, 0.8, 0.1, 0.2]
-    labels = _labels([1, 1, 0, 0])
-    cal = calibrate_threshold(_pairs(scored), labels)
+    cal = calibrate_threshold(scored, [1, 1, 0, 0])
     assert cal.theta == 0.5
     assert cal.f1 == 1.0
 
 
 def test_calibrate_all_positive_returns_minus_inf():
     scored = [0.3, 0.7, 0.5]
-    labels = _labels([1, 1, 1])
-    cal = calibrate_threshold(_pairs(scored), labels)
+    cal = calibrate_threshold(scored, [1, 1, 1])
     assert cal.theta == float("-inf")
     assert cal.f1 == 1.0
 
 
 def test_calibrate_identical_scores_tie_rule():
     scored = [0.4, 0.4]
-    labels = _labels([1, 0])
-    cal = calibrate_threshold(_pairs(scored), labels)
+    cal = calibrate_threshold(scored, [1, 0])
     # predict-all gives F1 = 2/3, predict-nothing 0; -inf wins
     assert cal.theta == float("-inf")
     assert cal.f1 == pytest.approx(2.0 / 3.0)
@@ -144,7 +155,7 @@ def test_calibrate_identical_scores_tie_rule():
 
 def test_calibrate_requires_positive_label():
     with pytest.raises(NoPositiveLabelsError):
-        calibrate_threshold(_pairs([0.5]), _labels([0]))
+        calibrate_threshold([0.5], [0])
 
 
 def exhaustive_calibration_oracle(scores, flags, actual=None):
@@ -180,7 +191,7 @@ def test_calibrate_matches_exhaustive_oracle():
         flags = [bool(v) for v in rng.random(n) < 0.4]
         if not any(flags):
             flags[0] = True
-        cal = calibrate_threshold(_pairs(scores), _labels(flags))
+        cal = calibrate_threshold(scores, flags)
         want_f1, want_theta = exhaustive_calibration_oracle(scores, flags)
         assert cal.f1 == want_f1
         assert cal.theta == want_theta
@@ -194,7 +205,7 @@ def test_calibrate_matches_oracle_at_scale():
     scores = [
         float(rng.normal(0.7 if f else 0.4, 0.15)) for f in flags
     ]
-    cal = calibrate_threshold(_pairs(scores), _labels(flags))
+    cal = calibrate_threshold(scores, flags)
     want_f1, want_theta = exhaustive_calibration_oracle(scores, flags)
     assert cal.f1 == want_f1
     assert cal.theta == want_theta
@@ -204,16 +215,14 @@ def test_calibrate_midpoint_rounding_onto_upper_score():
     a = 1.0 + 2.0**-52
     b = math.nextafter(a, 2.0)
     assert (a + b) / 2.0 == b  # so theta = b links neither pair
-    cal = calibrate_threshold(_pairs([a, b]), _labels([0, 1]))
+    cal = calibrate_threshold([a, b], [0, 1])
     assert (cal.f1, cal.theta) == exhaustive_calibration_oracle([a, b], [False, True])
     assert cal.theta == float("-inf")
 
 
 def test_calibrate_skips_insufficient_pairs():
-    pairs = _pairs([0.9, 0.1]) + [ScoredPair("s", "c9", None)]
-    labels = _labels([1, 0])
-    labels[("s", "c9")] = True  # positive but unscoreable
-    cal = calibrate_threshold(pairs, labels)
+    # the third pair is positive but unscoreable
+    cal = calibrate_threshold([0.9, 0.1, None], [1, 0, 1])
     # recall ceiling is 1/2: the insufficient positive cannot be predicted
     assert cal.recall == 0.5
 
@@ -252,6 +261,74 @@ def test_calibrate_on_districts_keeps_same_name_labels_apart():
     cal = evaluation.calibrate_on_districts(city, scores, ["d0", "d1"])
     assert (cal.theta, cal.f1, cal.precision, cal.recall) == (0.55, 1.0, 1.0, 1.0)
     assert cal.n_candidates == 3
+
+
+def reference_calibration(labeled, actual) -> Calibration:
+    """The per-pair calibration sweep over (score, is_alias) pairs, as a
+    loop over Python floats: the reference for calibrate_on_districts.
+    `actual` also counts the positives left without a score."""
+    labeled = sorted(labeled, key=itemgetter(0))
+    distinct = [s for s, _ in groupby(s for s, _ in labeled)]
+    candidates = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])] + [math.inf]
+    predicted, tp = len(labeled), sum(pos for _, pos in labeled)
+    best = (-math.inf, tp, predicted)
+    i = 0
+    for theta in candidates:
+        while i < len(labeled) and labeled[i][0] <= theta:
+            predicted -= 1
+            tp -= labeled[i][1]
+            i += 1
+        _, best_tp, best_pred = best
+        if tp * (best_pred + actual) >= best_tp * (predicted + actual):
+            best = (theta, tp, predicted)
+    theta, tp, predicted = best
+    p, r, f1, _ = prf_from_counts(tp, predicted, actual)
+    return Calibration(theta=theta, f1=f1, precision=p, recall=r, n_candidates=len(candidates) + 1)
+
+
+_A = 1.0 + 2.0**-52  # (A + next float) / 2 rounds onto the next float
+_CALIBRATION_SCORES = sorted(
+    {v for base in (0.1, 0.5, _A, 3.0, 1e9) for v in (math.nextafter(base, 0.0), base, math.nextafter(base, 2e9))}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from([*_CALIBRATION_SCORES, None, UNSCORABLE]), st.booleans()),
+            min_size=1,
+            max_size=25,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_calibration_equals_the_per_pair_reference(districts):
+    # ties, insufficient (None) and unscorable labels, float neighbours, and
+    # a midpoint that rounds onto the upper score
+    city, scores = labeled_city(
+        {f"d{k}": {("s", f"c{i}"): sp for i, sp in enumerate(pairs)} for k, pairs in enumerate(districts)}
+    )
+    labeled = [(s, pos) for pairs in districts for s, pos in pairs if s not in (None, UNSCORABLE)]
+    actual = sum(pos for pairs in districts for _, pos in pairs)
+    if not any(pos for _, pos in labeled):
+        with pytest.raises(NoPositiveLabelsError) as err:
+            evaluation.calibrate_on_districts(city, scores, sorted(scores))
+
+        def counted(kind):
+            mine = [pos for pairs in districts for s, pos in pairs if kind(s)]
+            return f"{len(mine)} ({sum(mine)} positive)"
+
+        assert str(err.value) == (
+            "no positive labels among the scored pairs: labeled pairs scored "
+            f"{counted(lambda s: s not in (None, UNSCORABLE))}, insufficient {counted(lambda s: s is None)}, "
+            f"unscorable {counted(lambda s: s is UNSCORABLE)}"
+        )
+        return
+    cal = evaluation.calibrate_on_districts(city, scores, sorted(scores))
+    assert cal == reference_calibration(labeled, actual)
+    assert type(cal.theta) is float  # report.json keeps its bytes
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -15,6 +15,7 @@ from poialias.geo import (
     GeoPoint,
     centroid,
     haversine,
+    haversine_grid,
     local_region_centroid,
     max_coverage_window,
     project_local,
@@ -99,6 +100,17 @@ def test_haversine_symmetry_and_triangle_inequality():
         assert dab == pytest.approx(dba, rel=1e-12)
         dbc, dac = haversine(b, c), haversine(a, c)
         assert dac <= dab + dbc + 1e-6 * max(dac, 1.0)
+
+
+def test_haversine_grid_is_haversine_bit_for_bit():
+    # 40,000 pairs up to about 100 km apart: numpy's arcsin or square in
+    # place of math.asin or `** 2` changes some of them in the last bit
+    rng = np.random.default_rng(3)
+    ps, qs = ([GeoPoint(31 + a, 120 + b) for a, b in rng.uniform(0, 0.6, (200, 2)).tolist()] for _ in range(2))
+    grid = haversine_grid(ps, qs)
+    assert grid.shape == (200, 200)
+    assert grid.tolist() == [[haversine(p, q) for q in qs] for p in ps]
+    assert haversine_grid([], qs).shape == (0, 200)
 
 
 # ----------------------------------------------------------------- centroid

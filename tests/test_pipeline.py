@@ -124,7 +124,8 @@ def test_district_without_labels_scores_no_pairs(tmp_path):
         type("C", (), {"districts": {"d0": dd}})(),
         MetricConfig(method="centroid", threshold=0.0),
     )
-    assert pairs == {"d0": []}
+    assert list(pairs) == ["d0"]
+    assert len(pairs["d0"]) == 0 and list(pairs["d0"]) == []
 
 
 def test_build_city_skips_unusable_districts(tmp_path):
