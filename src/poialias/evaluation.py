@@ -126,11 +126,10 @@ class _Labeled:
 def _labeled(table: ScoreTable, dd: DistrictData) -> _Labeled:
     if table.standard_names != dd.standard_names or table.candidate_names != dd.candidate_names:
         raise ValueError(f"district {dd.district!r}: the score table is not over the district's grid")
-    pos, is_alias = dd.label_grid
-    in_grid = pos >= 0
-    score, alias = table.score[pos[in_grid]], is_alias[in_grid]
+    in_grid = dd.label_pos >= 0
+    score, alias = table.score[dd.label_pos[in_grid]], dd.label_is_alias[in_grid]
     scored = ~np.isnan(score)
-    return _Labeled(score[scored], alias[scored], alias[~scored], is_alias[~in_grid])
+    return _Labeled(score[scored], alias[scored], alias[~scored], dd.label_is_alias[~in_grid])
 
 
 @dataclass
@@ -189,11 +188,11 @@ def calibrate_on_districts(
     cross-multiplied integer counts; only the winner's P/R/F1 is computed.
     """
     parts = [_labeled(scores[d], city.districts[d]) for d in districts]
+    if not any(lab.is_alias.any() for lab in parts):
+        raise NoPositiveLabelsError(_no_positives_message(parts))
     actual = sum(lab.actual for lab in parts)
     score = np.concatenate([lab.score for lab in parts])
     is_alias = np.concatenate([lab.is_alias for lab in parts])
-    if not is_alias.any():
-        raise NoPositiveLabelsError(_no_positives_message(parts))
     order = np.argsort(score, kind="stable")
     score = score[order]
     distinct = np.unique(score)

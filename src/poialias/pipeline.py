@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +28,23 @@ DEFAULT_CLUSTER_THRESHOLD = 0.2
 
 @dataclass
 class DistrictData:
+    """One district's names, profiles and labels.
+
+    The labels are two arrays in order of each canonical (standard,
+    candidate) pair's first occurrence: `label_pos`, the pair's row-major
+    position in the standard x candidate grid, -1 for a pair outside it,
+    and `label_is_alias`. A pair is outside the grid when a name has no
+    profile, when the standard and candidate resolve to one name, or when
+    the candidate is itself a standard.
+    """
+
     district: str
     canonical_map: CanonicalMap
     profiles: dict[str, MobilityProfile]
     standard_names: list[str]
     candidate_names: list[str]
-    labels: dict = field(default_factory=dict)  # (std, cand) canonical -> bool
+    label_pos: np.ndarray
+    label_is_alias: np.ndarray
     bbox: BoundingBox | None = None
 
     def standard_profiles(self) -> list[MobilityProfile]:
@@ -44,33 +53,13 @@ class DistrictData:
     def candidate_profiles(self) -> list[MobilityProfile]:
         return [self.profiles[n] for n in self.candidate_names]
 
-    @cached_property
-    def label_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each label's row-major position in the standard x candidate
-        grid, -1 for a pair outside it, and its is_alias, in label order.
-
-        A pair is outside the grid when a name has no profile, when the
-        standard and candidate resolve to one name, or when the candidate
-        is itself a standard. Built on first use; `labels` and the name
-        lists must not change after that.
-        """
-
-        def index(names: list[str], labeled) -> np.ndarray:  # -1 for a name not in `names`
-            at = {n: k for k, n in enumerate(names)}
-            return np.fromiter(map(at.get, labeled, repeat(-1)), np.int64, len(labeled))
-
-        stds, cands = zip(*self.labels) if self.labels else ((), ())
-        i, j = index(self.standard_names, stds), index(self.candidate_names, cands)
-        pos = np.where((i >= 0) & (j >= 0), i * len(self.candidate_names) + j, -1)
-        return pos, np.fromiter(self.labels.values(), bool, len(self.labels))
-
 
 @dataclass
 class CityData:
     districts: dict[str, DistrictData]
 
     def labeled_districts(self) -> list[str]:
-        return sorted(d for d, dd in self.districts.items() if dd.labels)
+        return sorted(d for d, dd in self.districts.items() if len(dd.label_is_alias))
 
 
 def build_district_data(
@@ -104,10 +93,9 @@ def build_district_data(
         canonical = cluster_near_duplicates(sorted(freq.items()), cluster_threshold)
     index = build_associated_users(addresses, canonical)
     profiles = build_all_profiles(index, locations)
-    label_map, registry = _label_map(district, canonical, strings, label_ids, is_alias)
-
-    standard_names = sorted(n for n in profiles if n in registry)
-    candidate_names = sorted(n for n in profiles if n not in registry)
+    standard_names, candidate_names, label_pos, label_is_alias = _labels(
+        district, canonical, profiles, strings, label_ids, is_alias
+    )
 
     pts = [p.points for p in profiles.values() if p.point_count]
     bbox = BoundingBox.from_points(np.concatenate(pts, axis=0)) if pts else None
@@ -118,21 +106,21 @@ def build_district_data(
         profiles=profiles,
         standard_names=standard_names,
         candidate_names=candidate_names,
-        labels=label_map,
+        label_pos=label_pos,
+        label_is_alias=label_is_alias,
         bbox=bbox,
     )
 
 
-def _label_map(district, canonical: CanonicalMap, strings, label_ids, is_alias) -> tuple[dict, set]:
-    """The canonical (std, cand) -> is_alias map, in order of first
-    occurrence, and the set of canonical standards.
+def _labels(district, canonical: CanonicalMap, profiles, strings, label_ids, is_alias):
+    """The standard and candidate names, then each canonical label's grid
+    position (-1 outside the grid) and is_alias, in order of first occurrence.
 
     Each distinct raw name is cleaned and resolved once; the labels then
     group by their canonical pair's ids. A group whose values disagree
     raises for its first label and the earliest label that differs from it.
+    The standards are the profiled names that some label lists as one.
     """
-    if not len(label_ids):
-        return {}, set()
     named = np.zeros(len(strings), dtype=bool)
     named[label_ids[:, 1:]] = True
     raw = np.flatnonzero(named)
@@ -157,10 +145,21 @@ def _label_map(district, canonical: CanonicalMap, strings, label_ids, is_alias) 
             f"district {district!r}: labels ({p_std!r}, {p_cand!r}) and ({l_std!r}, {l_cand!r}) "
             f"both resolve to ({std!r}, {cand!r}) with different is_alias values"
         )
+    registry = {names[i] for i in set(pairs[:, 0].tolist())}
+    standard_names = sorted(n for n in profiles if n in registry)
+    candidate_names = sorted(n for n in profiles if n not in registry)
+
+    def grid_index(grid_names: list[str]) -> np.ndarray:  # each id's index in `grid_names`, or -1
+        id_of = np.fromiter((ids.get(n, -1) for n in grid_names), np.int64, len(grid_names))
+        at = np.full(len(names), -1)
+        at[id_of[id_of >= 0]] = np.flatnonzero(id_of >= 0)
+        return at
+
     firsts = np.sort(first)
-    canon = np.array(names, dtype=object)
-    keys = zip(canon[pairs[firsts, 0]].tolist(), canon[pairs[firsts, 1]].tolist())
-    return dict(zip(keys, is_alias[firsts].tolist())), set(canon[pairs[:, 0]].tolist())
+    row = grid_index(standard_names)[pairs[firsts, 0]]
+    col = grid_index(candidate_names)[pairs[firsts, 1]]
+    pos = np.where((row >= 0) & (col >= 0), row * len(candidate_names) + col, -1)
+    return standard_names, candidate_names, pos, is_alias[firsts]
 
 
 def build_city_data(
@@ -189,7 +188,7 @@ def build_city_data(
             corpus.is_alias[rows],
             cluster_threshold,
         )
-        if not (dd.canonical_map.mapping or dd.labels):
+        if not (dd.canonical_map.mapping or len(dd.label_is_alias)):
             logger.warning("district=%s skipped reason=no-usable-names", district)
             continue
         districts[district] = dd
@@ -199,7 +198,7 @@ def build_city_data(
             len(dd.profiles),
             len(dd.standard_names),
             len(dd.candidate_names),
-            len(dd.labels),
+            len(dd.label_is_alias),
         )
     return CityData(districts=districts)
 

@@ -520,6 +520,22 @@ def test_calibration_without_a_scored_positive_names_its_counts(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--method", "kl"], ["sweep", "--method", "jaccard", "--grids", "20"]],
+    ids=["evaluate", "sweep"],
+)
+@pytest.mark.parametrize("labels", [[], [("alpha", "beta", "2")]], ids=["header-only", "every-row-rejected"])
+def test_calibration_without_labels_names_its_zero_counts(argv, labels, tmp_path, capsys):
+    data = tmp_path / "d"
+    _write_corpus(data, [("u1", "alpha"), ("u2", "beta")], labels)
+    assert main([argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: command={argv[0]} no positive labels among the scored pairs: labeled pairs scored "
+        "0 (0 positive), insufficient 0 (0 positive), unscorable 0 (0 positive)\n"
+    )
+
+
 STAGES = {
     "ingest-check": ["ingest", "write"],
     "preprocess": ["ingest", "write"],

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poialias.discovery import MetricConfig
 from poialias.errors import ConflictingLabelError
@@ -35,6 +37,28 @@ def _district(data, addresses, locations, labels):
     return build_district_data(
         "d0", corpus.addresses, corpus.locations, corpus.strings, corpus.label_ids, corpus.is_alias
     )
+
+
+def reference_labels(canonical_map, names, labels):
+    """The labels as a name-keyed (std, cand) -> is_alias map, the split of
+    the profiled `names` it implies, and its walk by name onto that grid:
+    the reference for the name split, `label_pos` and `label_is_alias`.
+
+    `labels` are (standard, candidate, is_alias) rows in file order. None
+    when two rows resolve to one pair with different values.
+    """
+    by_pair: dict = {}
+    for std, cand, is_alias in labels:
+        pair = tuple(canonical_map.resolve(clean_text(n)) for n in (std, cand))
+        if by_pair.setdefault(pair, is_alias) != is_alias:
+            return None
+    registry = {s for s, _ in by_pair}
+    stds = sorted(n for n in names if n in registry)
+    cands = sorted(n for n in names if n not in registry)
+    rows = {n: k for k, n in enumerate(stds)}
+    cols = {n: k for k, n in enumerate(cands)}
+    pos = [rows[s] * len(cols) + cols[c] if s in rows and c in cols else -1 for s, c in by_pair]
+    return stds, cands, pos, list(by_pair.values())
 
 
 def _locs(users, base=(31.3, 120.5)):
@@ -71,7 +95,8 @@ def test_registry_from_labels_splits_standards_and_candidates(tmp_path):
     dd = _district(tmp_path, addresses, _locs(["u1", "u2", "u3"]), labels)
     assert dd.standard_names == ["alpha"]
     assert dd.candidate_names == ["beta", "gamma"]
-    assert dd.labels == {("alpha", "beta"): True, ("alpha", "gamma"): False}
+    assert dd.label_pos.tolist() == [0, 1]
+    assert dd.label_is_alias.tolist() == [True, False]
 
 
 def test_orphan_labels_counted(tmp_path):
@@ -108,7 +133,8 @@ def test_conflicting_labels_after_canonicalisation_raise(tmp_path):
         GroundTruthLabel("d0", "alpha", "lakeviev", True),
     ]
     dd = _district(tmp_path, addresses, locations, agree)
-    assert dd.labels == {("alpha", dd.canonical_map.resolve("lakeview")): True}
+    assert dd.canonical_map.resolve("lakeviev") == dd.canonical_map.resolve("lakeview")
+    assert (dd.label_pos.tolist(), dd.label_is_alias.tolist()) == ([0], [True])
     conflict = [agree[0], GroundTruthLabel("d0", "alpha", "lakeviev", False)]
     with pytest.raises(ConflictingLabelError) as exc:
         _district(tmp_path, addresses, locations, conflict)
@@ -149,3 +175,40 @@ def test_score_city_workers_match_sequential(small_city):
         assert [
             (p.standard_name, p.candidate_name, p.score) for p in seq[d]
         ] == [(p.standard_name, p.candidate_name, p.score) for p in par[d]]
+
+
+#: POI spellings: "lakeviev" and "LakeView" cluster with "lakeview"
+_SPELLINGS = ["lakeview", "lakeviev", "LakeView", "riverside", "harbour", "sunsetplaza"]
+#: label names: the spellings plus one no address uses
+_LABEL_NAMES = _SPELLINGS + ["ghost"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    used=st.lists(st.sampled_from(_SPELLINGS), max_size=8),
+    rows=st.lists(
+        st.tuples(st.sampled_from(_LABEL_NAMES), st.sampled_from(_LABEL_NAMES), st.booleans()),
+        max_size=8,
+    ),
+    repeats=st.lists(st.integers(0, 7), max_size=4),
+)
+def test_label_arrays_match_the_name_keyed_reference(used, rows, repeats):
+    # repeated rows agree; a standard may come back as a candidate, a label
+    # may name "ghost", and a pair of spellings may resolve to one name
+    labels = rows + [rows[k] for k in repeats if k < len(rows)]
+    addresses = [_addr(f"u{k}", name) for k, name in enumerate(used)]
+    strings = ["d0", *_LABEL_NAMES]
+    label_ids = np.array(
+        [[0, strings.index(s), strings.index(c)] for s, c, _ in labels], dtype=np.int32
+    ).reshape(-1, 3)
+    is_alias = np.array([a for _, _, a in labels], dtype=bool)
+    # labels change neither the canonical map nor the profiles
+    plain = build_district_data("d0", addresses, {}, strings, label_ids[:0], is_alias[:0])
+    want = reference_labels(plain.canonical_map, plain.profiles, labels)
+    if want is None:
+        with pytest.raises(ConflictingLabelError):
+            build_district_data("d0", addresses, {}, strings, label_ids, is_alias)
+        return
+    dd = build_district_data("d0", addresses, {}, strings, label_ids, is_alias)
+    assert (dd.standard_names, dd.candidate_names, dd.label_pos.tolist(), dd.label_is_alias.tolist()) == want
+    assert dd.label_pos.dtype == np.int64 and dd.label_is_alias.dtype == bool
