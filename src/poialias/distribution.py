@@ -413,7 +413,7 @@ def _shared_cells(p: ProfileGrids, q: ProfileGrids):
     return key[starts], starts, p_entry, q_entry
 
 
-def _overlap_fractions(shared_p, shared_q, total_p, total_q) -> np.ndarray:
+def _overlap_ratios(shared_p, shared_q, total_p, total_q) -> np.ndarray:
     """(C_p * T_q + C_q * T_p) / (2 * T_p * T_q) per element of four int64
     arrays, correctly rounded as Python's integer division rounds it, for
     any totals.
@@ -448,7 +448,7 @@ def jaccard_overlaps(p: ProfileGrids, q: ProfileGrids) -> np.ndarray:
         i, j = np.divmod(key, len(q))
         shared_p = np.add.reduceat(p.counts[p_entry], starts)
         shared_q = np.add.reduceat(q.counts[q_entry], starts)
-        out.flat[key] = _overlap_fractions(shared_p, shared_q, p.totals[i], q.totals[j])
+        out.flat[key] = _overlap_ratios(shared_p, shared_q, p.totals[i], q.totals[j])
     return out
 
 

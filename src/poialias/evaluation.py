@@ -2,16 +2,17 @@
 
 Evaluation is restricted to labeled pairs: the label set is a sample, not
 a census, so predictions on unlabeled pairs are unknowable rather than
-wrong. Precision/recall/F1 use exact rational arithmetic on the counts.
-Also here: threshold calibration, district cross-validation, cross-city
-transfer, and the grid-resolution sweep.
+wrong. Precision/recall/F1 are exact: each is one ratio of Python int
+counts, which int / int rounds correctly, as rational arithmetic would;
+calibration compares F1s by cross-multiplied counts, since two F1 ratios
+can round to one float. Also here: threshold calibration, district
+cross-validation, cross-city transfer, and the grid-resolution sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,26 +51,22 @@ def json_safe(v):
 
 
 def prf_from_counts(tp: int, predicted: int, actual: int):
-    """Exact precision/recall/F1 from confusion counts.
+    """Precision/recall/F1 from confusion counts (tp <= predicted, actual).
 
+    F1 = 2tp / (predicted + actual), which is 2 * P * R / (P + R) when tp > 0.
+    Each value is one int / int, correctly rounded, so the counts must be
+    Python ints: numpy integers round to float64 first, inexact past 2**53.
     Zero-denominator cases yield 0.0 and a flag instead of an error.
     """
     flags = []
-    if predicted > 0:
-        precision = Fraction(tp, predicted)
-    else:
-        precision = Fraction(0)
+    if not predicted:
         flags.append("no-predictions")
-    if actual > 0:
-        recall = Fraction(tp, actual)
-    else:
-        recall = Fraction(0)
+    if not actual:
         flags.append("no-actual-positives")
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = Fraction(0)
-    return float(precision), float(recall), float(f1), flags
+    precision = tp / predicted if predicted else 0.0
+    recall = tp / actual if actual else 0.0
+    f1 = 2 * tp / (predicted + actual) if tp else 0.0
+    return precision, recall, f1, flags
 
 
 _COUNTS = (
@@ -195,7 +192,8 @@ def calibrate_on_districts(
     is_alias = np.concatenate([lab.is_alias for lab in parts])
     order = np.argsort(score, kind="stable")
     score = score[order]
-    distinct = np.unique(score)
+    # != rather than a difference, which reads inf - inf as NaN
+    distinct = score[np.concatenate(([True], score[1:] != score[:-1]))]
     # a midpoint of two adjacent floats can round onto the upper score,
     # which then does not link: searchsorted compares with the midpoint
     thetas = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2.0, [math.inf]))
@@ -237,13 +235,7 @@ class CrossValReport:
     pooled: EvalReport
 
     def to_dict(self) -> dict:
-        return {
-            "folds": self.folds,
-            "mean_f1": self.mean_f1,
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "pooled": self.pooled.to_dict(),
-        }
+        return asdict(self)  # the pooled report's threshold is None, which json_safe keeps
 
 
 def district_cross_validation(
@@ -268,14 +260,9 @@ def district_cross_validation(
     test_size = k - train_size
     n_folds = math.ceil(k / test_size)
 
-    assignments: dict[int, list[str]] = {f: [] for f in range(n_folds)}
-    for i, d in enumerate(labeled):
-        assignments[i % n_folds].append(d)
-
     folds = []
-    f1s, ps, rs = [], [], []
     for f in range(n_folds):
-        test = assignments[f]
+        test = labeled[f::n_folds]  # round-robin: district i tests in fold i % n_folds
         train = [d for d in labeled if d not in test]
         cal = calibrate_on_districts(city, scores, train)
         rep = evaluate_districts(city, scores, cal.theta, districts=test, method=method)
@@ -289,16 +276,13 @@ def district_cross_validation(
                 "test": rep.to_dict(),
             }
         )
-        f1s.append(rep.f1)
-        ps.append(rep.precision)
-        rs.append(rep.recall)
-    pooled = EvalReport(**_pooled_record(fold["test"] for fold in folds), method=method)
+    tests = [fold["test"] for fold in folds]
     return CrossValReport(
         folds=folds,
-        mean_f1=sum(f1s) / len(f1s),
-        mean_precision=sum(ps) / len(ps),
-        mean_recall=sum(rs) / len(rs),
-        pooled=pooled,
+        mean_f1=sum(t["f1"] for t in tests) / n_folds,
+        mean_precision=sum(t["precision"] for t in tests) / n_folds,
+        mean_recall=sum(t["recall"] for t in tests) / n_folds,
+        pooled=EvalReport(**_pooled_record(tests), method=method),
     )
 
 

@@ -97,8 +97,9 @@ def build_district_data(
         district, canonical, profiles, strings, label_ids, is_alias
     )
 
-    pts = [p.points for p in profiles.values() if p.point_count]
-    bbox = BoundingBox.from_points(np.concatenate(pts, axis=0)) if pts else None
+    # each profile's (min, max) rows hold its extremes: no copy of every point
+    corners = [np.stack((p.points.min(0), p.points.max(0))) for p in profiles.values() if p.point_count]
+    bbox = BoundingBox.from_points(np.concatenate(corners)) if corners else None
 
     return DistrictData(
         district=district,

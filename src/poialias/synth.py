@@ -277,6 +277,16 @@ def _generate_district(cfg: SynthConfig, district_idx: int, rng):
                 )
             )
 
+    latlon = np.concatenate([poi_latlon, *locations.values()])
+    bad = ~((np.abs(latlon[:, 0]) <= 90.0) & (np.abs(latlon[:, 1]) <= 180.0))
+    if bad.any():  # rows the location parser would reject
+        lat, lon = latlon[np.argmax(bad)].tolist()
+        raise InvalidConfigError(
+            f"district {district}: generated coordinate {lat!r},{lon!r} lies outside lat [-90, 90], "
+            f"lon [-180, 180]; base_lat={cfg.base_lat}, base_lon={cfg.base_lon} and "
+            f"district_extent_m={cfg.district_extent_m} put the city too near a pole or the antimeridian"
+        )
+
     meta = {
         "district": district,
         "origin": {"lat": lat0, "lon": lon0},
@@ -306,6 +316,8 @@ def generate_city(config: SynthConfig, out_dir: str) -> dict:
     Writes addresses.csv, locations.csv, labels.csv (the exact ingestion
     formats) plus truth_meta.json holding the planted POI geolocations and
     alias clusters for white-box assertions. Returns a summary dict.
+    Raises InvalidConfigError, before writing anything, when a generated
+    point or POI lies outside the coordinate range the parser accepts.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.n_districts)

@@ -22,7 +22,9 @@ from poialias.distribution import (
     BoundingBox,
     jaccard_distance,
     jaccard_overlap,
+    jaccard_overlaps,
     kl_divergence,
+    kl_divergences,
     normalize,
 )
 from poialias.geo import max_coverage_window
@@ -31,7 +33,7 @@ from poialias.pipeline import build_city_data, score_city
 from poialias.preprocess import cluster_near_duplicates
 from poialias.synth import SynthConfig, generate_city
 
-from test_distribution import from_dense
+from test_distribution import _profile_grids, from_dense
 from test_geo import brute_force_window_count
 
 
@@ -123,6 +125,52 @@ def test_a3_divergence_axioms():
 
     _report(
         "A3 divergence axioms",
+        f"1000 pairs: min KL {worst_kl:.2e}, max self-KL {worst_self:.2e}, "
+        f"max asymmetry {worst_sym:.2e}; hand examples within 1e-6",
+    )
+
+
+def test_a3_divergence_axioms_on_the_district_kernels():
+    """A3's checks on `kl_divergences` and `jaccard_overlaps`, which score
+    every district: each call takes the profiles [p, q] on both sides, so
+    one 2 x 2 result holds both directions and both self-divergences."""
+
+    def grids(*dense):  # one profile per square count grid
+        maps = [dict(zip(dm.cells.tolist(), dm.counts.tolist())) for dm in map(from_dense, dense)]
+        return _profile_grids(maps, n_grid=len(dense[0]))
+
+    rng = np.random.default_rng(7)
+
+    def random_counts():
+        counts = rng.integers(0, 6, (50, 50)) * (rng.random((50, 50)) < 0.2)
+        counts[rng.integers(0, 50), rng.integers(0, 50)] += 1
+        return counts
+
+    worst_kl = math.inf
+    worst_self = 0.0
+    worst_sym = 0.0
+    for _ in range(1000):
+        pq = grids(random_counts(), random_counts())
+        kl = kl_divergences(pq, pq, 1e-9)
+        worst_kl = min(worst_kl, kl[0, 1], kl[1, 0])
+        assert kl[0, 1] >= -1e-12 and kl[1, 0] >= -1e-12
+        self_kl = max(abs(kl[0, 0]), abs(kl[1, 1]))
+        worst_self = max(worst_self, self_kl)
+        assert self_kl <= 1e-12
+        d = 1.0 - jaccard_overlaps(pq, pq)
+        worst_sym = max(worst_sym, abs(d[0, 1] - d[1, 0]))
+        assert abs(d[0, 1] - d[1, 0]) <= 1e-15
+        assert 0.0 <= d[0, 1] <= 1.0
+
+    pq = grids([[2, 2], [0, 0]], [[1, 3], [0, 0]])
+    expected_kl = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
+    assert kl_divergences(pq, pq, 1e-9)[0, 1] == pytest.approx(expected_kl, abs=1e-6)
+
+    ab = grids([[1, 1], [0, 0]], [[0, 1], [1, 0]])
+    assert jaccard_overlaps(ab, ab)[0, 1] == pytest.approx(0.5, abs=1e-6)
+
+    _report(
+        "A3 divergence axioms, district kernels",
         f"1000 pairs: min KL {worst_kl:.2e}, max self-KL {worst_self:.2e}, "
         f"max asymmetry {worst_sym:.2e}; hand examples within 1e-6",
     )

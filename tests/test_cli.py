@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,25 @@ def test_discover_evaluate_happy_path(data_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["report"]["f1"] <= 1.0
     assert report["report"]["f1"] > 0.5
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    assert not {"fractions", "decimal"} & _modules_after("import poialias.cli")
+
+
+def test_evaluate_loads_no_masked_arrays(data_dir, tmp_path):
+    argv = ["evaluate", str(data_dir), "--method", "jaccard", "--out", str(tmp_path / "ev")]
+    assert "numpy.ma" not in _modules_after(f"from poialias.cli import main\nassert main({argv!r}) == 0")
 
 
 def test_missing_locations_file_fails_with_path(tmp_path, capsys):
@@ -623,6 +644,21 @@ def test_bad_synth_geometry_fails_before_generation(tmp_path, capsys, item, mess
     assert rc == 1
     assert capsys.readouterr().err == f"error: command=synth {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["base_lat=89.99", "base_lon=179.99"])
+def test_synth_rejects_a_city_past_the_parser_bounds(tmp_path, capsys, item):
+    # near a pole or the antimeridian the generated points leave the range
+    # the location parser accepts; nothing may be written
+    out = tmp_path / "x"
+    config = [item, "n_districts=1", "pois_per_district=10"]
+    rc = main(["synth", "--seed", "1", "--out", str(out)] + [a for c in config for a in ("--config", c)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: command=synth district d00: generated coordinate ")
+    assert "lies outside lat [-90, 90], lon [-180, 180]" in err
+    assert all(key in err for key in ("base_lat=", "base_lon=", "district_extent_m=8000.0"))
+    assert not [name for name in ("addresses.csv", "locations.csv", "labels.csv") if (out / name).exists()]
 
 
 def test_bad_sweep_grids_fail_with_the_value(data_dir, tmp_path, capsys):

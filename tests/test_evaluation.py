@@ -124,6 +124,26 @@ def test_prf_matches_rational_oracle_randomized():
         assert (p, r, f1) == fraction_oracle(tp, pred, act)
 
 
+@st.composite
+def confusion_counts(draw, high=2**64):
+    """(tp, predicted, actual) with tp <= min(predicted, actual)."""
+    predicted, actual = draw(st.integers(0, high)), draw(st.integers(0, high))
+    return draw(st.integers(0, min(predicted, actual))), predicted, actual
+
+
+@settings(max_examples=300, deadline=None)
+@given(confusion_counts())
+@example((0, 0, 0))
+@example((0, 0, 2**64))
+@example((0, 2**64, 0))
+@example((0, 2**60, 2**64))
+# float64 rounds both counts: (2**53 + 1) / (2**53 + 3) would read two ulps low
+@example((2**53 + 1, 2**53 + 3, 2**64))
+def test_prf_matches_rational_oracle_past_float_precision(counts):
+    p, r, f1, _ = prf_from_counts(*counts)
+    assert (p, r, f1) == fraction_oracle(*counts)
+
+
 # -------------------------------------------------------------- calibration
 
 
@@ -294,7 +314,7 @@ def reference_calibration(labeled, actual) -> Calibration:
 _A = 1.0 + 2.0**-52  # (A + next float) / 2 rounds onto the next float
 _CALIBRATION_SCORES = sorted(
     {v for base in (0.1, 0.5, _A, 3.0, 1e9) for v in (math.nextafter(base, 0.0), base, math.nextafter(base, 2e9))}
-)
+) + [math.inf]  # equal infinities are one distinct score, though inf - inf is NaN
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poialias.discovery import MetricConfig
+from poialias.distribution import BoundingBox
 from poialias.errors import ConflictingLabelError
 from poialias.ingestion import (
     AddressRecord,
@@ -164,6 +165,27 @@ def test_build_city_skips_unusable_districts(tmp_path):
     assert corpus.districts == ["dbad", "dok"]
     city = build_city_data(corpus)
     assert sorted(city.districts) == ["dok"]
+
+
+@pytest.mark.parametrize("located", [["u1", "u2", "u4"], ["u2"]])
+def test_bbox_is_the_box_of_all_profile_points(located):
+    # u1 wrote two names, so its points sit in two profiles; u2's one point
+    # lies outside everyone else's; u3 has no points
+    rng = np.random.default_rng(5)
+    points = {
+        "u1": np.column_stack([rng.uniform(31.2, 31.4, 40), rng.uniform(120.4, 120.6, 40)]),
+        "u2": np.array([[31.5, 120.3]]),
+        "u4": np.column_stack([rng.uniform(31.1, 31.3, 9), rng.uniform(120.5, 120.7, 9)]),
+    }
+    written = [("u1", "alpha"), ("u1", "beta"), ("u2", "gamma"), ("u3", "delta"), ("u4", "beta")]
+    addresses = [_addr(u, n) for u, n in written]
+    dd = build_district_data(
+        "d0", addresses, {u: points[u] for u in located}, ["d0"], np.zeros((0, 3), np.int32), np.zeros(0, bool)
+    )
+    assert sorted(dd.profiles) == ["alpha", "beta", "delta", "gamma"]
+    all_points = np.concatenate([p.points for p in dd.profiles.values()])
+    assert len(all_points) == sum(len(points[u]) * (2 if u == "u1" else 1) for u in located)
+    assert dd.bbox == BoundingBox.from_points(all_points)
 
 
 def test_score_city_workers_match_sequential(small_city):
