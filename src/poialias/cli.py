@@ -22,6 +22,10 @@ import time
 from dataclasses import asdict, fields, replace
 from itertools import repeat
 
+# poialias calls no BLAS routine, and OpenBLAS starting its thread pool is
+# about half of numpy's import; a value the caller set is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import evaluation
@@ -403,6 +407,8 @@ def _cmd_sweep(args, timer: _Timer):
         grids = []
     if not grids:
         raise InvalidConfigError(f"--grids expects comma-separated integers, got {args.grids!r}")
+    if len(set(grids)) < len(grids):
+        raise InvalidConfigError(f"--grids lists a grid more than once, got {args.grids!r}")
     base = _metric_config(args)
     for n in grids:
         replace(base, grid_n=n)  # MetricConfig's own grid_n check, before any input is read

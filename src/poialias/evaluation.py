@@ -199,17 +199,20 @@ def calibrate_on_districts(
     thetas = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2.0, [math.inf]))
     unlinked = np.searchsorted(score, thetas, side="right")
     positives_unlinked = np.concatenate(([0], np.cumsum(is_alias[order])))[unlinked]
-    tp = (int(positives_unlinked[-1]) - positives_unlinked).tolist()
-    predicted = (len(score) - unlinked).tolist()
-    quotient = np.array(tp) / (np.array(predicted) + actual)
-    best = None
-    for k in np.flatnonzero(quotient == quotient.max()).tolist():
+    tp = positives_unlinked[-1] - positives_unlinked
+    predicted = len(score) - unlinked
+    quotient = tp / (predicted + actual)
+    top = np.flatnonzero(quotient == quotient.max())
+    # Python ints, so the cross-multiplied products cannot overflow
+    tp, predicted = tp[top].tolist(), predicted[top].tolist()
+    best = 0
+    for k in range(1, len(top)):
         # >= implements the tie rule: later candidates are larger thresholds
-        if best is None or tp[k] * (predicted[best] + actual) >= tp[best] * (predicted[k] + actual):
+        if tp[k] * (predicted[best] + actual) >= tp[best] * (predicted[k] + actual):
             best = k
     p, r, f1, _ = prf_from_counts(tp[best], predicted[best], actual)
     return Calibration(
-        theta=float(thetas[best]), f1=f1, precision=p, recall=r, n_candidates=len(thetas)
+        theta=float(thetas[top[best]]), f1=f1, precision=p, recall=r, n_candidates=len(thetas)
     )
 
 

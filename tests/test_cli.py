@@ -86,18 +86,45 @@ def test_discover_evaluate_happy_path(data_dir, tmp_path):
     assert report["report"]["f1"] > 0.5
 
 
+def _printed_by(code: str, **env: str) -> str:
+    """The last line `code` prints in a fresh interpreter, whose environment
+    lacks OPENBLAS_NUM_THREADS unless `env` sets it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**base, **env, "PYTHONPATH": src}, timeout=300, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
 def _modules_after(code: str) -> set[str]:
     """The modules loaded once `code` has run in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True,
-    )
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(_printed_by(f"{code}\nimport sys\nprint(' '.join(sys.modules))").split())
 
 
 def test_cli_import_loads_no_rational_arithmetic():
     assert not {"fractions", "decimal"} & _modules_after("import poialias.cli")
+
+
+_CLI_THEN = "import os\nimport poialias.cli\n"
+
+
+def test_cli_import_starts_numpy_with_one_blas_thread():
+    assert _printed_by(_CLI_THEN + "print(os.environ['OPENBLAS_NUM_THREADS'])") == "1"
+
+
+def test_cli_import_keeps_the_callers_blas_threads():
+    assert _printed_by(_CLI_THEN + "print(os.environ['OPENBLAS_NUM_THREADS'])", OPENBLAS_NUM_THREADS="3") == "3"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_leaves_one_thread():
+    assert _printed_by(_CLI_THEN + "print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_package_import_loads_no_numpy():
+    assert "numpy" not in _modules_after("import poialias")
 
 
 def test_evaluate_loads_no_masked_arrays(data_dir, tmp_path):
@@ -298,6 +325,8 @@ def test_invalid_threshold_fails_before_ingest(command, method, raw, message, tm
         ("sweep", "--grids=20,-3", "grid_n must be >= 1, got -3"),
         # past isqrt(2**63 - 1) a flat cell index overflows int64
         ("sweep", "--grids=20,4000000000", "grid_n must be at most 3037000499, got 4000000000"),
+        # a repeated grid would be scored twice and written as two identical rows
+        ("sweep", "--grids=20,50,020", "--grids lists a grid more than once, got '20,50,020'"),
     ],
 )
 def test_invalid_option_fails_before_ingest(command, option, message, tmp_path, capsys):
