@@ -33,7 +33,7 @@ from .discovery import MetricConfig, apply_threshold, decide
 from .distribution import rasterize_all
 from .errors import InvalidConfigError, PoiAliasError
 from .ingestion import FORMATS, Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
-from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, score_city
+from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, load_city, score_city
 from .preprocess import check_cluster_threshold, clean_text
 from .synth import SynthConfig, generate_city
 
@@ -126,8 +126,8 @@ def _report_config(args, **extra) -> dict:
     return out
 
 
-def _load_corpus(args, data: str, require_labels: bool) -> Corpus:
-    corpus = load_corpus(data, fmt=args.format, require_labels=require_labels)
+def _load_corpus(args, data: str) -> Corpus:
+    corpus = load_corpus(data, fmt=args.format)
     _log_kv(
         stage="ingest",
         addresses=len(corpus.addresses),
@@ -140,15 +140,10 @@ def _load_corpus(args, data: str, require_labels: bool) -> Corpus:
 
 
 def _load_city(args, data: str, require_labels: bool) -> CityData:
-    """The city of `data`; the parsed corpus is released on return.
-
-    Profiles hold their own copies of the points, so the parsed location
-    log need not stay alive while scoring. --cluster-threshold is checked
-    before any input is read.
-    """
-    check_cluster_threshold(args.cluster_threshold)
-    corpus = _load_corpus(args, data, require_labels)
-    return build_city_data(corpus, cluster_threshold=args.cluster_threshold)
+    """The city of `data`, loaded from its built-city file on a hit; see
+    `pipeline.load_city`. --cluster-threshold is checked before any input
+    is read."""
+    return load_city(data, args.format, args.cluster_threshold, require_labels)
 
 
 def _pair_rows(scores: dict, theta: float):
@@ -255,7 +250,7 @@ def _cmd_ingest_check(args, timer: _Timer):
 def _cmd_preprocess(args, timer: _Timer):
     check_cluster_threshold(args.cluster_threshold)
     timer.stage("ingest")
-    corpus = _load_corpus(args, args.data, require_labels=False)
+    corpus = _load_corpus(args, args.data)
     city = build_city_data(corpus, cluster_threshold=args.cluster_threshold)
     timer.stage("write")
     by_district = partition_by_district(corpus.addresses)

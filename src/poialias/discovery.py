@@ -95,7 +95,8 @@ class ScoreTable:
     `score[i * len(candidate_names) + j]` scores the pair
     (standard_names[i], candidate_names[j]); NaN means insufficient.
     Iterating yields the pairs in that row-major order as ScoredPair rows,
-    each score a Python float or None.
+    each score a Python float or None; nothing in the package iterates a
+    table, and the row view stays for `bench/traced.py`, which does.
     """
 
     standard_names: list[str]

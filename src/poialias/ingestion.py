@@ -490,6 +490,17 @@ def _file_sha256(path: str) -> str | None:
     return h.hexdigest()
 
 
+def _input_paths(data_dir: str, fmt: str, require_labels: bool) -> list[str]:
+    """The addresses, locations and labels paths of `data_dir`; raises for
+    an unknown format, and for a missing labels file if `require_labels`."""
+    if fmt not in FORMATS:
+        raise _unknown_format(fmt)
+    paths = [os.path.join(data_dir, f"{name}.{fmt}") for name in _INPUTS]
+    if require_labels and not os.path.exists(paths[2]):
+        raise FileNotFoundError(paths[2])
+    return paths
+
+
 def _corpus_key(fmt: str, paths: list[str]) -> str:
     """sha256 over everything that decides a parse: the format, each input's
     name and bytes (or its absence), the parsing code's source, and the
@@ -547,8 +558,7 @@ def _parse_corpus(paths: list[str], fmt: str) -> dict[str, np.ndarray]:
     label_ids = _interned(index, map(_label_names, labels), 3)
     users = _interned(index, ((user,) for user in locations), 1).ravel()
     return {
-        "strings": _text_array("".join(index)),
-        "string_lengths": np.array([len(t) for t in index], dtype=np.int64),
+        **_string_arrays(index),
         "addresses": address_ids,
         "labels": label_ids,
         "is_alias": np.array([lb.is_alias for lb in labels], dtype=bool),
@@ -561,19 +571,35 @@ def _parse_corpus(paths: list[str], fmt: str) -> dict[str, np.ndarray]:
 
 def _expect(ok: bool):
     if not ok:
-        raise ValueError("the corpus file does not match its inputs or its layout")
+        raise ValueError("the file does not match its inputs or its layout")
+
+
+def _string_arrays(strings) -> dict[str, np.ndarray]:
+    """A string table as a file holds it: the UTF-8 bytes of all strings
+    and each string's length in code points."""
+    return {
+        "strings": _text_array("".join(strings)),
+        "string_lengths": np.array([len(t) for t in strings], dtype=np.int64),
+    }
+
+
+def _string_table(arrays: dict[str, np.ndarray]) -> list[str]:
+    """The string table that `_string_arrays` made; raises unless its
+    strings are distinct and fill its bytes exactly."""
+    lengths = arrays["string_lengths"]
+    _expect(lengths.dtype == np.int64 and lengths.ndim == 1 and bool(np.all(lengths >= 0)))
+    text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
+    ends = np.cumsum(lengths).tolist()
+    _expect((ends[-1] if ends else 0) == len(text))
+    s = [text[a:b] for a, b in zip([0, *ends], ends)]
+    _expect(len(set(s)) == len(s))  # one index per string: names group by index
+    return s
 
 
 def _corpus_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> Corpus:
     """The corpus that the parsed-corpus file's arrays hold, with `paths`
     as its reports' paths; raises unless they are complete and consistent."""
-    lengths = arrays["string_lengths"]
-    _expect(lengths.ndim == 1 and bool(np.all(lengths >= 0)))
-    text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
-    ends = np.cumsum(lengths).tolist()
-    _expect((ends[-1] if ends else 0) == len(text))
-    s = [text[a:b] for a, b in zip([0, *ends], ends)]  # the string table
-    _expect(len(set(s)) == len(s))  # one index per string: labels group by index
+    s = _string_table(arrays)
 
     addr, lab, is_alias = arrays["addresses"], arrays["labels"], arrays["is_alias"]
     users, counts, points = arrays["users"], arrays["point_counts"], arrays["points"]
@@ -616,6 +642,25 @@ def _corpus_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> Corp
     )
 
 
+def _read_keyed(path: str, key: str) -> dict[str, np.ndarray]:
+    """The arrays that `_write_keyed` saved at `path` under `key`; raises
+    if the file is absent, unreadable or saved under another key."""
+    with np.load(path, allow_pickle=False) as z:
+        _expect(z["key"].shape == () and str(z["key"]) == key)
+        return {name: z[name] for name in z.files if name != "key"}
+
+
+def _write_keyed(path: str, key: str, arrays: dict[str, np.ndarray], kind: str):
+    """Save `arrays` under `key` at `path` through `_output_file`. A failed
+    write is logged, not raised: it costs only a rebuild on the next read."""
+    try:
+        with _output_file(path, binary=True) as fh:
+            np.savez(fh, key=np.array(key), **arrays)
+        logger.info("%s=%s cache=written", kind, path)
+    except OSError as exc:
+        logger.info("%s=%s cache=unwritten reason=%s", kind, path, exc)
+
+
 def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -> Corpus:
     """Load addresses, locations, and labels from a data directory.
 
@@ -631,18 +676,17 @@ def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -
     in full is a miss: the inputs are parsed and the file rewritten. A
     failed write costs only the next call's re-parse.
     """
-    if fmt not in FORMATS:
-        raise _unknown_format(fmt)
-    paths = [os.path.join(data_dir, f"{name}.{fmt}") for name in _INPUTS]
-    if require_labels and not os.path.exists(paths[2]):
-        raise FileNotFoundError(paths[2])
+    paths = _input_paths(data_dir, fmt, require_labels)
+    return _keyed_corpus(data_dir, fmt, paths, _corpus_key(fmt, paths))[0]
+
+
+def _keyed_corpus(data_dir: str, fmt: str, paths: list[str], key: str) -> tuple[Corpus, bool]:
+    """`load_corpus` under its key, computed by the caller: the corpus, and
+    whether it is the corpus that `key` names, which is so on a hit and
+    after a parse during which no input changed."""
     cache = os.path.join(data_dir, CORPUS_FILE.format(fmt=fmt))
-    key = _corpus_key(fmt, paths)
     try:
-        with np.load(cache, allow_pickle=False) as z:
-            _expect(z["key"].shape == () and str(z["key"]) == key)
-            arrays = {name: z[name] for name in z.files}
-        corpus = _corpus_from_arrays(arrays, paths)
+        corpus = _corpus_from_arrays(_read_keyed(cache, key), paths)
     except Exception as exc:
         # an absent, damaged or mismatched file is a miss; a damaged zip
         # alone can raise BadZipFile, EOFError, NotImplementedError,
@@ -650,15 +694,11 @@ def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -
         logger.info("corpus=%s cache=miss reason=%r", cache, exc)
     else:
         logger.info("corpus=%s cache=hit", cache)
-        return corpus
+        return corpus, True
     arrays = _parse_corpus(paths, fmt)
     corpus = _corpus_from_arrays(arrays, paths)
     # an input rewritten while it was parsed must not be filed under the old key
-    if _corpus_key(fmt, paths) == key:
-        try:
-            with _output_file(cache, binary=True) as fh:
-                np.savez(fh, key=np.array(key), **arrays)
-            logger.info("corpus=%s cache=written", cache)
-        except OSError as exc:
-            logger.info("corpus=%s cache=unwritten reason=%s", cache, exc)
-    return corpus
+    keyed = _corpus_key(fmt, paths) == key
+    if keyed:
+        _write_keyed(cache, key, arrays, "corpus")
+    return corpus, keyed

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,7 +446,49 @@ def test_non_utf8_input_fails_with_the_file_line_and_byte(fmt, tmp_path, capsys)
             f"error: command={command[0]} {data / f'addresses.{fmt}'}:{line_no}: byte {offset}: "
             "not UTF-8; convert GBK/GB18030 exports to UTF-8\n"
         )
-    assert not [p.name for p in data.iterdir() if p.name.startswith(".poialias-corpus")]
+    assert not [p.name for p in data.iterdir() if p.name.startswith((".poialias-corpus", ".poialias-city"))]
+
+
+def test_a_read_only_data_directory_still_succeeds(data_dir, tmp_path, monkeypatch):
+    writable, data = tmp_path / "rw", tmp_path / "ro"
+    for copy in (writable, data):
+        _copy_inputs(data_dir, copy)
+    assert main(["evaluate", str(writable), "--method", "kl", "--out", str(tmp_path / "o-rw")]) == 0
+    assert (writable / ".poialias-city.csv.npz").exists()
+    open_file = os.open
+
+    def no_create_in_data(path, flags, *rest, **kw):
+        # the mode alone does not stop a process running as root
+        if flags & os.O_CREAT and os.path.dirname(os.fspath(path)) == str(data):
+            raise PermissionError(13, "Permission denied", path)
+        return open_file(path, flags, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", no_create_in_data)
+    data.chmod(0o555)
+    try:
+        for k in range(2):
+            assert main(["evaluate", str(data), "--method", "kl", "--out", str(tmp_path / f"o-ro{k}")]) == 0
+    finally:
+        data.chmod(0o755)
+    assert sorted(p.name for p in data.iterdir()) == ["addresses.csv", "labels.csv", "locations.csv"]
+    want = (tmp_path / "o-rw" / "report.json").read_bytes()
+    for k in range(2):
+        assert (tmp_path / f"o-ro{k}" / "report.json").read_bytes() == want
+
+
+def test_a_missing_labels_file_fails_before_either_file_is_read(data_dir, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d"
+    _copy_inputs(data_dir, data)
+    (data / "labels.csv").unlink()
+    argv = ["--method", "kl", "--out", str(tmp_path / "o")]
+    assert main(["discover", str(data), *argv, "--threshold", "1"]) == 0
+    assert sorted(p.name for p in data.iterdir() if p.name.startswith(".poialias-")) == [
+        ".poialias-city.csv.npz", ".poialias-corpus.csv.npz"
+    ]
+    capsys.readouterr()
+    monkeypatch.setattr(np, "load", mock.Mock(side_effect=AssertionError("a file was read")))
+    assert main(["evaluate", str(data), *argv]) == 1
+    assert capsys.readouterr().err == f"error: command=evaluate {data / 'labels.csv'}\n"
 
 
 def test_district_without_gps_is_insufficient_under_every_method(tmp_path):

@@ -1,5 +1,6 @@
 """Pairwise similarity scoring and threshold inference."""
 
+import math
 import re
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ def prof(name, points):
     return MobilityProfile(name=name, points=pts, user_count=1, point_count=pts.shape[0])
 
 
+def rows(table):
+    """(standard, candidate, score) of each pair of a ScoreTable, read from
+    its name lists and `score` in row-major order; None for no score."""
+    pairs = [(s, c) for s in table.standard_names for c in table.candidate_names]
+    return [(s, c, None if math.isnan(v) else v) for (s, c), v in zip(pairs, table.score.tolist())]
+
+
 def blob(name, lat, lon, n=8):
     return prof(name, [[lat, lon]] * n)
 
@@ -50,8 +58,8 @@ def offset_north(lat, meters):
 
 def pair_score(a, b, method, bbox=None, **config):
     """The score_pairs score of the single pair (a, b)."""
-    [pair] = score_pairs([a], [b], MetricConfig(method=method, threshold=0.0, **config), bbox=bbox)
-    return pair.score
+    [(_, _, score)] = rows(score_pairs([a], [b], MetricConfig(method=method, threshold=0.0, **config), bbox=bbox))
+    return score
 
 
 # ------------------------------------------------------- distance similarity
@@ -107,8 +115,8 @@ def test_distance_similarity_insufficient_is_none():
     for method in ("centroid", "loc_cent", "kl_div", "jaccard"):
         cfg = MetricConfig(method=method, threshold=0.0, min_profile_points=5)
         table = score_pairs([a], [b], cfg, bbox=BBOX)
-        [pair] = table
-        assert pair.score is None
+        [(_, _, score)] = rows(table)
+        assert score is None
         assert apply_threshold(table, cfg.threshold, "d", ["a"], ["b"]) == set()
 
 
@@ -186,8 +194,8 @@ def reference_scores(stds, cands, cfg, bbox):
 def assert_table_is_the_reference(stds, cands, cfg, bbox):
     table = score_pairs(stds, cands, cfg, bbox=bbox)
     assert len(table) == len(stds) * len(cands)
-    assert [(row.standard_name, row.candidate_name) for row in table] == [(a.name, b.name) for a in stds for b in cands]
-    scores = [row.score for row in table]
+    assert [(s, c) for s, c, _ in rows(table)] == [(a.name, b.name) for a in stds for b in cands]
+    scores = [v for _, _, v in rows(table)]
     assert all(s is None or type(s) is float for s in scores)
     assert scores == reference_scores(stds, cands, cfg, bbox)
     return scores
@@ -274,8 +282,8 @@ def test_infer_links_above_threshold():
     table = score_pairs([a], [b], cfg, bbox=None)
     links = apply_threshold(table, cfg.threshold, "d", ["a"], ["b"])
     assert links == {(0, 0)}
-    [pair] = table
-    assert pair.score == pytest.approx(0.004, rel=1e-6)
+    [(_, _, score)] = rows(table)
+    assert score == pytest.approx(0.004, rel=1e-6)
 
 
 def test_infer_strict_inequality_at_boundary():
@@ -285,8 +293,8 @@ def test_infer_strict_inequality_at_boundary():
     table = score_pairs([a], [b], cfg, bbox=None)
     links = apply_threshold(table, cfg.threshold, "d", ["a"], ["b"])
     assert links == set()
-    [pair] = table
-    assert pair.score == 1.0
+    [(_, _, score)] = rows(table)
+    assert score == 1.0
 
 
 def test_infer_insufficient_profiles_excluded():
@@ -296,8 +304,8 @@ def test_infer_insufficient_profiles_excluded():
     table = score_pairs([a], [tiny], cfg, bbox=None)
     links = apply_threshold(table, cfg.threshold, "d", ["a"], ["t"])
     assert links == set()
-    [pair] = table
-    assert pair.score is None
+    [(_, _, score)] = rows(table)
+    assert score is None
 
 
 def test_decide_is_the_link_rule():
@@ -312,9 +320,9 @@ def test_decide_is_the_link_rule():
 
 def test_apply_threshold_mutates_no_pair():
     table = ScoreTable(["s"], ["a", "b", "c"], np.array([2.0, 0.5, np.nan]))
-    before = [(p.standard_name, p.candidate_name, p.score) for p in table]
+    before = rows(table)
     assert apply_threshold(table, 1.0, "d", ["s"], ["a", "b", "c"]) == {(0, 0)}
-    assert [(p.standard_name, p.candidate_name, p.score) for p in table] == before
+    assert rows(table) == before
     assert before == [("s", "a", 2.0), ("s", "b", 0.5), ("s", "c", None)]
 
 
@@ -333,7 +341,7 @@ def test_infer_pairs_exhaustive_and_ordered():
     pairs = score_pairs(standards, candidates, cfg, bbox=None)
     assert len(pairs) == 12
     expected_order = [(s.name, c.name) for s in standards for c in candidates]
-    assert [(p.standard_name, p.candidate_name) for p in pairs] == expected_order
+    assert [(s, c) for s, c, _ in rows(pairs)] == expected_order
 
 
 def test_threshold_monotonicity():
@@ -369,8 +377,8 @@ def test_score_pairs_without_bbox_leaves_unlocated_pairs_insufficient():
     a = prof("a", np.empty((0, 2)))
     b = prof("b", np.empty((0, 2)))
     for method in METHODS:
-        [pair] = score_pairs([a], [b], MetricConfig(method=method, threshold=0.0), bbox=None)
-        assert (pair.score is None) == (method != "edit_distance"), method
+        [(_, _, score)] = rows(score_pairs([a], [b], MetricConfig(method=method, threshold=0.0), bbox=None))
+        assert (score is None) == (method != "edit_distance"), method
 
 
 def test_edit_distance_method_scores_text():
@@ -380,8 +388,8 @@ def test_edit_distance_method_scores_text():
     table = score_pairs([a], [b], cfg, bbox=None)
     links = apply_threshold(table, cfg.threshold, "d", ["kitten"], ["sitting"])
     # similarity = 1 - 3/7
-    [pair] = table
-    assert pair.score == pytest.approx(1.0 - 3.0 / 7.0)
+    [(_, _, score)] = rows(table)
+    assert score == pytest.approx(1.0 - 3.0 / 7.0)
     assert links == {(0, 0)}
 
 
@@ -399,9 +407,10 @@ def test_edit_distance_grid_equals_the_per_pair_scalar(std_names, cand_names):
     stds = [prof(n, np.zeros((0, 2))) for n in std_names]
     cands = [prof(n, [[31.5, 120.5]]) for n in cand_names]
     pairs = score_pairs(stds, cands, MetricConfig(method="edit_distance", threshold=0.0), bbox=None)
-    assert [(p.standard_name, p.candidate_name) for p in pairs] == [(a, b) for a in std_names for b in cand_names]
-    assert [p.score for p in pairs] == [1.0 - normalized_edit_distance(a, b) for a in std_names for b in cand_names]
-    assert all(type(p.score) is float for p in pairs)
+    assert [(s, c) for s, c, _ in rows(pairs)] == [(a, b) for a in std_names for b in cand_names]
+    scores = [v for _, _, v in rows(pairs)]
+    assert scores == [1.0 - normalized_edit_distance(a, b) for a in std_names for b in cand_names]
+    assert all(type(v) is float for v in scores)
 
 
 def test_planted_aliases_recovered_on_synthetic_district(tmp_path):

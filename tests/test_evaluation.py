@@ -362,7 +362,12 @@ def test_calibrate_and_evaluate_match_brute_force_on_city(small_city, method):
     scores = score_city(city, MetricConfig(method=method, threshold=0.0))
     districts = sorted(scores)
     score_of = {
-        (d, p.standard_name, p.candidate_name): p.score for d in districts for p in scores[d]
+        (d, std, cand): None if math.isnan(v) else v
+        for d in districts
+        for (std, cand), v in zip(
+            ((std, cand) for std in scores[d].standard_names for cand in scores[d].candidate_names),
+            scores[d].score.tolist(),
+        )
     }
     labeled = []  # (district, score or None, is_alias) of each label, read by name
     for d in districts:

@@ -1,10 +1,18 @@
-"""District assembly: cleaning, clustering, profile and registry wiring."""
+"""District assembly: cleaning, clustering, profile and registry wiring,
+and the built-city file."""
+
+import contextlib
+import dataclasses
+import logging
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poialias import ingestion, pipeline
 from poialias.discovery import MetricConfig
 from poialias.distribution import BoundingBox
 from poialias.errors import ConflictingLabelError
@@ -12,12 +20,14 @@ from poialias.ingestion import (
     AddressRecord,
     GroundTruthLabel,
     load_corpus,
+    partition_by_district,
     write_address_records,
     write_labels,
     write_location_log,
 )
-from poialias.pipeline import build_city_data, build_district_data, score_city
+from poialias.pipeline import DistrictData, build_city_data, build_district_data, load_city, score_city
 from poialias.preprocess import clean_text
+from poialias.synth import SynthConfig, generate_city
 
 
 def _addr(user, name, district="d0"):
@@ -152,7 +162,7 @@ def test_district_without_labels_scores_no_pairs(tmp_path):
         MetricConfig(method="centroid", threshold=0.0),
     )
     assert list(pairs) == ["d0"]
-    assert len(pairs["d0"]) == 0 and list(pairs["d0"]) == []
+    assert len(pairs["d0"]) == 0 and pairs["d0"].score.tolist() == []
 
 
 def test_build_city_skips_unusable_districts(tmp_path):
@@ -194,9 +204,8 @@ def test_score_city_workers_match_sequential(small_city):
     par = score_city(small_city.city, cfg, workers=4)
     assert sorted(seq) == sorted(par)
     for d in seq:
-        assert [
-            (p.standard_name, p.candidate_name, p.score) for p in seq[d]
-        ] == [(p.standard_name, p.candidate_name, p.score) for p in par[d]]
+        assert (seq[d].standard_names, seq[d].candidate_names) == (par[d].standard_names, par[d].candidate_names)
+        assert seq[d].score.tobytes() == par[d].score.tobytes()
 
 
 #: POI spellings: "lakeviev" and "LakeView" cluster with "lakeview"
@@ -234,3 +243,217 @@ def test_label_arrays_match_the_name_keyed_reference(used, rows, repeats):
     dd = build_district_data("d0", addresses, {}, strings, label_ids, is_alias)
     assert (dd.standard_names, dd.candidate_names, dd.label_pos.tolist(), dd.label_is_alias.tolist()) == want
     assert dd.label_pos.dtype == np.int64 and dd.label_is_alias.dtype == bool
+
+
+# ------------------------------------------------------------ the city file
+
+
+def reference_city(corpus, cluster_threshold=pipeline.DEFAULT_CLUSTER_THRESHOLD):
+    """Every district that `build_district_data` builds from `corpus`, in
+    sorted order, skipping those with neither usable names nor labels: the
+    city as it is built before any array of the city file is made."""
+    by_district = partition_by_district(corpus.addresses)
+    label_rows: dict = {}
+    for row, district in enumerate(corpus.label_ids[:, 0].tolist()):
+        label_rows.setdefault(corpus.strings[district], []).append(row)
+    districts = {}
+    for district in sorted(by_district.keys() | label_rows.keys()):
+        rows = np.array(label_rows.get(district, []), dtype=np.int64)
+        dd = build_district_data(
+            district,
+            by_district.get(district, []),
+            corpus.locations,
+            corpus.strings,
+            corpus.label_ids[rows],
+            corpus.is_alias[rows],
+            cluster_threshold,
+        )
+        if dd.canonical_map.mapping or len(dd.label_is_alias):
+            districts[district] = dd
+    return districts
+
+
+def assert_same_city(got, want):
+    """Every DistrictData field equal, dict orders included, and every
+    profile's points equal bit for bit."""
+    assert [f.name for f in dataclasses.fields(DistrictData)] == [
+        "district", "canonical_map", "profiles", "standard_names", "candidate_names",
+        "label_pos", "label_is_alias", "bbox",
+    ]
+    assert list(got) == list(want)
+    for name, w in want.items():
+        g = got[name]
+        assert g.district == w.district
+        for field in ("mapping", "cluster_sizes"):
+            assert list(getattr(g.canonical_map, field).items()) == list(getattr(w.canonical_map, field).items())
+        assert list(g.profiles) == list(w.profiles)
+        for p, q in zip(g.profiles.values(), w.profiles.values()):
+            assert (p.name, p.user_count, p.point_count) == (q.name, q.user_count, q.point_count)
+            assert (type(p.user_count), type(p.point_count)) == (int, int)
+            assert (p.points.dtype, p.points.shape) == (q.points.dtype, q.points.shape)
+            assert p.points.tobytes() == q.points.tobytes()
+        assert (g.standard_names, g.candidate_names) == (w.standard_names, w.candidate_names)
+        for field in ("label_pos", "label_is_alias"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
+        assert g.bbox == w.bbox
+
+
+def _city_file(data, fmt="csv"):
+    return data / pipeline.CITY_FILE.format(fmt=fmt)
+
+
+@contextlib.contextmanager
+def _no_build():
+    """Reading the corpus and building a district patched to fail: a load
+    inside must be a city hit."""
+    with mock.patch.object(pipeline, "_keyed_corpus", side_effect=AssertionError("_keyed_corpus")), \
+            mock.patch.object(pipeline, "build_district_data", side_effect=AssertionError("build")):
+        yield
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_districts=st.integers(1, 3),
+    pois=st.integers(1, 6),
+    points=st.sampled_from([(0, 0), (0, 4), (3, 8)]),
+    typo_rate=st.sampled_from([0.0, 0.5]),
+    extra=st.sampled_from(["", "u,p,c,zbad,!!!\n", "u,p,c,zbad,???\nv,p,c,zok,alpha\n"]),
+    labels_only=st.booleans(),
+)
+def test_a_city_hit_equals_a_build(
+    seed, n_districts, pois, points, typo_rate, extra, labels_only, tmp_path_factory
+):
+    # a synth city, plus a district whose names all clean to nothing (skipped)
+    # and one that only labels name
+    data = tmp_path_factory.mktemp("city")
+    config = SynthConfig(
+        seed=seed, n_districts=n_districts, pois_per_district=pois, users_per_poi=(1, 3),
+        points_per_user=points, typo_rate=typo_rate,
+    )
+    generate_city(config, str(data))
+    with open(data / "addresses.csv", "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    if labels_only:
+        with open(data / "labels.csv", "a", encoding="utf-8") as fh:
+            fh.write("zlab,ghost,phantom,1\n")
+    corpus = load_corpus(str(data))
+    want = reference_city(corpus)
+    built = build_city_data(corpus)
+    assert_same_city(built.districts, want)
+    assert not _city_file(data).exists()  # build_city_data writes no file
+
+    miss = load_city(str(data))
+    assert _city_file(data).exists()
+    with _no_build():
+        hit = load_city(str(data))
+    assert_same_city(miss.districts, want)
+    assert_same_city(hit.districts, want)
+    # the points are slices of one array, not a copy per name
+    located = [p.points for dd in hit.districts.values() for p in dd.profiles.values() if p.point_count]
+    assert all(pts.base is not None and pts.base is located[0].base for pts in located)
+
+
+def _tiny_city(data, labels="H,lakeview,alpha,1\nH,lakeview,beta,0\n"):
+    """A one-district corpus whose two equally frequent spellings lakeview
+    and lakeviev merge into lakeviev at the default cluster threshold and
+    not at 0.05, plus a district whose only name cleans to nothing."""
+    data.mkdir(exist_ok=True)
+    (data / "addresses.csv").write_text(
+        "user_id,province,city,district,poi_name\n"
+        "u1,J,S,H,lakeview\nu2,J,S,H,lakeviev\nu3,J,S,H,alpha\nu4,J,S,H,beta\nu5,J,S,Z,!!!\n"
+    )
+    (data / "locations.csv").write_text(
+        "user_id,lat,lon\n" + "".join(f"u{i},31.{i}1,120.{i}2\nu{i},31.{i}3,120.{i}4\n" for i in range(1, 6))
+    )
+    if labels is not None:
+        (data / "labels.csv").write_text("district,standard_name,candidate_name,is_alias\n" + labels)
+    return str(data)
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated", "another key", "another cluster threshold", "an edited input byte"]
+)
+def test_a_bad_city_file_is_a_miss_and_rewritten(damage, tmp_path):
+    data = _tiny_city(tmp_path / "d")
+    threshold = pipeline.DEFAULT_CLUSTER_THRESHOLD
+    load_city(data)
+    path = _city_file(tmp_path / "d")
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "another key":
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in z.files}
+        np.savez(path, **{**arrays, "key": np.array("0" * 64)})
+    elif damage == "another cluster threshold":
+        threshold = 0.05
+    else:
+        locations = tmp_path / "d" / "locations.csv"
+        locations.write_bytes(locations.read_bytes().replace(b"31.11,", b"31.19,"))
+    with mock.patch.object(pipeline, "_city_arrays", wraps=pipeline._city_arrays) as build:
+        got = load_city(data, cluster_threshold=threshold)
+    assert build.call_count == 1
+    want = reference_city(load_corpus(data), threshold)
+    assert_same_city(got.districts, want)
+    with _no_build():  # rewritten
+        assert_same_city(load_city(data, cluster_threshold=threshold).districts, want)
+    if damage == "another cluster threshold":
+        assert list(want["H"].profiles) == ["alpha", "beta", "lakeviev", "lakeview"]
+    if damage == "an edited input byte":
+        assert want["H"].profiles["lakeviev"].points[0].tolist() == [31.19, 120.12]
+
+
+def test_a_hit_logs_what_a_build_logs(tmp_path, caplog):
+    data = _tiny_city(tmp_path / "d")
+    path = str(_city_file(tmp_path / "d"))
+    build = [
+        ("INFO", "stage=build district=H names=3 standards=1 candidates=2 labels=2"),
+        ("WARNING", "district=Z skipped reason=no-usable-names"),
+    ]
+    miss, hit, written, unwritten = (
+        ("INFO", f"city={path} cache={c}") for c in ("miss", "hit", "written", "unwritten")
+    )
+    caplog.set_level(logging.INFO, logger="poialias")
+
+    def city_lines():
+        """The levels and messages logged since the last call, but the
+        corpus file's; a city file's line is cut before its reason."""
+        lines = [(r.levelname, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        return [
+            (level, msg.split(" reason=")[0] if msg.startswith("city=") else msg)
+            for level, msg in lines
+            if not msg.startswith("corpus=")
+        ]
+
+    load_city(data)
+    assert city_lines() == [miss, *build, written]
+    load_city(data)
+    assert city_lines() == [*build, hit]
+    os.unlink(path)
+    with mock.patch.object(os, "replace", side_effect=OSError(28, "No space left on device")):
+        load_city(data)
+    assert city_lines() == [miss, *build, unwritten]
+
+
+def test_an_input_rewritten_while_parsed_files_no_city(tmp_path):
+    data = _tiny_city(tmp_path / "d")
+    parse_labels_first = ingestion.parse_labels
+
+    def parse_then_rewrite(path, fmt):
+        out = parse_labels_first(path, fmt)
+        (tmp_path / "d" / "locations.csv").write_text("user_id,lat,lon\nu9,1,2\n")
+        return out
+
+    with mock.patch.object(ingestion, "parse_labels", side_effect=parse_then_rewrite):
+        load_city(data)
+    assert not _city_file(tmp_path / "d").exists()
+    assert load_city(data).districts["H"].bbox is None  # u9 wrote no name
+
+
+def test_a_failing_build_writes_no_city_file(tmp_path):
+    data = _tiny_city(tmp_path / "d", labels="H,lakeview,alpha,1\nH,lakeviev,alpha,0\n")
+    with pytest.raises(ConflictingLabelError):
+        load_city(data)
+    assert not _city_file(tmp_path / "d").exists()
