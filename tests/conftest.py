@@ -1,5 +1,9 @@
-"""Shared fixtures: a small synthetic city reused across test modules."""
+"""Shared fixtures: a small synthetic city reused across test modules, and
+the benchmark's workloads module."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,3 +28,15 @@ def small_city(tmp_path_factory):
     corpus = load_corpus(str(out))
     city = build_city_data(corpus)
     return SimpleNamespace(dir=str(out), corpus=corpus, city=city, config=SMALL_CONFIG)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """bench/workloads.py, which holds the benchmark's workloads, pins and
+    noise injection, loaded without changing it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module

@@ -2,10 +2,7 @@
 
 import csv
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,21 +76,11 @@ def test_generated_files_match_pinned_digests(seed, tmp_path):
     assert digests == PINNED_DIGESTS[seed]
 
 
-def _load_bench_workloads():
-    """bench/workloads.py, which holds the benchmark's workloads and pins."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["default-city", "wide-city"])
-def test_full_size_cities_match_the_benchmark_pins(workload, tmp_path):
+def test_full_size_cities_match_the_benchmark_pins(workload, tmp_path, bench_workloads):
     # the 12-POI pins above never reach the saturated regime where most
     # drawn names are rejected; the benchmark's full-size cities do
-    wl = _load_bench_workloads()
+    wl = bench_workloads
     argv = wl.WORKLOADS[workload].synth_argv(wl.REFERENCE_SEED, smoke=False)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert wl.digest(str(tmp_path)) == wl.load_pins(workload)["digests"]
