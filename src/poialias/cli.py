@@ -32,9 +32,9 @@ from . import evaluation
 from .discovery import MetricConfig, apply_threshold, decide
 from .distribution import rasterize_all
 from .errors import InvalidConfigError, PoiAliasError
-from .ingestion import FORMATS, Corpus, load_corpus, partition_by_district, write_csv, write_json, write_jsonl
-from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, build_city_data, load_city, score_city
-from .preprocess import check_cluster_threshold, clean_text
+from .ingestion import FORMATS, write_csv, write_json, write_jsonl
+from .pipeline import DEFAULT_CLUSTER_THRESHOLD, CityData, load_city, score_city
+from .preprocess import clean_text
 from .synth import SynthConfig, generate_city
 
 logger = logging.getLogger("poialias")
@@ -126,19 +126,6 @@ def _report_config(args, **extra) -> dict:
     return out
 
 
-def _load_corpus(args, data: str) -> Corpus:
-    corpus = load_corpus(data, fmt=args.format)
-    _log_kv(
-        stage="ingest",
-        addresses=len(corpus.addresses),
-        users=len(corpus.locations),
-        labels=len(corpus.label_ids),
-        districts=len(corpus.districts),
-        orphan_labels=len(corpus.orphans),
-    )
-    return corpus
-
-
 def _load_city(args, data: str, require_labels: bool) -> CityData:
     """The city of `data`, loaded from its built-city file on a hit; see
     `pipeline.load_city`. --cluster-threshold is checked before any input
@@ -215,49 +202,39 @@ def _cmd_synth(args, timer: _Timer):
 
 def _cmd_ingest_check(args, timer: _Timer):
     timer.stage("ingest")
-    corpus = load_corpus(args.data, fmt=args.format, require_labels=False)
-    by_district = partition_by_district(corpus.addresses)
+    # at the default cluster threshold, so the scoring command that follows is a hit
+    summary = load_city(args.data, args.format, DEFAULT_CLUSTER_THRESHOLD).summary
     report = {
-        "files": {name: rep.to_dict() for name, rep in corpus.reports.items()},
-        "districts": {
-            d: {"addresses": len(recs)} for d, recs in sorted(by_district.items())
-        },
-        "n_users_with_locations": len(corpus.locations),
-        "n_labels": len(corpus.label_ids),
+        "files": {name: rep.to_dict() for name, rep in summary.reports.items()},
+        "districts": {d: {"addresses": n} for d, n in summary.address_counts.items()},
+        "n_users_with_locations": summary.n_users,
+        "n_labels": summary.n_labels,
         "orphan_labels": [
-            {
-                "district": lb.district,
-                "standard_name": lb.standard_name,
-                "candidate_name": lb.candidate_name,
-                "reason": reason,
-            }
-            for lb, reason in corpus.orphan_labels
+            {"district": district, "standard_name": standard, "candidate_name": candidate, "reason": reason}
+            for district, standard, candidate, reason in summary.orphan_labels
         ],
     }
     timer.stage("write")
     write_json(os.path.join(args.out, "ingest_report.json"), report)
     counts = {
-        "addresses": len(corpus.addresses),
-        "users": len(corpus.locations),
-        "labels": len(corpus.label_ids),
-        "row_errors": sum(r.n_errors for r in corpus.reports.values()),
-        "orphan_labels": len(corpus.orphans),
+        "addresses": sum(summary.address_counts.values()),
+        "users": summary.n_users,
+        "labels": summary.n_labels,
+        "row_errors": sum(r.n_errors for r in summary.reports.values()),
+        "orphan_labels": len(summary.orphan_labels),
     }
     _log_kv(stage="ingest-check", row_errors=counts["row_errors"])
     return counts, _resolved_config(args)
 
 
 def _cmd_preprocess(args, timer: _Timer):
-    check_cluster_threshold(args.cluster_threshold)
     timer.stage("ingest")
-    corpus = _load_corpus(args, args.data)
-    city = build_city_data(corpus, cluster_threshold=args.cluster_threshold)
+    city = _load_city(args, args.data, require_labels=False)
     timer.stage("write")
-    by_district = partition_by_district(corpus.addresses)
     n_raw = 0
     n_canonical = 0
     for district, dd in sorted(city.districts.items()):
-        raw_names = sorted({rec.poi_name for rec in by_district.get(district, [])})
+        raw_names = city.summary.raw_names[district]
         # one file directly under --out per district, and one district per
         # file name: escape %, / and NUL as %25, %2F and %00
         escaped = district.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
@@ -488,12 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     method_help = "similarity method"
-    for name, handler, needs_threshold in (
-        ("discover", _cmd_discover, True),
-        ("evaluate", _cmd_evaluate, True),
-        ("crossval", _cmd_crossval, False),
+    for name, handler, needs_threshold, help_text in (
+        ("discover", _cmd_discover, True, "score every standard-candidate pair and write aliases.csv"),
+        ("evaluate", _cmd_evaluate, True, "report precision, recall and F1 against the labels"),
+        ("crossval", _cmd_crossval, False, "calibrate on some districts, evaluate on the held-out rest"),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, help=help_text)
         _add_data_opts(p)
         p.add_argument("--method", choices=sorted(CLI_METHODS), required=True, help=method_help)
         if needs_threshold:

@@ -5,35 +5,24 @@ layer every artifact is written through.
 Files are headered CSV (RFC-4180) or JSONL with the same field names.
 Malformed rows are skipped and reported with their line numbers, never
 silently dropped: real delivery data is noisy and the trace matters.
-
-`load_corpus` keeps what it parsed in one content-keyed file beside the
-inputs, so the commands of an analysis parse each corpus once.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
-import logging
 import math
 import os
-import sys
 import uuid
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby, repeat
-from operator import attrgetter
 
 import numpy as np
 
-from . import preprocess
 from .errors import ConflictingLabelError, InvalidConfigError
 from .preprocess import clean_text
-
-logger = logging.getLogger(__name__)
 
 FORMATS = ("csv", "jsonl")
 ADDRESS_FIELDS = ["user_id", "province", "city", "district", "poi_name"]
@@ -404,46 +393,25 @@ def write_labels(path: str, labels: list[GroundTruthLabel]):
 class Corpus:
     """All parsed inputs for one city, partitioned by district downstream.
 
-    Labels are columnar, as the parsed-corpus file stores them: row i of
+    The labels are also columnar, as the city build reads them: row i of
     `label_ids` holds the `strings` indices of label i's district, standard
-    name and candidate name, and `is_alias[i]` its value. `labels` and
-    `orphan_labels` build GroundTruthLabel records only when asked for.
-    `_corpus_from_arrays` builds every Corpus, on a corpus-file hit and on
-    a miss alike.
+    name and candidate name, and `is_alias[i]` its value.
     """
 
     addresses: list[AddressRecord]
     locations: dict[str, np.ndarray]
-    strings: list[str]  # the string table: distinct, in first-use order
-    address_ids: np.ndarray  # (n, 5) int32: the ADDRESS_FIELDS of address i
+    labels: list[GroundTruthLabel]
+    strings: list[str]  # the labels' districts and names: distinct, in first-use order
     label_ids: np.ndarray  # (n, 3) int32: district, standard, candidate
     is_alias: np.ndarray  # (n,) bool
     reports: dict[str, LoadReport]
     orphans: list  # (label row, reason)
 
-    def _records(self, rows) -> list[GroundTruthLabel]:
-        s = self.strings
-        ids, flags = self.label_ids[rows].tolist(), self.is_alias[rows].tolist()
-        return [GroundTruthLabel(s[d], s[std], s[cand], flag) for (d, std, cand), flag in zip(ids, flags)]
-
-    @cached_property
-    def labels(self) -> list[GroundTruthLabel]:
-        return self._records(slice(None))
-
     @property
     def orphan_labels(self) -> list:
         """(label, reason) for each label naming a POI that its district's
         addresses never name."""
-        records = self._records([row for row, _ in self.orphans])
-        return [(lb, reason) for lb, (_, reason) in zip(records, self.orphans)]
-
-    @property
-    def districts(self) -> list[str]:
-        """Every district an address or a label names, sorted."""
-        # a set, not np.union1d: numpy 2's plain np.unique imports numpy.ma (about 1 MB)
-        ids = set(self.address_ids[:, ADDRESS_FIELDS.index("district")].tolist())
-        ids.update(self.label_ids[:, 0].tolist())
-        return sorted(self.strings[i] for i in ids)
+        return [(self.labels[row], reason) for row, reason in self.orphans]
 
 
 def partition_by_district(addresses: list[AddressRecord]) -> dict[str, list[AddressRecord]]:
@@ -473,21 +441,8 @@ def _find_orphans(addresses, labels):
     return orphans
 
 
-#: the parsed-corpus file `load_corpus` keeps beside its inputs
-CORPUS_FILE = ".poialias-corpus.{fmt}.npz"
+#: the input files of a data directory, in `Corpus.reports` order
 _INPUTS = ("addresses", "locations", "labels")
-
-
-def _file_sha256(path: str) -> str | None:
-    """Hex sha256 of a file's bytes, or None if there is no such file."""
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                h.update(chunk)
-    except FileNotFoundError:
-        return None
-    return h.hexdigest()
 
 
 def _input_paths(data_dir: str, fmt: str, require_labels: bool) -> list[str]:
@@ -501,29 +456,6 @@ def _input_paths(data_dir: str, fmt: str, require_labels: bool) -> list[str]:
     return paths
 
 
-def _corpus_key(fmt: str, paths: list[str]) -> str:
-    """sha256 over everything that decides a parse: the format, each input's
-    name and bytes (or its absence), the parsing code's source, and the
-    Python and numpy versions."""
-    parts = [
-        fmt,
-        [[os.path.basename(p), _file_sha256(p)] for p in paths],
-        [_file_sha256(module) for module in (__file__, preprocess.__file__)],
-        sys.version,
-        np.__version__,
-    ]
-    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
-
-
-def _text_array(text: str) -> np.ndarray:
-    # surrogatepass: a JSONL "\ud800" escape parses to a lone surrogate
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-
-
-_address_fields = attrgetter(*ADDRESS_FIELDS)
-_label_names = attrgetter("district", "standard_name", "candidate_name")
-
-
 def _interned(index: dict[str, int], rows, width: int) -> np.ndarray:
     """(n, width) int32 indices of each row's strings in `index`, which
     gains the strings it lacks."""
@@ -531,13 +463,15 @@ def _interned(index: dict[str, int], rows, width: int) -> np.ndarray:
     return np.array(ids, dtype=np.int32).reshape(-1, width)
 
 
-def _parse_corpus(paths: list[str], fmt: str) -> dict[str, np.ndarray]:
-    """Parse the three inputs into the parsed-corpus file's arrays: one
-    string table (address fields, then label fields, then user ids, each
-    string at its first use), addresses, labels and users as int32 indices
-    into it, the points as one float64 (n, 2) array with per-user counts,
-    and the reports and orphans as a JSON blob."""
-    addr_path, loc_path, lab_path = paths
+def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -> Corpus:
+    """Parse addresses, locations, and labels from a data directory.
+
+    Expects addresses.<fmt>, locations.<fmt>, labels.<fmt> with fmt csv or
+    jsonl. A missing labels file is tolerated (empty label list, and a
+    warning in its report) unless `require_labels` is set. Nothing is kept
+    between calls: `pipeline.load_city` keeps the city built from a corpus.
+    """
+    addr_path, loc_path, lab_path = _input_paths(data_dir, fmt, require_labels)
     addresses, addr_report = parse_address_records(addr_path, fmt)
     locations, loc_report = parse_location_log(loc_path, fmt)
     reports = {"addresses": addr_report, "locations": loc_report}
@@ -546,159 +480,15 @@ def _parse_corpus(paths: list[str], fmt: str) -> dict[str, np.ndarray]:
     else:
         labels = []
         reports["labels"] = LoadReport(path=lab_path, warnings=["labels file absent"])
-    meta = {
-        "reports": {
-            name: {"n_rows": r.n_rows, "n_ok": r.n_ok, "errors": r.errors, "warnings": r.warnings}
-            for name, r in reports.items()
-        },
-        "orphans": _find_orphans(addresses, labels),
-    }
     index: dict[str, int] = {}
-    address_ids = _interned(index, map(_address_fields, addresses), len(ADDRESS_FIELDS))
-    label_ids = _interned(index, map(_label_names, labels), 3)
-    users = _interned(index, ((user,) for user in locations), 1).ravel()
-    return {
-        **_string_arrays(index),
-        "addresses": address_ids,
-        "labels": label_ids,
-        "is_alias": np.array([lb.is_alias for lb in labels], dtype=bool),
-        "users": users,
-        "point_counts": np.array([len(p) for p in locations.values()], dtype=np.int64),
-        "points": np.concatenate([*locations.values(), np.empty((0, 2))]),
-        "meta": _text_array(json.dumps(meta)),
-    }
-
-
-def _expect(ok: bool):
-    if not ok:
-        raise ValueError("the file does not match its inputs or its layout")
-
-
-def _string_arrays(strings) -> dict[str, np.ndarray]:
-    """A string table as a file holds it: the UTF-8 bytes of all strings
-    and each string's length in code points."""
-    return {
-        "strings": _text_array("".join(strings)),
-        "string_lengths": np.array([len(t) for t in strings], dtype=np.int64),
-    }
-
-
-def _string_table(arrays: dict[str, np.ndarray]) -> list[str]:
-    """The string table that `_string_arrays` made; raises unless its
-    strings are distinct and fill its bytes exactly."""
-    lengths = arrays["string_lengths"]
-    _expect(lengths.dtype == np.int64 and lengths.ndim == 1 and bool(np.all(lengths >= 0)))
-    text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
-    ends = np.cumsum(lengths).tolist()
-    _expect((ends[-1] if ends else 0) == len(text))
-    s = [text[a:b] for a, b in zip([0, *ends], ends)]
-    _expect(len(set(s)) == len(s))  # one index per string: names group by index
-    return s
-
-
-def _corpus_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> Corpus:
-    """The corpus that the parsed-corpus file's arrays hold, with `paths`
-    as its reports' paths; raises unless they are complete and consistent."""
-    s = _string_table(arrays)
-
-    addr, lab, is_alias = arrays["addresses"], arrays["labels"], arrays["is_alias"]
-    users, counts, points = arrays["users"], arrays["point_counts"], arrays["points"]
-    _expect(addr.ndim == 2 and addr.shape[1] == len(ADDRESS_FIELDS))
-    _expect(lab.ndim == 2 and lab.shape[1] == 3)
-    _expect(is_alias.dtype == bool and is_alias.shape == (len(lab),))
-    _expect(users.ndim == 1 and counts.dtype == np.int64 and counts.shape == users.shape)
-    _expect(bool(np.all(counts >= 1)))
-    _expect(points.dtype == np.float64 and points.shape == (int(counts.sum()), 2))
-    for idx in (addr, lab, users):
-        _expect(idx.dtype == np.int32 and bool(np.all((idx >= 0) & (idx < len(s)))))
-    addresses = [AddressRecord(s[a], s[b], s[c], s[d], s[e]) for a, b, c, d, e in addr.tolist()]
-    stops = np.cumsum(counts).tolist()
-    locations = {s[u]: points[a:b] for u, a, b in zip(users.tolist(), [0, *stops], stops)}
-    _expect(len(locations) == len(users))
-
-    meta = json.loads(arrays["meta"].tobytes())
-    _expect(list(meta["reports"]) == list(_INPUTS))
-    reports = {
-        name: LoadReport(
-            path=p,
-            n_rows=r["n_rows"],
-            n_ok=r["n_ok"],
-            errors=[(line, msg) for line, msg in r["errors"]],
-            warnings=r["warnings"],
-        )
-        for p, (name, r) in zip(paths, meta["reports"].items())
-    }
-    orphans = [(row, reason) for row, reason in meta["orphans"]]
-    _expect(all(type(row) is int and 0 <= row < len(lab) for row, _ in orphans))
+    label_ids = _interned(index, ((lb.district, lb.standard_name, lb.candidate_name) for lb in labels), 3)
     return Corpus(
         addresses=addresses,
         locations=locations,
-        strings=s,
-        address_ids=addr,
-        label_ids=lab,
-        is_alias=is_alias,
+        labels=labels,
+        strings=list(index),
+        label_ids=label_ids,
+        is_alias=np.array([lb.is_alias for lb in labels], dtype=bool),
         reports=reports,
-        orphans=orphans,
+        orphans=_find_orphans(addresses, labels),
     )
-
-
-def _read_keyed(path: str, key: str) -> dict[str, np.ndarray]:
-    """The arrays that `_write_keyed` saved at `path` under `key`; raises
-    if the file is absent, unreadable or saved under another key."""
-    with np.load(path, allow_pickle=False) as z:
-        _expect(z["key"].shape == () and str(z["key"]) == key)
-        return {name: z[name] for name in z.files if name != "key"}
-
-
-def _write_keyed(path: str, key: str, arrays: dict[str, np.ndarray], kind: str):
-    """Save `arrays` under `key` at `path` through `_output_file`. A failed
-    write is logged, not raised: it costs only a rebuild on the next read."""
-    try:
-        with _output_file(path, binary=True) as fh:
-            np.savez(fh, key=np.array(key), **arrays)
-        logger.info("%s=%s cache=written", kind, path)
-    except OSError as exc:
-        logger.info("%s=%s cache=unwritten reason=%s", kind, path, exc)
-
-
-def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -> Corpus:
-    """Load addresses, locations, and labels from a data directory.
-
-    Expects addresses.<fmt>, locations.<fmt>, labels.<fmt> with fmt csv or
-    jsonl. A missing labels file is tolerated (empty label list) unless
-    `require_labels` is set.
-
-    What is parsed is kept in `<data_dir>/.poialias-corpus.<fmt>.npz`,
-    keyed by a sha256 over the format, each input's name and bytes (or its
-    absence), the parsing code's source and the Python and numpy versions.
-    A later call with the same key loads that file instead of parsing and
-    returns an equal corpus. A file that cannot be read or does not match
-    in full is a miss: the inputs are parsed and the file rewritten. A
-    failed write costs only the next call's re-parse.
-    """
-    paths = _input_paths(data_dir, fmt, require_labels)
-    return _keyed_corpus(data_dir, fmt, paths, _corpus_key(fmt, paths))[0]
-
-
-def _keyed_corpus(data_dir: str, fmt: str, paths: list[str], key: str) -> tuple[Corpus, bool]:
-    """`load_corpus` under its key, computed by the caller: the corpus, and
-    whether it is the corpus that `key` names, which is so on a hit and
-    after a parse during which no input changed."""
-    cache = os.path.join(data_dir, CORPUS_FILE.format(fmt=fmt))
-    try:
-        corpus = _corpus_from_arrays(_read_keyed(cache, key), paths)
-    except Exception as exc:
-        # an absent, damaged or mismatched file is a miss; a damaged zip
-        # alone can raise BadZipFile, EOFError, NotImplementedError,
-        # RuntimeError, KeyError, ValueError or OSError
-        logger.info("corpus=%s cache=miss reason=%r", cache, exc)
-    else:
-        logger.info("corpus=%s cache=hit", cache)
-        return corpus, True
-    arrays = _parse_corpus(paths, fmt)
-    corpus = _corpus_from_arrays(arrays, paths)
-    # an input rewritten while it was parsed must not be filed under the old key
-    keyed = _corpus_key(fmt, paths) == key
-    if keyed:
-        _write_keyed(cache, key, arrays, "corpus")
-    return corpus, keyed

@@ -5,8 +5,10 @@ index, and the mobility profiles, splits names into standards (those
 appearing as standard names in the label registry) and candidates
 (everything else), and scores the full standard-by-candidate grid.
 
-`load_city` keeps each built city in one content-keyed file beside the
-inputs, so the scoring commands of an analysis build it once.
+`load_city` keeps each built city, with the summary of the parse it was
+built from, in one content-keyed file beside the inputs. It is the only
+file poialias keeps there: the commands of an analysis parse and build a
+city once, and `ingest-check` and `preprocess` read the same file.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import logging
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -26,17 +29,13 @@ from .discovery import MetricConfig, ScoreTable, score_pairs
 from .distribution import BoundingBox
 from .errors import ConflictingLabelError
 from .ingestion import (
+    _INPUTS,
     Corpus,
-    _corpus_key,
-    _expect,
-    _file_sha256,
+    LoadReport,
     _input_paths,
     _interned,
-    _keyed_corpus,
-    _read_keyed,
-    _string_arrays,
-    _string_table,
-    _write_keyed,
+    _output_file,
+    load_corpus,
     partition_by_district,
 )
 from .preprocess import CanonicalMap, check_cluster_threshold, clean_text, cluster_near_duplicates
@@ -76,8 +75,22 @@ class DistrictData:
 
 
 @dataclass
+class ParseSummary:
+    """What the parse of a city's inputs found, as `ingest-check` and
+    `preprocess` report it."""
+
+    reports: dict[str, LoadReport]  # per input file
+    address_counts: dict[str, int]  # per district that an address names, sorted
+    n_users: int  # users with a location
+    n_labels: int
+    orphan_labels: list[tuple[str, str, str, str]]  # district, standard, candidate, reason
+    raw_names: dict[str, list[str]]  # per built district, its sorted raw POI names
+
+
+@dataclass
 class CityData:
     districts: dict[str, DistrictData]
+    summary: ParseSummary | None = None
 
     def labeled_districts(self) -> list[str]:
         return sorted(d for d, dd in self.districts.items() if len(dd.label_is_alias))
@@ -188,20 +201,62 @@ def _labels(district, canonical: CanonicalMap, profiles, strings, label_ids, is_
 CITY_FILE = ".poialias-city.{fmt}.npz"
 #: the per-district runs of the city file's arrays; row d of its `counts`
 #: holds district d's length in each
-_SECTIONS = ("mapping", "clusters", "profiles", "standards", "candidates", "labels")
+_SECTIONS = ("mapping", "clusters", "profiles", "standards", "candidates", "labels", "raw_names")
+
+
+def _expect(ok: bool):
+    if not ok:
+        raise ValueError("the file does not match its inputs or its layout")
+
+
+def _runs(items, lengths) -> list:
+    """`items` cut into consecutive runs of the given lengths."""
+    stops = np.cumsum(lengths, dtype=np.int64).tolist()
+    return [items[a:b] for a, b in zip([0, *stops], stops)]
+
+
+def _string_arrays(strings) -> dict[str, np.ndarray]:
+    """A string table as a file holds it: the UTF-8 bytes of all strings
+    and each string's length in code points."""
+    return {
+        # surrogatepass: a JSONL "\ud800" escape parses to a lone surrogate
+        "strings": np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), dtype=np.uint8),
+        "string_lengths": np.array([len(t) for t in strings], dtype=np.int64),
+    }
+
+
+def _string_table(arrays: dict[str, np.ndarray]) -> list[str]:
+    """The string table that `_string_arrays` made; raises unless its
+    strings are distinct and fill its bytes exactly."""
+    lengths = arrays["string_lengths"]
+    _expect(lengths.dtype == np.int64 and lengths.ndim == 1 and bool(np.all(lengths >= 0)))
+    text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
+    _expect(int(lengths.sum()) == len(text))
+    s = _runs(text, lengths)
+    _expect(len(set(s)) == len(s))  # one index per string: names group by index
+    return s
 
 
 def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarray]:
     """Build every district of `corpus` into the city file's arrays.
 
-    One string table holds every name, as int32 indices in `districts` (the
-    built ones, sorted), `skipped` (those with neither usable names nor
-    labels), `mapping` (each canonical map's (spelling, canonical) entries),
-    `clusters` (its canonical names, with `cluster_sizes`), `profiles`
-    (with `user_counts` and `point_counts`), `standards` and `candidates`.
-    These, `label_pos` and `label_is_alias` run district after district,
-    each in its dict's or list's order; `bbox` has a row per district (NaN
-    for none), and `points` holds every profile's points in profile order.
+    One string table holds every name and message, as int32 indices in
+    `districts` (the built ones, sorted), `skipped` (those with neither
+    usable names nor labels), `mapping` (each canonical map's (spelling,
+    canonical) entries), `clusters` (its canonical names, with
+    `cluster_sizes`), `profiles` (with `user_counts` and `point_counts`),
+    `standards`, `candidates` and `raw_names` (the district's sorted raw
+    POI names). These, `label_pos` and `label_is_alias` run district after
+    district, each in its dict's or list's order; `bbox` has a row per
+    district (NaN for none), and `points` holds every profile's points in
+    profile order.
+
+    The parse summary: `reports` holds each input's (rows, accepted rows,
+    errors, warnings) counts, and `error_lines`, `error_messages` and
+    `warnings` run input after input; `address_districts` and
+    `address_counts` give every district an address names, sorted;
+    `orphans` holds (district, standard, candidate, reason) rows, and
+    `totals` the numbers of located users and of labels.
     """
     by_district = partition_by_district(corpus.addresses)
     # each district's label rows, in file order
@@ -237,14 +292,16 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
 
     maps = [dd.canonical_map for dd in built]
     profiles = [p for dd in built for p in dd.profiles.values()]
+    raw_names = [sorted({rec.poi_name for rec in by_district.get(dd.district, [])}) for dd in built]
+    reports = [corpus.reports[name] for name in _INPUTS]
     arrays = {
         "districts": ids(dd.district for dd in built),
         "skipped": ids(skipped),
         "counts": np.array(
             [
                 [len(m.mapping), len(m.cluster_sizes), len(dd.profiles)]
-                + [len(dd.standard_names), len(dd.candidate_names), len(dd.label_pos)]
-                for m, dd in zip(maps, built)
+                + [len(dd.standard_names), len(dd.candidate_names), len(dd.label_pos), len(raw)]
+                for m, dd, raw in zip(maps, built, raw_names)
             ],
             dtype=np.int64,
         ).reshape(-1, len(_SECTIONS)),
@@ -262,13 +319,29 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
         "bbox": np.array(
             [astuple(dd.bbox) if dd.bbox else [np.nan] * 4 for dd in built], dtype=np.float64
         ).reshape(-1, 4),
+        "raw_names": ids(name for raw in raw_names for name in raw),
+        "reports": np.array(
+            [[r.n_rows, r.n_ok, r.n_errors, len(r.warnings)] for r in reports], dtype=np.int64
+        ),
+        "error_lines": np.array([line for r in reports for line, _ in r.errors], dtype=np.int64),
+        "error_messages": ids(message for r in reports for _, message in r.errors),
+        "warnings": ids(warning for r in reports for warning in r.warnings),
+        "address_districts": ids(sorted(by_district)),
+        "address_counts": np.array([len(by_district[d]) for d in sorted(by_district)], dtype=np.int64),
+        "orphans": _interned(
+            index,
+            ((lb.district, lb.standard_name, lb.candidate_name, reason) for lb, reason in corpus.orphan_labels),
+            4,
+        ),
+        "totals": np.array([len(corpus.locations), len(corpus.labels)], dtype=np.int64),
     }
     return {**arrays, **_string_arrays(index)}  # the table is complete once every name has an id
 
 
-def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
-    """The city that the city file's arrays hold; raises unless they are
-    complete and consistent. Each profile's points are a slice of `points`.
+def _city_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> CityData:
+    """The city that the city file's arrays hold, with `paths` as its
+    reports' paths; raises unless they are complete and consistent. Each
+    profile's points are a slice of `points`.
 
     Then logs each district as it is built: a skipped one at WARNING, a
     built one's sizes at INFO.
@@ -277,10 +350,7 @@ def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
     counts = arrays["counts"]
     n = len(arrays["districts"])
     _expect(counts.dtype == np.int64 and counts.shape == (n, len(_SECTIONS)) and bool(np.all(counts >= 0)))
-    # per section, where each district's run starts, then where the last ends
-    starts = np.vstack([np.zeros((1, len(_SECTIONS)), np.int64), counts.cumsum(0)])
-    bounds = dict(zip(_SECTIONS, starts.T.tolist()))
-    total = {section: b[-1] for section, b in bounds.items()}
+    total = dict(zip(_SECTIONS, counts.sum(0).tolist()))
 
     def numbers(name: str, dtype, shape: tuple) -> np.ndarray:
         a = arrays[name]
@@ -293,8 +363,7 @@ def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
         return [s[i] for i in a.ravel().tolist()]
 
     def split(items, section: str) -> list:
-        b = bounds[section]
-        return [items[lo:hi] for lo, hi in zip(b, b[1:])]
+        return _runs(items, counts[:, _SECTIONS.index(section)])
 
     district_names = names("districts", (n,))
     skipped = names("skipped", (len(arrays["skipped"]),))
@@ -306,18 +375,18 @@ def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
     point_counts = numbers("point_counts", np.int64, (n_profiles,))
     _expect(bool(np.all(user_counts >= 0) and np.all(point_counts >= 0)))
     points = numbers("points", np.float64, (int(point_counts.sum()), 2))
-    stops = point_counts.cumsum().tolist()
     profile_names = names("profiles", (n_profiles,))
     profiles = [
-        MobilityProfile(name, points[a:b], users, b - a)
-        for name, users, a, b in zip(profile_names, user_counts.tolist(), [0, *stops], stops)
+        MobilityProfile(name, pts, users, len(pts))
+        for name, users, pts in zip(profile_names, user_counts.tolist(), _runs(points, point_counts))
     ]
     label_pos = numbers("label_pos", np.int64, (total["labels"],))
     label_is_alias = numbers("label_is_alias", bool, (total["labels"],))
     bboxes = numbers("bbox", np.float64, (n, 4))
 
     districts: dict[str, DistrictData] = {}
-    for district, pairs, clusters, cluster_sizes, profs, stds, cands, pos, alias, box in zip(
+    raw_names: dict[str, list[str]] = {}
+    for district, pairs, clusters, cluster_sizes, profs, stds, cands, pos, alias, box, raw in zip(
         district_names,
         split(list(zip(spellings[::2], spellings[1::2])), "mapping"),
         split(names("clusters", (total["clusters"],)), "clusters"),
@@ -328,12 +397,14 @@ def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
         split(label_pos, "labels"),
         split(label_is_alias, "labels"),
         bboxes.tolist(),
+        split(names("raw_names", (total["raw_names"],)), "raw_names"),
     ):
         canonical = CanonicalMap(dict(pairs), dict(zip(clusters, cluster_sizes)))
         by_name = {p.name: p for p in profs}
         _expect(len(canonical.mapping) == len(pairs) and len(canonical.cluster_sizes) == len(clusters))
         _expect(len(by_name) == len(profs) and all(name in by_name for name in stds + cands))
         _expect(bool(np.all((pos >= -1) & (pos < len(stds) * len(cands)))))
+        _expect(raw == sorted(set(raw)))
         districts[district] = DistrictData(
             district=district,
             canonical_map=canonical,
@@ -344,6 +415,35 @@ def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
             label_is_alias=alias,
             bbox=None if all(map(math.isnan, box)) else BoundingBox(*box),
         )
+        raw_names[district] = raw
+
+    # the parse summary
+    per_input = numbers("reports", np.int64, (len(_INPUTS), 4))
+    _expect(bool(np.all(per_input >= 0)))
+    n_rows, n_ok, n_errors, n_warnings = per_input.T.tolist()
+    error_lines = numbers("error_lines", np.int64, (sum(n_errors),)).tolist()
+    errors = list(zip(error_lines, names("error_messages", (sum(n_errors),))))
+    warnings = names("warnings", (sum(n_warnings),))
+    reports = {
+        name: LoadReport(path, rows, ok, errs, warns)
+        for name, path, rows, ok, errs, warns in zip(
+            _INPUTS, paths, n_rows, n_ok, _runs(errors, n_errors), _runs(warnings, n_warnings)
+        )
+    }
+    address_districts = names("address_districts", (len(arrays["address_districts"]),))
+    address_counts = numbers("address_counts", np.int64, (len(address_districts),))
+    _expect(address_districts == sorted(set(address_districts)) and bool(np.all(address_counts >= 1)))
+    orphans = names("orphans", (len(arrays["orphans"]), 4))
+    n_users, n_labels = numbers("totals", np.int64, (2,)).tolist()
+    _expect(n_users >= 0 and n_labels >= 0)
+    summary = ParseSummary(
+        reports=reports,
+        address_counts=dict(zip(address_districts, address_counts.tolist())),
+        n_users=n_users,
+        n_labels=n_labels,
+        orphan_labels=list(zip(*(orphans[k::4] for k in range(4)))),
+        raw_names=raw_names,
+    )
 
     for district in sorted(districts.keys() | set(skipped)):
         dd = districts.get(district)
@@ -358,28 +458,70 @@ def _city_from_arrays(arrays: dict[str, np.ndarray]) -> CityData:
             len(dd.candidate_names),
             len(dd.label_is_alias),
         )
-    return CityData(districts=districts)
+    return CityData(districts=districts, summary=summary)
 
 
 def build_city_data(
     corpus: Corpus, cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
 ) -> CityData:
     """District-partitioned pipeline state for one corpus: one DistrictData
-    for every district with usable address names or labels.
+    for every district with usable address names or labels, and the
+    summary of the parse.
 
     The city is built through the city file's arrays, as `load_city`
     builds a hit, so a built city and a loaded one are alike to the last
     bit; no file is read or written.
     """
-    return _city_from_arrays(_city_arrays(corpus, cluster_threshold))
+    paths = [corpus.reports[name].path for name in _INPUTS]
+    return _city_from_arrays(_city_arrays(corpus, cluster_threshold), paths)
 
 
-def _city_key(corpus_key: str, cluster_threshold: float) -> str:
-    """sha256 over everything that decides a built city: the corpus key,
-    the cluster threshold and the source of every module the build runs."""
+def _file_sha256(path: str) -> str | None:
+    """Hex sha256 of a file's bytes, or None if there is no such file."""
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                h.update(chunk)
+    except FileNotFoundError:
+        return None
+    return h.hexdigest()
+
+
+def _city_key(fmt: str, paths: list[str], cluster_threshold: float) -> str:
+    """sha256 over everything that decides a built city: the format, each
+    input's name and bytes (or its absence), the source of every module
+    the parse and the build run, the Python and numpy versions and
+    repr(cluster_threshold)."""
     sources = (ingestion.__file__, preprocess.__file__, profile.__file__, __file__, distribution.__file__)
-    parts = [corpus_key, repr(cluster_threshold), [_file_sha256(f) for f in sources]]
+    parts = [
+        fmt,
+        [[os.path.basename(p), _file_sha256(p)] for p in paths],
+        [_file_sha256(f) for f in sources],
+        sys.version,
+        np.__version__,
+        repr(cluster_threshold),
+    ]
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def _read_keyed(path: str, key: str) -> dict[str, np.ndarray]:
+    """The arrays that `_write_keyed` saved at `path` under `key`; raises
+    if the file is absent, unreadable or saved under another key."""
+    with np.load(path, allow_pickle=False) as z:
+        _expect(z["key"].shape == () and str(z["key"]) == key)
+        return {name: z[name] for name in z.files if name != "key"}
+
+
+def _write_keyed(path: str, key: str, arrays: dict[str, np.ndarray]):
+    """Save `arrays` under `key` at `path` through `_output_file`. A failed
+    write is logged, not raised: it costs only a rebuild on the next read."""
+    try:
+        with _output_file(path, binary=True) as fh:
+            np.savez(fh, key=np.array(key), **arrays)
+        logger.info("city=%s cache=written", path)
+    except OSError as exc:
+        logger.info("city=%s cache=unwritten reason=%s", path, exc)
 
 
 def load_city(
@@ -391,36 +533,39 @@ def load_city(
     """`build_city_data(load_corpus(data_dir, fmt, require_labels),
     cluster_threshold)`, kept in `<data_dir>/.poialias-city.<fmt>.npz`.
 
-    The file is keyed by a sha256 over the corpus file's key (the format,
-    each input's name and bytes, the Python and numpy versions),
-    repr(cluster_threshold) and the source of ingestion, preprocess,
-    profile, pipeline and distribution. With the same key the city is
-    loaded from the file and the corpus is not read. A file that is
-    absent, unreadable or does not match in full is a miss: the city is
-    built and the file rewritten. A failed write costs only the next
-    call's rebuild. The cluster threshold, the format and a required
-    labels file are checked before either file is consulted.
+    The file is keyed by a sha256 over the format, each input's name and
+    bytes (or its absence), the source of ingestion, preprocess, profile,
+    pipeline and distribution, the Python and numpy versions and
+    repr(cluster_threshold). With the same key the city, parse summary
+    included, is loaded from the file and no input is parsed; its reports
+    name the inputs of `data_dir`. A file that is absent, unreadable or
+    does not match in full is a miss: the inputs are parsed, the city is
+    built and the file rewritten, unless an input changed while it was
+    parsed. A failed write costs only the next call's rebuild. The cluster
+    threshold, the format and a required labels file are checked before
+    the file is consulted.
     """
     check_cluster_threshold(cluster_threshold)
     paths = _input_paths(data_dir, fmt, require_labels)
     cache = os.path.join(data_dir, CITY_FILE.format(fmt=fmt))
-    corpus_key = _corpus_key(fmt, paths)
-    key = _city_key(corpus_key, cluster_threshold)
+    key = _city_key(fmt, paths, cluster_threshold)
     try:
-        city = _city_from_arrays(_read_keyed(cache, key))
+        city = _city_from_arrays(_read_keyed(cache, key), paths)
     except Exception as exc:
-        # as for the corpus file: an absent, damaged or mismatched file is a miss
+        # an absent, damaged or mismatched file is a miss; a damaged zip
+        # alone can raise BadZipFile, EOFError, NotImplementedError,
+        # RuntimeError, KeyError, ValueError or OSError
         logger.info("city=%s cache=miss reason=%r", cache, exc)
     else:
         logger.info("city=%s cache=hit", cache)
         return city
-    corpus, keyed = _keyed_corpus(data_dir, fmt, paths, corpus_key)
+    corpus = load_corpus(data_dir, fmt, require_labels)
     arrays = _city_arrays(corpus, cluster_threshold)
     del corpus  # the city holds no reference to it
-    city = _city_from_arrays(arrays)
-    # a corpus parsed while an input was rewritten is not the one `key` names
-    if keyed:
-        _write_keyed(cache, key, arrays, "city")
+    city = _city_from_arrays(arrays, paths)
+    # an input rewritten while it was parsed must not be filed under the old key
+    if _city_key(fmt, paths, cluster_threshold) == key:
+        _write_keyed(cache, key, arrays)
     return city
 
 

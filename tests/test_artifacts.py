@@ -225,4 +225,6 @@ def test_every_artifact_matches_its_pinned_digest(cities, tmp_path, capsys):
             cold, again = runs
             table.setdefault(city, {})[command] = cold if again == cold else {"cold": cold, "again": again}
     capsys.readouterr()  # sweep prints its table
+    # the built-city file is the one file kept beside the inputs
+    assert {p.name for data in cities.values() for p in data.glob(".poialias-*")} == {".poialias-city.csv.npz"}
     assert table == PINS, "the table the code now gives:\n" + pprint.pformat(table, width=110, sort_dicts=False)

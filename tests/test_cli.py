@@ -87,6 +87,21 @@ def test_discover_evaluate_happy_path(data_dir, tmp_path):
     assert report["report"]["f1"] > 0.5
 
 
+def test_help_lists_every_command(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "160")  # one line per command
+    listing = build_parser().format_help().split("positional arguments:\n")[1].split("\n\n")[0]
+    assert listing.splitlines()[1:] == [
+        "    synth               generate a seeded synthetic city",
+        "    ingest-check        parse inputs and report row errors and orphans",
+        "    preprocess          emit per-district canonical name maps",
+        "    discover            score every standard-candidate pair and write aliases.csv",
+        "    evaluate            report precision, recall and F1 against the labels",
+        "    crossval            calibrate on some districts, evaluate on the held-out rest",
+        "    transfer            calibrate on a source city, evaluate on a target city",
+        "    sweep               calibrate and evaluate across grid resolutions",
+    ]
+
+
 def _printed_by(code: str, **env: str) -> str:
     """The last line `code` prints in a fresh interpreter, whose environment
     lacks OPENBLAS_NUM_THREADS unless `env` sets it."""
@@ -406,7 +421,7 @@ def test_an_overflowing_kl_epsilon_fails_before_ingest(argv, message, data_dir, 
     def no_ingest(*args, **kwargs):
         raise AssertionError("input read")
 
-    monkeypatch.setattr(cli, "load_corpus", no_ingest)
+    monkeypatch.setattr(cli, "load_city", no_ingest)
     out = tmp_path / "eps"
     assert main([argv[0], str(data_dir), *argv[1:], "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
@@ -446,7 +461,7 @@ def test_non_utf8_input_fails_with_the_file_line_and_byte(fmt, tmp_path, capsys)
             f"error: command={command[0]} {data / f'addresses.{fmt}'}:{line_no}: byte {offset}: "
             "not UTF-8; convert GBK/GB18030 exports to UTF-8\n"
         )
-    assert not [p.name for p in data.iterdir() if p.name.startswith((".poialias-corpus", ".poialias-city"))]
+    assert not [p.name for p in data.iterdir() if p.name.startswith(".poialias-")]
 
 
 def test_a_read_only_data_directory_still_succeeds(data_dir, tmp_path, monkeypatch):
@@ -482,9 +497,7 @@ def test_a_missing_labels_file_fails_before_either_file_is_read(data_dir, tmp_pa
     (data / "labels.csv").unlink()
     argv = ["--method", "kl", "--out", str(tmp_path / "o")]
     assert main(["discover", str(data), *argv, "--threshold", "1"]) == 0
-    assert sorted(p.name for p in data.iterdir() if p.name.startswith(".poialias-")) == [
-        ".poialias-city.csv.npz", ".poialias-corpus.csv.npz"
-    ]
+    assert sorted(p.name for p in data.iterdir() if p.name.startswith(".poialias-")) == [".poialias-city.csv.npz"]
     capsys.readouterr()
     monkeypatch.setattr(np, "load", mock.Mock(side_effect=AssertionError("a file was read")))
     assert main(["evaluate", str(data), *argv]) == 1

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poialias import ingestion
+from poialias import ingestion, pipeline
 from poialias.cli import main
 from poialias.errors import ConflictingLabelError, InvalidConfigError
 from poialias.ingestion import (
@@ -35,7 +36,7 @@ from poialias.ingestion import (
     write_labels,
     write_location_log,
 )
-from poialias.pipeline import build_city_data
+from poialias.pipeline import ParseSummary, build_city_data, load_city
 from poialias.preprocess import clean_text
 
 
@@ -665,11 +666,14 @@ def test_load_corpus_tolerates_missing_labels(tmp_path):
         load_corpus(str(tmp_path), require_labels=True)
 
 
-# ------------------------------------------------------- parsed-corpus file
+# ------------------------------------------ the parse kept in the city file
+# `load_corpus` keeps nothing; `pipeline.load_city` keeps a parse's summary
+# in the built-city file, the one file beside the inputs (the corpus file
+# that the test names below mean).
 
 
-def _corpus_file(data, fmt="csv"):
-    return data / ingestion.CORPUS_FILE.format(fmt=fmt)
+def _city_file(data, fmt="csv"):
+    return Path(data) / pipeline.CITY_FILE.format(fmt=fmt)
 
 
 @contextlib.contextmanager
@@ -685,30 +689,35 @@ def _input_paths(data, fmt="csv"):
     return [os.path.join(data, f"{name}.{fmt}") for name in ("addresses", "locations", "labels")]
 
 
-def _fresh_parse(data, fmt="csv"):
-    """A parse that neither reads nor writes the corpus file."""
-    paths = _input_paths(data, fmt)
-    return ingestion._corpus_from_arrays(ingestion._parse_corpus(paths, fmt), paths)
+def _parsed(data, fmt="csv"):
+    """What the three parsers make of the inputs of `data`: the addresses,
+    locations, labels and per-file reports."""
+    addr_path, loc_path, lab_path = _input_paths(data, fmt)
+    addresses, addr_report = parse_address_records(addr_path, fmt)
+    locations, loc_report = parse_location_log(loc_path, fmt)
+    if os.path.exists(lab_path):
+        labels, lab_report = parse_labels(lab_path, fmt)
+    else:
+        labels, lab_report = [], LoadReport(path=lab_path, warnings=["labels file absent"])
+    return addresses, locations, labels, {"addresses": addr_report, "locations": loc_report, "labels": lab_report}
 
 
-def _assert_same_corpus(got, want):
-    assert got.addresses == want.addresses
-    # the columnar labels, and the records built from them
-    assert got.strings == want.strings
-    assert (got.label_ids.dtype, got.label_ids.shape) == (np.int32, (len(want.is_alias), 3))
-    assert got.label_ids.tolist() == want.label_ids.tolist()
-    assert (got.is_alias.dtype, got.is_alias.tolist()) == (bool, want.is_alias.tolist())
-    assert got.labels == want.labels
-    assert [type(lb.is_alias) for lb in got.labels] == [bool] * len(want.labels)
-    assert got.districts == want.districts
-    assert list(got.locations) == list(want.locations)
-    for user, pts in want.locations.items():
-        assert (got.locations[user].dtype, got.locations[user].shape) == (pts.dtype, pts.shape)
-        assert got.locations[user].tobytes() == pts.tobytes()
-    assert list(got.reports) == list(want.reports)
-    assert {n: r.to_dict() for n, r in got.reports.items()} == {n: r.to_dict() for n, r in want.reports.items()}
-    assert got.reports == want.reports
-    assert got.orphan_labels == want.orphan_labels
+def _parsed_summary(data, fmt, districts):
+    """The parse summary of a city of `data` built into `districts`, as the
+    three parsers and `_find_orphans` give it."""
+    addresses, locations, labels, reports = _parsed(data, fmt)
+    by_district = partition_by_district(addresses)
+    return ParseSummary(
+        reports=reports,
+        address_counts={d: len(recs) for d, recs in sorted(by_district.items())},
+        n_users=len(locations),
+        n_labels=len(labels),
+        orphan_labels=[
+            (labels[row].district, labels[row].standard_name, labels[row].candidate_name, reason)
+            for row, reason in ingestion._find_orphans(addresses, labels)
+        ],
+        raw_names={d: sorted({rec.poi_name for rec in by_district.get(d, [])}) for d in districts},
+    )
 
 
 # names that clean to one another, to nothing, or not at all; some hold a
@@ -739,9 +748,13 @@ def _rows(draw, *values):
 def _corpus_texts(draw, fmt):
     """The three input files' texts, each plain, BOM-prefixed or empty; the
     labels file may be absent (None). A label's flag is fixed by its cleaned
-    names, so rows of one triple never conflict and repeats only warn."""
+    names, so rows of one triple never conflict and repeats only warn. Some
+    draws plant two spellings that cluster into one name, each labeled
+    against one standard: those labels conflict only once clustered."""
     name, ids, district = st.sampled_from(_NAMES), st.sampled_from(_IDS), st.sampled_from(_DISTRICTS)
     addresses = _rows(draw, ids, st.just("J"), st.just("S"), district, name)
+    planted = ["lakeview", "lakevieww"] if draw(st.sampled_from([False, False, True])) else []
+    addresses += [[f"p{k}", "J", "S", "H", n] for k, n in enumerate(planted)]
     locations = _rows(
         draw, ids, _mostly(["31.3", "-0.0", "1e-300"], _BAD_COORD), _mostly(["120.5", "-0.0", "12"], _BAD_COORD)
     )
@@ -749,6 +762,7 @@ def _corpus_texts(draw, fmt):
         r[:3] + [str(len(clean_text(r[1]) + clean_text(r[2])) % 2)] if r[3:] == ["flag"] else r
         for r in _rows(draw, district, name, st.sampled_from(_NAMES[::-1]), _mostly(["flag"], ["2", ""]))
         + [["H", "alpha !", "Beta", "flag"]] * draw(st.sampled_from([2, 0, 1]))  # a repeat warns
+        + [["H", "Alpha", n, "flag"] for n in planted]
     ]
     texts = []
     for fields, rows in ((ADDRESS_FIELDS, addresses), (LOCATION_FIELDS, locations), (LABEL_FIELDS, labels)):
@@ -782,33 +796,51 @@ def test_a_hit_equals_a_fresh_parse(fmt, data, tmp_path_factory):
     for name, text in zip(("addresses", "locations", "labels"), texts):
         if text is not None:
             (root / f"{name}.{fmt}").write_text(text, encoding="utf-8", newline="")
-    fresh = load_corpus(str(root), fmt)
-    assert _corpus_file(root, fmt).exists()
-    with _no_parse():
-        hit = load_corpus(str(root), fmt)
-    _assert_same_corpus(hit, fresh)
 
-    # both equal what the three parsers make of the same files
-    addr_path, loc_path, lab_path = _input_paths(str(root), fmt)
-    addresses, addr_report = parse_address_records(addr_path, fmt)
-    locations, loc_report = parse_location_log(loc_path, fmt)
-    if texts[2] is None:
-        labels, lab_report = [], LoadReport(path=lab_path, warnings=["labels file absent"])
+    # load_corpus is what the three parsers make of the files, and keeps nothing
+    addresses, locations, labels, reports = _parsed(str(root), fmt)
+    corpus = load_corpus(str(root), fmt)
+    assert corpus.addresses == addresses
+    assert corpus.labels == labels
+    assert list(corpus.locations) == list(locations)
+    for user, pts in locations.items():
+        assert (corpus.locations[user].dtype, corpus.locations[user].shape) == (pts.dtype, pts.shape)
+        assert corpus.locations[user].tobytes() == pts.tobytes()
+    assert list(corpus.reports) == list(reports)
+    assert corpus.reports == reports
+    orphans = ingestion._find_orphans(addresses, labels)
+    assert corpus.orphan_labels == [(labels[row], reason) for row, reason in orphans]
+    # the columnar labels
+    assert len(set(corpus.strings)) == len(corpus.strings)
+    assert (corpus.label_ids.dtype, corpus.label_ids.shape) == (np.int32, (len(labels), 3))
+    assert [[corpus.strings[i] for i in row] for row in corpus.label_ids.tolist()] == [
+        [lb.district, lb.standard_name, lb.candidate_name] for lb in labels
+    ]
+    assert (corpus.is_alias.dtype, corpus.is_alias.tolist()) == (bool, [lb.is_alias for lb in labels])
+    assert not list(root.glob(".poialias-*"))
+
+    try:
+        build_city_data(corpus)
+    except ConflictingLabelError as exc:
+        conflict = str(exc)
     else:
-        labels, lab_report = parse_labels(lab_path, fmt)
-    reports = {"addresses": addr_report, "locations": loc_report, "labels": lab_report}
-    orphans = [(labels[row], reason) for row, reason in ingestion._find_orphans(addresses, labels)]
-    for corpus in (fresh, hit):
-        assert corpus.addresses == addresses
-        assert corpus.labels == labels
-        assert list(corpus.locations) == list(locations)
-        for user, pts in locations.items():
-            assert (corpus.locations[user].dtype, corpus.locations[user].shape) == (pts.dtype, pts.shape)
-            assert corpus.locations[user].tobytes() == pts.tobytes()
-        assert list(corpus.reports) == list(reports)
-        assert corpus.reports == reports
-        assert corpus.orphan_labels == orphans
-        assert corpus.districts == sorted({r.district for r in addresses} | {lb.district for lb in labels})
+        conflict = None
+    if conflict is not None:
+        # labels that agree as written but not once clustered: no city, no file
+        for _ in range(2):
+            with pytest.raises(ConflictingLabelError) as exc:
+                load_city(str(root), fmt)
+            assert str(exc.value) == conflict
+            assert not list(root.glob(".poialias-*"))
+        return
+    miss = load_city(str(root), fmt)
+    assert _city_file(root, fmt).exists()
+    with _no_parse():
+        hit = load_city(str(root), fmt)
+    want = _parsed_summary(str(root), fmt, miss.districts)
+    for city in (miss, hit):
+        assert list(city.summary.reports) == list(reports)
+        assert city.summary == want
 
 
 def _tiny_corpus(data, labels="H,Alpha,Beta,1\nH,Alpha,Beta,1\nH,Alpha,Ghost,0\n"):
@@ -826,62 +858,65 @@ def _tiny_corpus(data, labels="H,Alpha,Beta,1\nH,Alpha,Beta,1\nH,Alpha,Ghost,0\n
 
 
 def test_a_hit_names_the_directory_it_was_read_from(tmp_path):
-    load_corpus(_tiny_corpus(tmp_path / "a"))
+    load_city(_tiny_corpus(tmp_path / "a"))
     moved = str(shutil.copytree(tmp_path / "a", tmp_path / "b"))
     with _no_parse():
-        hit = load_corpus(moved)
-    assert hit.reports["locations"].path == os.path.join(moved, "locations.csv")
-    assert hit.reports["labels"].warnings == ["line 3: duplicate label for triple ('H', 'alpha', 'beta') dropped"]
-    assert [reason for _, reason in hit.orphan_labels] == ["candidate_name not in district addresses"]
-    _assert_same_corpus(hit, _fresh_parse(moved))
+        hit = load_city(moved)
+    assert hit.summary.reports["locations"].path == os.path.join(moved, "locations.csv")
+    assert hit.summary.reports["labels"].warnings == [
+        "line 3: duplicate label for triple ('H', 'alpha', 'beta') dropped"
+    ]
+    assert hit.summary.orphan_labels == [("H", "Alpha", "Ghost", "candidate_name not in district addresses")]
+    assert hit.summary == _parsed_summary(moved, "csv", hit.districts)
 
 
 def test_an_edit_that_keeps_size_and_mtime_is_reparsed(tmp_path):
     data = _tiny_corpus(tmp_path / "d")
-    assert load_corpus(data).locations["u2"].tolist() == [[31.4, 120.6]]
+    assert load_city(data).districts["H"].profiles["beta"].points.tolist() == [[31.4, 120.6]]
     path = tmp_path / "d" / "locations.csv"
     before = path.stat()
     path.write_bytes(path.read_bytes().replace(b"31.4,120.6", b"31.4,120.7"))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    assert load_corpus(data).locations["u2"].tolist() == [[31.4, 120.7]]
+    assert load_city(data).districts["H"].profiles["beta"].points.tolist() == [[31.4, 120.7]]
 
 
 def test_a_labels_file_that_appears_is_parsed(tmp_path):
     data = _tiny_corpus(tmp_path / "d", labels=None)
-    assert load_corpus(data).reports["labels"].warnings == ["labels file absent"]
+    assert load_city(data).summary.reports["labels"].warnings == ["labels file absent"]
     _write(tmp_path / "d" / "labels.csv", "district,standard_name,candidate_name,is_alias\nH,Alpha,Beta,1\n")
-    assert load_corpus(data).labels == [GroundTruthLabel("H", "Alpha", "Beta", True)]
+    city = load_city(data)
+    assert (city.summary.n_labels, city.summary.reports["labels"].warnings) == (1, [])
+    assert city.districts["H"].label_is_alias.tolist() == [True]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage", "another corpus's", "pickled"])
 def test_a_bad_corpus_file_is_a_miss(damage, tmp_path):
     data = _tiny_corpus(tmp_path / "d")
-    load_corpus(data)
-    path = _corpus_file(tmp_path / "d")
+    load_city(data)
+    path = _city_file(data)
     if damage == "truncated":
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     elif damage == "garbage":
         path.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
     elif damage == "another corpus's":
         other = _tiny_corpus(tmp_path / "o", labels="H,Alpha,Beta,0\n")
-        load_corpus(other)
-        shutil.copy(_corpus_file(tmp_path / "o"), path)
+        load_city(other)
+        shutil.copy(_city_file(other), path)
     else:
         np.savez(path, key=np.array([None], dtype=object))
     with mock.patch.object(ingestion, "parse_location_log", wraps=ingestion.parse_location_log) as parse:
-        got = load_corpus(data)
+        got = load_city(data)
     assert parse.call_count == 1
-    _assert_same_corpus(got, _fresh_parse(data))
+    assert got.summary == _parsed_summary(data, "csv", got.districts)
     with _no_parse():  # rewritten
-        _assert_same_corpus(load_corpus(data), got)
+        assert load_city(data).summary == got.summary
 
 
-def test_a_hit_raises_the_conflict_a_fresh_parse_raises(tmp_path):
-    # lakeview, lakeviev and lakeviex cluster into lakeview, so the second
-    # canonical pair's labels disagree: its first label and the earliest
-    # one that differs are named, whichever path built the corpus
-    data = tmp_path / "d"
+def _lakeview_corpus(data):
+    """lakeview, lakeviev and lakeviex cluster into lakeview, so the labels
+    of the canonical pair (alpha, lakeview) disagree, though no two agree
+    as written."""
     data.mkdir()
     names = ["alpha", "beta", "lakeview", "lakeview", "lakeviev", "lakeviex"]
     _write(data / "addresses.csv", "user_id,province,city,district,poi_name\n"
@@ -889,28 +924,49 @@ def test_a_hit_raises_the_conflict_a_fresh_parse_raises(tmp_path):
     _write(data / "locations.csv", "user_id,lat,lon\n" + "".join(f"u{i},31.3,120.5\n" for i in range(6)))
     _write(data / "labels.csv", "district,standard_name,candidate_name,is_alias\n"
            "H,alpha,beta,1\nH,alpha,lakeview,0\nH,alpha,LakeViev,0\nH,alpha,beta2,1\nH,alpha,lakeviex,1\n")
-    messages = []
-    for corpus in (_fresh_parse(str(data)), load_corpus(str(data))):
-        with pytest.raises(ConflictingLabelError) as exc:
-            build_city_data(corpus)
-        messages.append(str(exc.value))
-    with _no_parse():
-        hit = load_corpus(str(data))
+    return str(data)
+
+
+_LAKEVIEW_CONFLICT = (
+    "district 'H': labels ('alpha', 'lakeview') and ('alpha', 'lakeviex') both resolve to "
+    "('alpha', 'lakeview') with different is_alias values"
+)
+
+
+def test_a_hit_raises_the_conflict_a_fresh_parse_raises(tmp_path):
+    # the canonical pair's first label and the earliest one that differs
+    # are named, whichever path built the city; none is filed, so every
+    # load parses and raises again
+    data = _lakeview_corpus(tmp_path / "d")
     with pytest.raises(ConflictingLabelError) as exc:
-        build_city_data(hit)
-    assert messages == [str(exc.value)] * 2
-    assert str(exc.value) == (
-        "district 'H': labels ('alpha', 'lakeview') and ('alpha', 'lakeviex') both resolve to "
-        "('alpha', 'lakeview') with different is_alias values"
-    )
+        build_city_data(load_corpus(data))
+    messages = [str(exc.value)]
+    for _ in range(2):
+        with pytest.raises(ConflictingLabelError) as exc:
+            load_city(data)
+        messages.append(str(exc.value))
+        assert not _city_file(data).exists()
+    assert messages == [_LAKEVIEW_CONFLICT] * 3
+
+
+@pytest.mark.parametrize("argv", [["ingest-check"], ["preprocess"], ["evaluate", "--method", "kl"]])
+def test_labels_that_conflict_once_clustered_fail_every_command(argv, tmp_path, capsys):
+    # ingest-check reads the built city, so it names the conflict that
+    # preprocess and the scoring commands name
+    data = _lakeview_corpus(tmp_path / "d")
+    out = tmp_path / "o"
+    assert main([argv[0], data, *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: command={argv[0]} {_LAKEVIEW_CONFLICT}\n"
+    assert not out.exists()
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["addresses.csv", "labels.csv", "locations.csv"]
 
 
 def test_a_failed_write_still_returns_the_corpus(tmp_path):
     data = _tiny_corpus(tmp_path / "d")
     with mock.patch.object(os, "replace", side_effect=OSError(28, "No space left on device")):
-        got = load_corpus(data)
+        got = load_city(data)
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["addresses.csv", "labels.csv", "locations.csv"]
-    _assert_same_corpus(got, _fresh_parse(data))
+    assert got.summary == _parsed_summary(data, "csv", got.districts)
 
 
 def test_an_input_rewritten_while_parsed_is_not_filed(tmp_path):
@@ -923,9 +979,9 @@ def test_an_input_rewritten_while_parsed_is_not_filed(tmp_path):
         return out
 
     with mock.patch.object(ingestion, "parse_labels", side_effect=parse_then_rewrite):
-        load_corpus(data)
-    assert not _corpus_file(tmp_path / "d").exists()
-    assert list(load_corpus(data).locations) == ["u9"]
+        assert load_city(data).summary.n_users == 2
+    assert not _city_file(data).exists()
+    assert load_city(data).summary.n_users == 1
 
 
 @pytest.mark.parametrize(
@@ -940,17 +996,19 @@ def test_an_input_rewritten_while_parsed_is_not_filed(tmp_path):
 def test_a_failing_parse_writes_no_corpus_file(labels, error, tmp_path):
     data = _tiny_corpus(tmp_path / "d")
     _write(tmp_path / "d" / "labels.csv", labels)
-    with pytest.raises(error):
-        load_corpus(data)
+    for load in (load_corpus, load_city):
+        with pytest.raises(error):
+            load(data)
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["addresses.csv", "labels.csv", "locations.csv"]
 
 
 def test_required_labels_are_checked_before_the_corpus_file(tmp_path):
     data = _tiny_corpus(tmp_path / "d", labels=None)
-    load_corpus(data)
-    assert _corpus_file(tmp_path / "d").exists()
-    with pytest.raises(FileNotFoundError, match="labels.csv"):
-        load_corpus(data, require_labels=True)
+    load_city(data)
+    assert _city_file(data).exists()
+    for load in (load_corpus, load_city):
+        with pytest.raises(FileNotFoundError, match="labels.csv"):
+            load(data, require_labels=True)
 
 
 def test_a_second_evaluate_is_a_hit_with_the_same_report(small_city, tmp_path):

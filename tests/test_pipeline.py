@@ -172,9 +172,10 @@ def test_build_city_skips_unusable_districts(tmp_path):
         _locs(["u1", "u2"]),
         [],
     )
-    assert corpus.districts == ["dbad", "dok"]
     city = build_city_data(corpus)
     assert sorted(city.districts) == ["dok"]
+    assert city.summary.address_counts == {"dbad": 1, "dok": 1}
+    assert city.summary.raw_names == {"dok": ["fine"]}
 
 
 @pytest.mark.parametrize("located", [["u1", "u2", "u4"], ["u2"]])
@@ -305,9 +306,9 @@ def _city_file(data, fmt="csv"):
 
 @contextlib.contextmanager
 def _no_build():
-    """Reading the corpus and building a district patched to fail: a load
+    """Parsing the inputs and building a district patched to fail: a load
     inside must be a city hit."""
-    with mock.patch.object(pipeline, "_keyed_corpus", side_effect=AssertionError("_keyed_corpus")), \
+    with mock.patch.object(pipeline, "load_corpus", side_effect=AssertionError("load_corpus")), \
             mock.patch.object(pipeline, "build_district_data", side_effect=AssertionError("build")):
         yield
 
@@ -350,6 +351,7 @@ def test_a_city_hit_equals_a_build(
         hit = load_city(str(data))
     assert_same_city(miss.districts, want)
     assert_same_city(hit.districts, want)
+    assert miss.summary == hit.summary == built.summary
     # the points are slices of one array, not a copy per name
     located = [p.points for dd in hit.districts.values() for p in dd.profiles.values() if p.point_count]
     assert all(pts.base is not None and pts.base is located[0].base for pts in located)
@@ -417,15 +419,11 @@ def test_a_hit_logs_what_a_build_logs(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="poialias")
 
     def city_lines():
-        """The levels and messages logged since the last call, but the
-        corpus file's; a city file's line is cut before its reason."""
+        """The levels and messages logged since the last call; a city
+        file's line is cut before its reason."""
         lines = [(r.levelname, r.getMessage()) for r in caplog.records]
         caplog.clear()
-        return [
-            (level, msg.split(" reason=")[0] if msg.startswith("city=") else msg)
-            for level, msg in lines
-            if not msg.startswith("corpus=")
-        ]
+        return [(level, msg.split(" reason=")[0] if msg.startswith("city=") else msg) for level, msg in lines]
 
     load_city(data)
     assert city_lines() == [miss, *build, written]
