@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import uuid
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -318,7 +317,7 @@ def _output_file(path: str, binary: bool = False):
     removed and `path` is left as it was.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    tmp = f"{path}.{os.urandom(16).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "wb") if binary else open(fd, "w", newline="", encoding="utf-8") as fh:

@@ -13,16 +13,19 @@ city once, and `ingest-check` and `preprocess` read the same file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
+
+try:  # the builtin BLAKE2b: the key then loads no OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without _blake2
+    from hashlib import blake2b
 
 from . import distribution, ingestion, preprocess, profile
 from .discovery import MetricConfig, ScoreTable, score_pairs
@@ -476,9 +479,9 @@ def build_city_data(
     return _city_from_arrays(_city_arrays(corpus, cluster_threshold), paths)
 
 
-def _file_sha256(path: str) -> str | None:
-    """Hex sha256 of a file's bytes, or None if there is no such file."""
-    h = hashlib.sha256()
+def _file_digest(path: str) -> str | None:
+    """Hex BLAKE2b of a file's bytes, or None if there is no such file."""
+    h = blake2b()
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(1 << 20):
@@ -489,20 +492,20 @@ def _file_sha256(path: str) -> str | None:
 
 
 def _city_key(fmt: str, paths: list[str], cluster_threshold: float) -> str:
-    """sha256 over everything that decides a built city: the format, each
+    """BLAKE2b over everything that decides a built city: the format, each
     input's name and bytes (or its absence), the source of every module
     the parse and the build run, the Python and numpy versions and
     repr(cluster_threshold)."""
     sources = (ingestion.__file__, preprocess.__file__, profile.__file__, __file__, distribution.__file__)
     parts = [
         fmt,
-        [[os.path.basename(p), _file_sha256(p)] for p in paths],
-        [_file_sha256(f) for f in sources],
+        [[os.path.basename(p), _file_digest(p)] for p in paths],
+        [_file_digest(f) for f in sources],
         sys.version,
         np.__version__,
         repr(cluster_threshold),
     ]
-    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+    return blake2b(json.dumps(parts).encode()).hexdigest()
 
 
 def _read_keyed(path: str, key: str) -> dict[str, np.ndarray]:
@@ -533,9 +536,9 @@ def load_city(
     """`build_city_data(load_corpus(data_dir, fmt, require_labels),
     cluster_threshold)`, kept in `<data_dir>/.poialias-city.<fmt>.npz`.
 
-    The file is keyed by a sha256 over the format, each input's name and
-    bytes (or its absence), the source of ingestion, preprocess, profile,
-    pipeline and distribution, the Python and numpy versions and
+    The file is keyed by a BLAKE2b digest over the format, each input's
+    name and bytes (or its absence), the source of ingestion, preprocess,
+    profile, pipeline and distribution, the Python and numpy versions and
     repr(cluster_threshold). With the same key the city, parse summary
     included, is loaded from the file and no input is parsed; its reports
     name the inputs of `data_dir`. A file that is absent, unreadable or
@@ -579,6 +582,8 @@ def score_city(city: CityData, config: MetricConfig, workers: int = 1) -> dict[s
 
     names = sorted(city.districts)
     if workers > 1 and len(names) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return dict(zip(names, pool.map(score, names)))
     return {d: score(d) for d in names}

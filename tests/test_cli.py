@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: artifacts, determinism, error paths."""
 
 import csv
+import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poialias import cli
+from poialias import cli, pipeline
 from poialias.cli import build_parser, main
 from poialias.preprocess import clean_text
 
@@ -137,6 +139,67 @@ def test_cli_import_keeps_the_callers_blas_threads():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cli_import_leaves_one_thread():
     assert _printed_by(_CLI_THEN + "print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_cli_import_loads_no_synth():
+    assert "poialias.synth" not in _modules_after("import poialias.cli")
+
+
+#: what no command but synth, or a pool of --workers, needs: OpenSSL (the
+#: city key is the builtin BLAKE2b), the generator, the pool and uuid
+_LOADED_ONLY_WHEN_USED = {"_hashlib", "ssl", "poialias.synth", "concurrent.futures", "uuid"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--method", m] for m in ("centroid", "loccent", "kl", "jaccard", "editdist")]
+    + [["discover", "--method", "kl"], ["sweep", "--method", "jaccard", "--grids", "20,50"],
+       ["crossval", "--method", "centroid"], ["ingest-check"]],
+    ids=lambda argv: "-".join(argv[:3:2]),
+)
+def test_a_command_loads_only_what_it_runs(argv, data_dir, tmp_path):
+    data = tmp_path / "d"
+    shutil.copytree(data_dir, data, ignore=shutil.ignore_patterns(".poialias-*"))
+    run = [argv[0], str(data), *argv[1:], "--out", str(tmp_path / "o")]
+    code = f"from poialias.cli import main\nfor _ in ('miss', 'hit'):\n    assert main({run!r}) == 0"
+    loaded = _modules_after(code)
+    assert list(data.glob(".poialias-city.*")), "the miss wrote no city file, so the rerun was no hit"
+    assert sorted(_LOADED_ONLY_WHEN_USED & loaded) == []
+
+
+def test_file_digest_is_the_blake2b_of_the_bytes(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(bytes(range(256)) * 5000)  # more than one read chunk
+    assert pipeline._file_digest(str(path)) == hashlib.blake2b(path.read_bytes()).hexdigest()
+    assert pipeline._file_digest(str(tmp_path / "absent")) is None
+
+
+def test_synth_seed_defaults_to_the_library_seed(tmp_path, capsys):
+    from poialias.synth import SynthConfig
+
+    assert build_parser().parse_args(["synth"]).seed == SynthConfig.seed
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    assert f"(default: {SynthConfig.seed})" in capsys.readouterr().out
+    assert main(["synth", "--out", str(tmp_path / "s")] + SMALL_SET) == 0
+    manifest = json.loads((tmp_path / "s" / "run_manifest.json").read_text())
+    assert manifest["config"]["seed"] == SynthConfig.seed
+
+
+def test_manifest_records_the_peak_memory_beside_the_counts(data_dir, tmp_path):
+    out = tmp_path / "ev"
+    assert main(["evaluate", str(data_dir), "--method", "kl", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0
+    assert "peak_rss_mb" not in manifest["counts"]
+    assert b"peak_rss_mb" not in (out / "report.json").read_bytes()
+
+
+def test_manifest_omits_the_peak_memory_without_resource(data_dir, tmp_path):
+    out = tmp_path / "ev"
+    with mock.patch.dict(sys.modules, {"resource": None}):  # import resource raises ImportError
+        assert main(["evaluate", str(data_dir), "--method", "kl", "--out", str(out)]) == 0
+    assert "peak_rss_mb" not in json.loads((out / "run_manifest.json").read_text())
 
 
 def test_package_import_loads_no_numpy():
