@@ -201,7 +201,9 @@ def _synth_config(args):
         except ValueError:
             kind = "'lo,hi'" if isinstance(current, tuple) else type(current).__name__
             raise InvalidConfigError(f"{key} expects {kind}, got {value!r}") from None
-    return SynthConfig(seed=args.seed, **overrides)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    return SynthConfig(**overrides)
 
 
 def _cmd_synth(args, timer: _Timer):
@@ -462,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic city")
-    # SynthConfig.seed, restated so that parsing loads no synth; a test pins the two equal
-    p.add_argument("--seed", type=int, default=42, help="the city's seed (default: %(default)s)")
+    # no default here: parsing loads no synth, and SynthConfig keeps the one default seed
+    p.add_argument("--seed", type=int, help="the city's seed (default: SynthConfig.seed)")
     p.add_argument("--config", action="append", metavar="KEY=VALUE", help="override a synth config field")
     _add_common_opts(p)
     p.set_defaults(func=_cmd_synth)

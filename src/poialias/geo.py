@@ -5,7 +5,6 @@ local-region centroid."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -137,13 +136,6 @@ def max_coverage_window(points: np.ndarray, side: float) -> Window:
     On clustered data nearly every anchor is; on uniform data the bound
     rarely prunes, which is the search's worst case.
 
-    Skipped anchors are not visited one by one. The bound beats the best
-    count only when the slab holds more than that count, and ends past the
-    last evaluated slab's end plus the best count minus the last count.
-    Slab ends never decrease, so one bisection finds the first anchor that
-    passes the second test. The anchors that pass the first are listed,
-    and listed again only when the best count has risen past a listed one.
-
     An anchor that is evaluated is evaluated exactly. With the slab's y
     values sorted, the window whose bottom edge is the k-th of them covers
     m of them when y[k + m - 1] <= y[k] + side, so its best count is the
@@ -165,38 +157,23 @@ def max_coverage_window(points: np.ndarray, side: float) -> Window:
     xs = pts[xorder, 0]
     ys = pts[xorder, 1]
     # anchors are the first point of each distinct x; the slab of the
-    # anchor at anchor_l[q] ends before end_l[q], which never decreases
-    anchors = np.flatnonzero(np.diff(xs, prepend=-np.inf))
-    ends = np.searchsorted(xs, xs[anchors] + side, side="right")
-    sizes = ends - anchors
-    anchor_l = anchors.tolist()
-    end_l = ends.tolist()
+    # anchor at i ends before slab_end[i]
+    anchors = np.flatnonzero(np.diff(xs, prepend=-np.inf)).tolist()
+    slab_end = np.searchsorted(xs, xs + side, side="right").tolist()
+    x_l = xs.tolist()
 
     best = 0
     best_x0 = 0.0
     best_y0 = 0.0
     last_count = 0  # the count and slab end of the last anchor evaluated
     last_end = 0
-    # anchors whose slab holds more than best points, listed for a best no
-    # higher than today's; at best 0 every anchor is one
-    candidates = range(len(anchor_l))
-    q = 0  # no anchor before this one is left to evaluate
-    while True:
-        # the next anchor whose bound beats best: its slab ends past
-        # last_end + best - last_count and holds more than best points
-        q = max(q, bisect_right(end_l, last_end + best - last_count))
-        k = bisect_left(candidates, q)
-        if k == len(candidates):
-            break
-        q = candidates[k]
-        i = anchor_l[q]
-        end = end_l[q]
+    for i in anchors:
+        end = slab_end[i]
         n = end - i
-        if n <= best:  # listed for a lower best: list again from here
-            candidates = (np.flatnonzero(sizes[q:] > best) + q).tolist()
-            continue
-        # this anchor's count lies in [lo, hi], and hi > best
+        # this anchor's count lies in [lo, hi]
         lo, hi = 1, min(n, last_count + end - last_end)
+        if hi <= best:
+            continue
         slab = np.sort(ys[i:end])
         top = slab + side
         while lo < hi:  # bisect for the largest m that some bottom edge reaches
@@ -207,10 +184,9 @@ def max_coverage_window(points: np.ndarray, side: float) -> Window:
                 hi = m - 1
         last_count = lo
         last_end = end
-        q += 1
         if lo > best:
             best = lo
-            best_x0 = float(xs[i])
+            best_x0 = x_l[i]
             best_y0 = float(slab[int((slab[lo - 1 :] <= top[: n - lo + 1]).argmax())])
     return Window(x0=best_x0, y0=best_y0, side=float(side), count=best)
 

@@ -18,14 +18,10 @@ import logging
 import math
 import os
 import sys
+from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
 from dataclasses import astuple, dataclass
 
 import numpy as np
-
-try:  # the builtin BLAKE2b: the key then loads no OpenSSL
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without _blake2
-    from hashlib import blake2b
 
 from . import distribution, ingestion, preprocess, profile
 from .discovery import MetricConfig, ScoreTable, score_pairs
