@@ -29,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import evaluation
-from .discovery import MetricConfig, apply_threshold, decide
+from .discovery import MetricConfig, decide
 from .distribution import rasterize_all
 from .errors import InvalidConfigError, PoiAliasError
 from .ingestion import FORMATS, write_csv, write_json, write_jsonl
@@ -275,10 +275,7 @@ def _cmd_discover(args, timer: _Timer):
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
     theta, cal = _resolve_theta(city, scores, threshold)
-    n_links = 0
-    for district, pairs in scores.items():
-        dd = city.districts[district]
-        n_links += len(apply_threshold(pairs, theta, district, dd.standard_names, dd.candidate_names))
+    n_links = sum(int((table.score > theta).sum()) for table in scores.values())
     n_pairs = sum(len(p) for p in scores.values())
     _log_kv(stage="discover", pairs=n_pairs, links=n_links)
     timer.stage("write")

@@ -204,6 +204,9 @@ def apply_threshold(
     Mutates nothing.
 
     `district` names the district the pairs belong to and is not read.
+    Nothing in the package calls this: the CLI counts links as
+    `(table.score > threshold).sum()`, and the function stays for
+    `bench/traced.py`, which times it, until ROADMAP items 1 and 2.
     """
     std_idx = {n: i for i, n in enumerate(standard_names)}
     cand_idx = {n: j for j, n in enumerate(candidate_names)}

@@ -47,8 +47,8 @@ class BoundingBox:
             )
 
     @classmethod
-    def from_points(cls, points: np.ndarray, pad_fraction: float = 0.01) -> "BoundingBox":
-        """Tight data extent padded by a fraction of each axis span."""
+    def from_points(cls, points: np.ndarray) -> "BoundingBox":
+        """Tight data extent padded by 1 % of each axis span."""
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             raise InvalidConfigError("bounding box from an empty point set")
@@ -58,8 +58,8 @@ class BoundingBox:
         # degenerate spans (single point / collinear) get a nominal pad
         span_lat = max(max_lat - min_lat, 1e-6)
         span_lon = max(max_lon - min_lon, 1e-6)
-        pad_lat = span_lat * pad_fraction
-        pad_lon = span_lon * pad_fraction
+        pad_lat = span_lat * 0.01
+        pad_lon = span_lon * 0.01
         return cls(min_lat - pad_lat, max_lat + pad_lat, min_lon - pad_lon, max_lon + pad_lon)
 
 

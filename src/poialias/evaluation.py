@@ -250,10 +250,14 @@ def district_cross_validation(
     """Calibrate on training districts, evaluate on held-out ones.
 
     Districts are sorted by name and assigned to folds round-robin, so the
-    split is deterministic. With k labeled districts the training side
-    holds min(ceil(train_frac * k), k - 1) districts; each district is
-    tested exactly once across the folds. Reports both the per-fold mean
-    and the pooled-count aggregate.
+    split is deterministic. With k labeled districts the test size is
+    t = k - min(ceil(train_frac * k), k - 1), and there are ceil(k / t)
+    folds; fold f tests districts f, f + n_folds, ... and trains on the
+    rest, so each district is tested exactly once. Each fold trains on
+    k - t districts only when t divides k; otherwise some folds test fewer
+    and train on more: 7 districts at train_frac 0.5 give 3 folds that
+    train on 4, 5 and 5. Reports both the per-fold mean and the
+    pooled-count aggregate.
     """
     labeled = city.labeled_districts()
     k = len(labeled)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import sys
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
@@ -32,7 +31,6 @@ from .ingestion import (
     Corpus,
     LoadReport,
     _input_paths,
-    _interned,
     _output_file,
     load_corpus,
     partition_by_district,
@@ -198,9 +196,6 @@ def _labels(district, canonical: CanonicalMap, profiles, strings, label_ids, is_
 
 #: the built-city file `load_city` keeps beside the inputs
 CITY_FILE = ".poialias-city.{fmt}.npz"
-#: the per-district runs of the city file's arrays; row d of its `counts`
-#: holds district d's length in each
-_SECTIONS = ("mapping", "clusters", "profiles", "standards", "candidates", "labels", "raw_names")
 
 
 def _expect(ok: bool):
@@ -208,54 +203,22 @@ def _expect(ok: bool):
         raise ValueError("the file does not match its inputs or its layout")
 
 
-def _runs(items, lengths) -> list:
-    """`items` cut into consecutive runs of the given lengths."""
-    stops = np.cumsum(lengths, dtype=np.int64).tolist()
-    return [items[a:b] for a, b in zip([0, *stops], stops)]
-
-
-def _string_arrays(strings) -> dict[str, np.ndarray]:
-    """A string table as a file holds it: the UTF-8 bytes of all strings
-    and each string's length in code points."""
-    return {
-        # surrogatepass: a JSONL "\ud800" escape parses to a lone surrogate
-        "strings": np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), dtype=np.uint8),
-        "string_lengths": np.array([len(t) for t in strings], dtype=np.int64),
-    }
-
-
-def _string_table(arrays: dict[str, np.ndarray]) -> list[str]:
-    """The string table that `_string_arrays` made; raises unless its
-    strings are distinct and fill its bytes exactly."""
-    lengths = arrays["string_lengths"]
-    _expect(lengths.dtype == np.int64 and lengths.ndim == 1 and bool(np.all(lengths >= 0)))
-    text = arrays["strings"].tobytes().decode("utf-8", "surrogatepass")
-    _expect(int(lengths.sum()) == len(text))
-    s = _runs(text, lengths)
-    _expect(len(set(s)) == len(s))  # one index per string: names group by index
-    return s
-
-
 def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarray]:
     """Build every district of `corpus` into the city file's arrays.
 
-    One string table holds every name and message, as int32 indices in
-    `districts` (the built ones, sorted), `skipped` (those with neither
-    usable names nor labels), `mapping` (each canonical map's (spelling,
-    canonical) entries), `clusters` (its canonical names, with
-    `cluster_sizes`), `profiles` (with `user_counts` and `point_counts`),
-    `standards`, `candidates` and `raw_names` (the district's sorted raw
-    POI names). These, `label_pos` and `label_is_alias` run district after
-    district, each in its dict's or list's order; `bbox` has a row per
-    district (NaN for none), and `points` holds every profile's points in
-    profile order.
+    `head` is the JSON text of the city's names and counts, as bytes. It
+    holds each built district, sorted, as [name, its canonical map's
+    (spelling, canonical) entries, its profiles' (name, user count, point
+    count), its standard names, its label count, its bbox or null, its
+    sorted raw POI names]; `skipped`, the districts with neither usable
+    names nor labels; and the parse summary: `reports`, each input's
+    [rows, accepted rows, (line, message) errors, warnings];
+    `address_counts`, the (district, address count) of every district an
+    address names, sorted; `orphans`, (district, standard, candidate,
+    reason) rows; and the numbers of located users and of labels.
 
-    The parse summary: `reports` holds each input's (rows, accepted rows,
-    errors, warnings) counts, and `error_lines`, `error_messages` and
-    `warnings` run input after input; `address_districts` and
-    `address_counts` give every district an address names, sorted;
-    `orphans` holds (district, standard, candidate, reason) rows, and
-    `totals` the numbers of located users and of labels.
+    `points` holds every profile's points in profile order, and `label_pos`
+    and `label_is_alias` every district's labels in turn.
     """
     by_district = partition_by_district(corpus.addresses)
     # each district's label rows, in file order
@@ -284,125 +247,93 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
         else:
             skipped.append(district)
 
-    index: dict[str, int] = {}
-
-    def ids(names) -> np.ndarray:
-        return _interned(index, ((name,) for name in names), 1).ravel()
-
-    maps = [dd.canonical_map for dd in built]
-    profiles = [p for dd in built for p in dd.profiles.values()]
-    raw_names = [sorted({rec.poi_name for rec in by_district.get(dd.district, [])}) for dd in built]
-    reports = [corpus.reports[name] for name in _INPUTS]
-    arrays = {
-        "districts": ids(dd.district for dd in built),
-        "skipped": ids(skipped),
-        "counts": np.array(
+    head = {
+        "districts": [
             [
-                [len(m.mapping), len(m.cluster_sizes), len(dd.profiles)]
-                + [len(dd.standard_names), len(dd.candidate_names), len(dd.label_pos), len(raw)]
-                for m, dd, raw in zip(maps, built, raw_names)
-            ],
-            dtype=np.int64,
-        ).reshape(-1, len(_SECTIONS)),
-        "mapping": _interned(index, (entry for m in maps for entry in m.mapping.items()), 2),
-        "clusters": ids(name for m in maps for name in m.cluster_sizes),
-        "cluster_sizes": np.array([n for m in maps for n in m.cluster_sizes.values()], dtype=np.int64),
-        "profiles": ids(p.name for p in profiles),
-        "user_counts": np.array([p.user_count for p in profiles], dtype=np.int64),
-        "point_counts": np.array([p.point_count for p in profiles], dtype=np.int64),
+                dd.district,
+                list(dd.canonical_map.mapping.items()),
+                [[p.name, p.user_count, p.point_count] for p in dd.profiles.values()],
+                dd.standard_names,
+                len(dd.label_pos),
+                astuple(dd.bbox) if dd.bbox else None,
+                sorted({rec.poi_name for rec in by_district.get(dd.district, [])}),
+            ]
+            for dd in built
+        ],
+        "skipped": skipped,
+        "reports": [[r.n_rows, r.n_ok, r.errors, r.warnings] for r in map(corpus.reports.get, _INPUTS)],
+        "address_counts": [[d, len(by_district[d])] for d in sorted(by_district)],
+        "orphans": [[lb.district, lb.standard_name, lb.candidate_name, why] for lb, why in corpus.orphan_labels],
+        "n_users": len(corpus.locations),
+        "n_labels": len(corpus.labels),
+    }
+    profiles = [p for dd in built for p in dd.profiles.values()]
+    return {
+        # ASCII JSON: a lone surrogate, which a JSONL "\ud800" escape parses
+        # to, stays an escape
+        "head": np.frombuffer(json.dumps(head).encode(), dtype=np.uint8),
         "points": np.concatenate([*(p.points for p in profiles), np.empty((0, 2))], dtype=np.float64),
-        "standards": ids(name for dd in built for name in dd.standard_names),
-        "candidates": ids(name for dd in built for name in dd.candidate_names),
         "label_pos": np.concatenate([*(dd.label_pos for dd in built), np.empty(0, np.int64)], dtype=np.int64),
         "label_is_alias": np.concatenate([*(dd.label_is_alias for dd in built), np.empty(0, bool)]),
-        "bbox": np.array(
-            [astuple(dd.bbox) if dd.bbox else [np.nan] * 4 for dd in built], dtype=np.float64
-        ).reshape(-1, 4),
-        "raw_names": ids(name for raw in raw_names for name in raw),
-        "reports": np.array(
-            [[r.n_rows, r.n_ok, r.n_errors, len(r.warnings)] for r in reports], dtype=np.int64
-        ),
-        "error_lines": np.array([line for r in reports for line, _ in r.errors], dtype=np.int64),
-        "error_messages": ids(message for r in reports for _, message in r.errors),
-        "warnings": ids(warning for r in reports for warning in r.warnings),
-        "address_districts": ids(sorted(by_district)),
-        "address_counts": np.array([len(by_district[d]) for d in sorted(by_district)], dtype=np.int64),
-        "orphans": _interned(
-            index,
-            ((lb.district, lb.standard_name, lb.candidate_name, reason) for lb, reason in corpus.orphan_labels),
-            4,
-        ),
-        "totals": np.array([len(corpus.locations), len(corpus.labels)], dtype=np.int64),
     }
-    return {**arrays, **_string_arrays(index)}  # the table is complete once every name has an id
 
 
 def _city_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> CityData:
     """The city that the city file's arrays hold, with `paths` as its
     reports' paths; raises unless they are complete and consistent. Each
-    profile's points are a slice of `points`.
+    profile's points are a slice of `points`, and each distinct name is one
+    str object.
 
     Then logs each district as it is built: a skipped one at WARNING, a
     built one's sizes at INFO.
     """
-    s = _string_table(arrays)
-    counts = arrays["counts"]
-    n = len(arrays["districts"])
-    _expect(counts.dtype == np.int64 and counts.shape == (n, len(_SECTIONS)) and bool(np.all(counts >= 0)))
-    total = dict(zip(_SECTIONS, counts.sum(0).tolist()))
+    head, points, label_pos, label_is_alias = (arrays[k] for k in ("head", "points", "label_pos", "label_is_alias"))
+    _expect(head.dtype == np.uint8 and head.ndim == 1)
+    _expect(points.dtype == np.float64 and points.ndim == 2 and points.shape[1] == 2)
+    _expect(label_pos.dtype == np.int64 and label_pos.ndim == 1)
+    _expect(label_is_alias.dtype == bool and label_is_alias.shape == label_pos.shape)
+    head = json.loads(head.tobytes().decode())
+    memo: dict[str, str] = {}  # one object per distinct name
 
-    def numbers(name: str, dtype, shape: tuple) -> np.ndarray:
-        a = arrays[name]
-        _expect(a.dtype == dtype and a.shape == shape)
-        return a
+    def name(x) -> str:
+        _expect(type(x) is str)
+        return memo.setdefault(x, x)
 
-    def names(name: str, shape: tuple) -> list[str]:
-        a = numbers(name, np.int32, shape)
-        _expect(bool(np.all((a >= 0) & (a < len(s)))))
-        return [s[i] for i in a.ravel().tolist()]
+    def names(x) -> list[str]:
+        _expect(type(x) is list)
+        return [name(t) for t in x]
 
-    def split(items, section: str) -> list:
-        return _runs(items, counts[:, _SECTIONS.index(section)])
+    def count(x) -> int:
+        _expect(type(x) is int and x >= 0)
+        return x
 
-    district_names = names("districts", (n,))
-    skipped = names("skipped", (len(arrays["skipped"]),))
-    _expect(len(set(district_names + skipped)) == n + len(skipped))
-    spellings = names("mapping", (total["mapping"], 2))
-    sizes = numbers("cluster_sizes", np.int64, (total["clusters"],))
-    n_profiles = total["profiles"]
-    user_counts = numbers("user_counts", np.int64, (n_profiles,))
-    point_counts = numbers("point_counts", np.int64, (n_profiles,))
-    _expect(bool(np.all(user_counts >= 0) and np.all(point_counts >= 0)))
-    points = numbers("points", np.float64, (int(point_counts.sum()), 2))
-    profile_names = names("profiles", (n_profiles,))
-    profiles = [
-        MobilityProfile(name, pts, users, len(pts))
-        for name, users, pts in zip(profile_names, user_counts.tolist(), _runs(points, point_counts))
-    ]
-    label_pos = numbers("label_pos", np.int64, (total["labels"],))
-    label_is_alias = numbers("label_is_alias", bool, (total["labels"],))
-    bboxes = numbers("bbox", np.float64, (n, 4))
+    def rows(x, width: int) -> list[list]:
+        _expect(type(x) is list and all(type(r) is list and len(r) == width for r in x))
+        return x
 
     districts: dict[str, DistrictData] = {}
     raw_names: dict[str, list[str]] = {}
-    for district, pairs, clusters, cluster_sizes, profs, stds, cands, pos, alias, box, raw in zip(
-        district_names,
-        split(list(zip(spellings[::2], spellings[1::2])), "mapping"),
-        split(names("clusters", (total["clusters"],)), "clusters"),
-        split(sizes.tolist(), "clusters"),
-        split(profiles, "profiles"),
-        split(names("standards", (total["standards"],)), "standards"),
-        split(names("candidates", (total["candidates"],)), "candidates"),
-        split(label_pos, "labels"),
-        split(label_is_alias, "labels"),
-        bboxes.tolist(),
-        split(names("raw_names", (total["raw_names"],)), "raw_names"),
-    ):
-        canonical = CanonicalMap(dict(pairs), dict(zip(clusters, cluster_sizes)))
-        by_name = {p.name: p for p in profs}
-        _expect(len(canonical.mapping) == len(pairs) and len(canonical.cluster_sizes) == len(clusters))
-        _expect(len(by_name) == len(profs) and all(name in by_name for name in stds + cands))
+    n_points = n_labels = 0  # how many of `points` and of the labels the districts so far hold
+    built = rows(head["districts"], 7)
+    for district, mapping, profs, stds, k, box, raw in built:
+        district = name(district)
+        canonical = CanonicalMap({name(a): name(b) for a, b in rows(mapping, 2)})
+        by_name: dict[str, MobilityProfile] = {}
+        for p, users, n in rows(profs, 3):
+            p, n = name(p), count(n)
+            by_name[p] = MobilityProfile(p, points[n_points:n_points + n], count(users), n)
+            n_points += n
+        stds = names(stds)
+        registry = set(stds)
+        cands = [p for p in by_name if p not in registry]
+        k = count(k)
+        pos, alias = label_pos[n_labels:n_labels + k], label_is_alias[n_labels:n_labels + k]
+        n_labels += k
+        raw = names(raw)
+        _expect(len(canonical.mapping) == len(mapping) and len(by_name) == len(profs))
+        _expect(stds == sorted(registry) and registry <= by_name.keys())
         _expect(bool(np.all((pos >= -1) & (pos < len(stds) * len(cands)))))
+        _expect(box is None or (type(box) is list and len(box) == 4 and all(type(v) is float for v in box)))
         _expect(raw == sorted(set(raw)))
         districts[district] = DistrictData(
             district=district,
@@ -412,35 +343,31 @@ def _city_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> CityDa
             candidate_names=cands,
             label_pos=pos,
             label_is_alias=alias,
-            bbox=None if all(map(math.isnan, box)) else BoundingBox(*box),
+            bbox=None if box is None else BoundingBox(*box),
         )
         raw_names[district] = raw
+    # every slice was whole, and no point or label is left over
+    _expect(n_points == len(points) and n_labels == len(label_pos))
+    skipped = names(head["skipped"])
+    _expect(len({*districts, *skipped}) == len(built) + len(skipped))
 
     # the parse summary
-    per_input = numbers("reports", np.int64, (len(_INPUTS), 4))
-    _expect(bool(np.all(per_input >= 0)))
-    n_rows, n_ok, n_errors, n_warnings = per_input.T.tolist()
-    error_lines = numbers("error_lines", np.int64, (sum(n_errors),)).tolist()
-    errors = list(zip(error_lines, names("error_messages", (sum(n_errors),))))
-    warnings = names("warnings", (sum(n_warnings),))
-    reports = {
-        name: LoadReport(path, rows, ok, errs, warns)
-        for name, path, rows, ok, errs, warns in zip(
-            _INPUTS, paths, n_rows, n_ok, _runs(errors, n_errors), _runs(warnings, n_warnings)
-        )
-    }
-    address_districts = names("address_districts", (len(arrays["address_districts"]),))
-    address_counts = numbers("address_counts", np.int64, (len(address_districts),))
-    _expect(address_districts == sorted(set(address_districts)) and bool(np.all(address_counts >= 1)))
-    orphans = names("orphans", (len(arrays["orphans"]), 4))
-    n_users, n_labels = numbers("totals", np.int64, (2,)).tolist()
-    _expect(n_users >= 0 and n_labels >= 0)
+    per_input = rows(head["reports"], 4)
+    _expect(len(per_input) == len(_INPUTS))
+    reports = {}
+    for input_name, path, (n_rows, n_ok, errors, warnings) in zip(_INPUTS, paths, per_input):
+        errors = [(count(line), name(message)) for line, message in rows(errors, 2)]
+        reports[input_name] = LoadReport(path, count(n_rows), count(n_ok), errors, names(warnings))
+    by_address = rows(head["address_counts"], 2)
+    address_counts = {name(d): count(n) for d, n in by_address}
+    _expect(list(address_counts) == sorted(address_counts) and len(address_counts) == len(by_address))
+    _expect(all(n >= 1 for n in address_counts.values()))
     summary = ParseSummary(
         reports=reports,
-        address_counts=dict(zip(address_districts, address_counts.tolist())),
-        n_users=n_users,
-        n_labels=n_labels,
-        orphan_labels=list(zip(*(orphans[k::4] for k in range(4)))),
+        address_counts=address_counts,
+        n_users=count(head["n_users"]),
+        n_labels=count(head["n_labels"]),
+        orphan_labels=[tuple(names(row)) for row in rows(head["orphans"], 4)],
         raw_names=raw_names,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import string
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +223,11 @@ class CanonicalMap:
     """
 
     mapping: dict[str, str] = field(default_factory=dict)
-    cluster_sizes: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def cluster_sizes(self) -> dict[str, int]:
+        """The member count of each canonical name, in order of first mapping."""
+        return dict(Counter(self.mapping.values()))
 
     def resolve(self, name: str) -> str:
         """Canonical spelling for `name`; unseen names map to themselves."""
@@ -347,10 +351,8 @@ def cluster_near_duplicates(
         clusters[uf.find(i)].append(name)
 
     mapping: dict[str, str] = {}
-    sizes: dict[str, int] = {}
     for members in clusters.values():
         canonical = min(members, key=lambda nm: (-freq[nm], nm))
         for nm in members:
             mapping[nm] = canonical
-        sizes[canonical] = len(members)
-    return CanonicalMap(mapping=mapping, cluster_sizes=sizes)
+    return CanonicalMap(mapping)

@@ -141,9 +141,9 @@ class _NameIndex:
         self.names.append(name)
 
 
-def _random_name(rng, syllables, taken: _NameIndex, n_range=(4, 6)) -> str:
+def _random_name(rng, syllables, taken: _NameIndex) -> str:
     while True:
-        k = int(rng.integers(n_range[0], n_range[1] + 1))
+        k = int(rng.integers(4, 7))  # 4 to 6 syllables
         name = "".join(syllables[int(i)] for i in rng.integers(0, len(syllables), k))
         if taken.clear_of(name):
             taken.add(name)

@@ -439,6 +439,19 @@ def test_crossval_seven_districts_covers_each_once():
     assert sorted(tested) == sorted(city.districts)
 
 
+@pytest.mark.parametrize(
+    "k,train_frac,train_sizes,test_sizes",
+    [(7, 0.5, [4, 5, 5], [3, 2, 2]), (5, 0.8, [4] * 5, [1] * 5)],
+)
+def test_crossval_fold_sizes_when_the_test_size_does_not_divide_k(k, train_frac, train_sizes, test_sizes):
+    # 7 at 0.5: a test size of 7 - 4 = 3 gives ceil(7 / 3) = 3 round-robin
+    # folds, which test 3, 2 and 2 districts
+    city, scores = fake_city(k)
+    rep = district_cross_validation(city, scores, train_frac=train_frac)
+    assert [len(fold["train_districts"]) for fold in rep.folds] == train_sizes
+    assert [len(fold["test_districts"]) for fold in rep.folds] == test_sizes
+
+
 def test_crossval_deterministic():
     city, scores = fake_city(6)
     a = district_cross_validation(city, scores).to_dict()

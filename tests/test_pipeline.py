@@ -3,6 +3,7 @@ and the built-city file."""
 
 import contextlib
 import dataclasses
+import json
 import logging
 import os
 from unittest import mock
@@ -374,20 +375,78 @@ def _tiny_city(data, labels="H,lakeview,alpha,1\nH,lakeview,beta,0\n"):
     return str(data)
 
 
+def test_the_city_file_holds_a_key_a_head_and_three_arrays(tmp_path):
+    data = _tiny_city(tmp_path / "d")
+    load_city(data)
+    with np.load(_city_file(tmp_path / "d")) as z:
+        assert z.files == ["key", "head", "points", "label_pos", "label_is_alias"]
+
+
+def test_a_hit_holds_one_object_per_distinct_name(tmp_path):
+    # the raw name lakeview is also a spelling; lakeviev is a spelling, a
+    # canonical, a profile and a standard
+    data = _tiny_city(tmp_path / "d")
+    load_city(data)
+    with _no_build():
+        city = load_city(data)
+    dd = city.districts["H"]
+    held = [
+        *dd.canonical_map.mapping.keys(), *dd.canonical_map.mapping.values(),
+        *dd.profiles, *(p.name for p in dd.profiles.values()),
+        *dd.standard_names, *dd.candidate_names, *city.summary.raw_names["H"],
+    ]
+    assert len({id(name) for name in held}) == len(set(held)) == 4
+
+
+#: damage to one fact of the tiny city's head
+_HEAD_DAMAGE = (
+    "a name that is a number", "one point count too many", "a standard that is not a profile", "a negative user count"
+)
+
+
+def _edit_head(head: dict, damage: str) -> dict:
+    """The head of the tiny city's file with one fact damaged; district H
+    holds profiles alpha, beta and lakeviev, and one standard."""
+    profiles = head["districts"][0][2]
+    if damage == "a name that is a number":
+        profiles[0][0] = 7
+    elif damage == "one point count too many":
+        profiles[0][2] += 1
+    elif damage == "a standard that is not a profile":
+        head["districts"][0][3] = ["lakeview"]
+    elif damage == "a negative user count":
+        profiles[0][1] = -1
+    return head
+
+
 @pytest.mark.parametrize(
-    "damage", ["truncated", "another key", "another cluster threshold", "an edited input byte"]
+    "damage",
+    [
+        "truncated", "another key", "another cluster threshold", "an edited input byte",
+        # damage that the zip's CRCs pass
+        "a head that is not JSON", *_HEAD_DAMAGE, "a label position out of range",
+    ],
 )
 def test_a_bad_city_file_is_a_miss_and_rewritten(damage, tmp_path):
     data = _tiny_city(tmp_path / "d")
     threshold = pipeline.DEFAULT_CLUSTER_THRESHOLD
     load_city(data)
     path = _city_file(tmp_path / "d")
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files}
+    head = json.loads(arrays["head"].tobytes())
     if damage == "truncated":
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     elif damage == "another key":
-        with np.load(path) as z:
-            arrays = {name: z[name] for name in z.files}
         np.savez(path, **{**arrays, "key": np.array("0" * 64)})
+    elif damage == "a head that is not JSON":
+        np.savez(path, **{**arrays, "head": arrays["head"][:-1]})
+    elif damage == "a label position out of range":
+        # H's grid is 1 standard x 2 candidates
+        np.savez(path, **{**arrays, "label_pos": np.array([2, 0], dtype=np.int64)})
+    elif damage in _HEAD_DAMAGE:
+        edited = json.dumps(_edit_head(head, damage)).encode()
+        np.savez(path, **{**arrays, "head": np.frombuffer(edited, dtype=np.uint8)})
     elif damage == "another cluster threshold":
         threshold = 0.05
     else:

@@ -206,6 +206,10 @@ def test_cluster_merges_near_duplicates_of_one_base():
 def test_cluster_keeps_distant_names_apart():
     cmap = cluster_near_duplicates([("aaa", 5), ("zzz", 5)], 0.1)
     assert cmap.mapping == {"aaa": "aaa", "zzz": "zzz"}
+    # the cluster sizes follow the mapping's order, not the canonicals' sort order
+    cmap = cluster_near_duplicates([("banana", 1), ("cherry", 2), ("zanana", 5)], 0.2)
+    assert list(cmap.mapping.items()) == [("banana", "zanana"), ("zanana", "zanana"), ("cherry", "cherry")]
+    assert list(cmap.cluster_sizes.items()) == [("zanana", 2), ("cherry", 1)]
 
 
 def test_cluster_single_name():
