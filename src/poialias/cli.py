@@ -157,14 +157,18 @@ def _pair_rows(scores: dict, theta: float):
 
 
 def _density_rows(city: CityData, grid_n: int):
-    for district, dd in sorted(city.districts.items()):
-        if dd.bbox is None:
-            continue
-        located = [p for _, p in sorted(dd.profiles.items()) if p.point_count]
-        grids = rasterize_all(located, dd.bbox, grid_n)
-        owners = [p.name for p in located]
-        for owner, cell, count in zip(grids.owner.tolist(), grids.cells.tolist(), grids.counts.tolist()):
-            yield district, owners[owner], str(cell // grid_n), str(cell % grid_n), str(count)
+    for _, dd in sorted(city.districts.items()):
+        if dd.bbox is not None:
+            # the district's points are read now and dropped with its rows
+            yield from _district_density_rows(dd.with_points(), grid_n)
+
+
+def _district_density_rows(dd, grid_n: int):
+    located = [p for _, p in sorted(dd.profiles.items()) if p.point_count]
+    grids = rasterize_all(located, dd.bbox, grid_n)
+    owners = [p.name for p in located]
+    for owner, cell, count in zip(grids.owner.tolist(), grids.cells.tolist(), grids.counts.tolist()):
+        yield dd.district, owners[owner], str(cell // grid_n), str(cell % grid_n), str(count)
 
 
 def _resolve_theta(city, scores, threshold):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .discovery import MetricConfig, ScoreTable
 from .errors import InvalidConfigError, NoPositiveLabelsError, TooFewDistrictsError
-from .pipeline import CityData, DistrictData, score_city
+from .pipeline import CityData, DistrictData, score_city_each
 
 DistrictScores = dict[str, ScoreTable]
 
@@ -331,14 +331,14 @@ def resolution_sweep(
     """Calibrate-and-evaluate once per grid resolution.
 
     Each grid size gets a full scoring pass, in-city calibration over all
-    labeled pairs, and an evaluation at the calibrated threshold.
+    labeled pairs, and an evaluation at the calibrated threshold. Every
+    grid scores a district from one read of its points.
     """
     if not grid_values:
         raise InvalidConfigError("grid_values must be non-empty")
+    configs = [replace(base_config, method=method, grid_n=int(n)) for n in grid_values]
     results = []
-    for n in grid_values:
-        cfg = replace(base_config, method=method, grid_n=int(n))
-        scores = score_city(city, cfg, workers=workers)
+    for config, scores in zip(configs, score_city_each(city, configs, workers=workers)):
         cal = calibrate_on_districts(city, scores, city.labeled_districts())
-        results.append((int(n), evaluate_districts(city, scores, cal.theta, method=method)))
+        results.append((config.grid_n, evaluate_districts(city, scores, cal.theta, method=method)))
     return results

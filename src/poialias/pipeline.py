@@ -8,7 +8,9 @@ appearing as standard names in the label registry) and candidates
 `load_city` keeps each built city, with the summary of the parse it was
 built from, in one content-keyed file beside the inputs. It is the only
 file poialias keeps there: the commands of an analysis parse and build a
-city once, and `ingest-check` and `preprocess` read the same file.
+city once, and `ingest-check` and `preprocess` read the same file. A
+city read from that file reads a district's points only while that
+district is scored, so a command holds one district's points at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ import json
 import logging
 import os
 import sys
+import threading
+import zipfile
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
-from dataclasses import astuple, dataclass
+from collections.abc import Callable
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import distribution, ingestion, preprocess, profile
 from .discovery import MetricConfig, ScoreTable, score_pairs
@@ -53,6 +59,10 @@ class DistrictData:
     and `label_is_alias`. A pair is outside the grid when a name has no
     profile, when the standard and candidate resolve to one name, or when
     the candidate is itself a standard.
+
+    The profiles of a district that `load_city` returns hold no points:
+    `read_points` reads them, and `with_points` gives the district with
+    them, so a command holds a district's points only while it needs them.
     """
 
     district: str
@@ -63,6 +73,22 @@ class DistrictData:
     label_pos: np.ndarray
     label_is_alias: np.ndarray
     bbox: BoundingBox | None = None
+    #: reads every profile's points, in profile order; None when the
+    #: profiles hold them
+    read_points: Callable[[], np.ndarray] | None = None
+
+    def with_points(self) -> DistrictData:
+        """This district with its profiles' points: itself when they hold
+        them, else a copy whose profiles are slices of the points that
+        `read_points` reads now."""
+        if self.read_points is None:
+            return self
+        points = self.read_points()
+        profiles, start = {}, 0
+        for name, p in self.profiles.items():
+            profiles[name] = MobilityProfile(name, points[start:start + p.point_count], p.user_count, p.point_count)
+            start += p.point_count
+        return replace(self, profiles=profiles, read_points=None)
 
     def standard_profiles(self) -> list[MobilityProfile]:
         return [self.profiles[n] for n in self.standard_names]
@@ -209,16 +235,17 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
     `head` is the JSON text of the city's names and counts, as bytes. It
     holds each built district, sorted, as [name, its canonical map's
     (spelling, canonical) entries, its profiles' (name, user count, point
-    count), its standard names, its label count, its bbox or null, its
-    sorted raw POI names]; `skipped`, the districts with neither usable
-    names nor labels; and the parse summary: `reports`, each input's
-    [rows, accepted rows, (line, message) errors, warnings];
-    `address_counts`, the (district, address count) of every district an
-    address names, sorted; `orphans`, (district, standard, candidate,
-    reason) rows; and the numbers of located users and of labels.
+    count), the name of its points array, its standard names, its label
+    count, its bbox or null, its sorted raw POI names]; `skipped`, the
+    districts with neither usable names nor labels; and the parse summary:
+    `reports`, each input's [rows, accepted rows, (line, message) errors,
+    warnings]; `address_counts`, the (district, address count) of every
+    district an address names, sorted; `orphans`, (district, standard,
+    candidate, reason) rows; and the numbers of located users and of labels.
 
-    `points` holds every profile's points in profile order, and `label_pos`
-    and `label_is_alias` every district's labels in turn.
+    Each built district's points array holds its profiles' points in
+    profile order, so its length is the sum of their point counts.
+    `label_pos` and `label_is_alias` hold every district's labels in turn.
     """
     by_district = partition_by_district(corpus.addresses)
     # each district's label rows, in file order
@@ -247,18 +274,20 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
         else:
             skipped.append(district)
 
+    members = [f"points_{i}" for i in range(len(built))]
     head = {
         "districts": [
             [
                 dd.district,
                 list(dd.canonical_map.mapping.items()),
                 [[p.name, p.user_count, p.point_count] for p in dd.profiles.values()],
+                member,
                 dd.standard_names,
                 len(dd.label_pos),
                 astuple(dd.bbox) if dd.bbox else None,
                 sorted({rec.poi_name for rec in by_district.get(dd.district, [])}),
             ]
-            for dd in built
+            for dd, member in zip(built, members)
         ],
         "skipped": skipped,
         "reports": [[r.n_rows, r.n_ok, r.errors, r.warnings] for r in map(corpus.reports.get, _INPUTS)],
@@ -267,29 +296,66 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
         "n_users": len(corpus.locations),
         "n_labels": len(corpus.labels),
     }
-    profiles = [p for dd in built for p in dd.profiles.values()]
     return {
         # ASCII JSON: a lone surrogate, which a JSONL "\ud800" escape parses
         # to, stays an escape
         "head": np.frombuffer(json.dumps(head).encode(), dtype=np.uint8),
-        "points": np.concatenate([*(p.points for p in profiles), np.empty((0, 2))], dtype=np.float64),
+        **{
+            member: np.concatenate([*(p.points for p in dd.profiles.values()), np.empty((0, 2))], dtype=np.float64)
+            for dd, member in zip(built, members)
+        },
         "label_pos": np.concatenate([*(dd.label_pos for dd in built), np.empty(0, np.int64)], dtype=np.int64),
         "label_is_alias": np.concatenate([*(dd.label_is_alias for dd in built), np.empty(0, bool)]),
     }
 
 
-def _city_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> CityData:
+class _Arrays(dict):
+    """The city file's arrays as a build holds them, in memory."""
+
+    def header(self, name: str) -> tuple[np.dtype, tuple]:
+        return self[name].dtype, self[name].shape
+
+
+class _CityFile:
+    """The arrays of a city file, every one read through one open file, so
+    a file renamed over the path while a command runs cannot mix two
+    versions. Raises unless the file is a zip."""
+
+    def __init__(self, path: str):
+        self._zip = zipfile.ZipFile(path)
+        # ZipFile counts the members it has open without a lock, and a
+        # thread pool may read two districts at once
+        self._lock = threading.Lock()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        with self._lock, self._zip.open(name + ".npy") as fh:
+            return npy_format.read_array(fh, allow_pickle=False)
+
+    def header(self, name: str) -> tuple[np.dtype, tuple]:
+        """The dtype and shape of array `name`. The member is read to its
+        end, so zipfile checks its CRC-32, and none of its data is kept."""
+        with self._lock, self._zip.open(name + ".npy") as fh:
+            version = npy_format.read_magic(fh)
+            _expect(version in ((1, 0), (2, 0)))
+            read_header = npy_format.read_array_header_1_0 if version == (1, 0) else npy_format.read_array_header_2_0
+            shape, _, dtype = read_header(fh)
+            while fh.read(1 << 16):
+                pass
+        return dtype, shape
+
+
+def _city_from_arrays(arrays: _Arrays | _CityFile, paths: list[str]) -> CityData:
     """The city that the city file's arrays hold, with `paths` as its
     reports' paths; raises unless they are complete and consistent. Each
-    profile's points are a slice of `points`, and each distinct name is one
-    str object.
+    distinct name is one str object. A district's points stay in `arrays`
+    until its `with_points` reads them; their dtype and shape are checked
+    here.
 
     Then logs each district as it is built: a skipped one at WARNING, a
     built one's sizes at INFO.
     """
-    head, points, label_pos, label_is_alias = (arrays[k] for k in ("head", "points", "label_pos", "label_is_alias"))
+    head, label_pos, label_is_alias = (arrays[k] for k in ("head", "label_pos", "label_is_alias"))
     _expect(head.dtype == np.uint8 and head.ndim == 1)
-    _expect(points.dtype == np.float64 and points.ndim == 2 and points.shape[1] == 2)
     _expect(label_pos.dtype == np.int64 and label_pos.ndim == 1)
     _expect(label_is_alias.dtype == bool and label_is_alias.shape == label_pos.shape)
     head = json.loads(head.tobytes().decode())
@@ -313,16 +379,19 @@ def _city_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> CityDa
 
     districts: dict[str, DistrictData] = {}
     raw_names: dict[str, list[str]] = {}
-    n_points = n_labels = 0  # how many of `points` and of the labels the districts so far hold
-    built = rows(head["districts"], 7)
-    for district, mapping, profs, stds, k, box, raw in built:
+    members: set[str] = set()
+    n_labels = 0  # how many of the labels the districts so far hold
+    built = rows(head["districts"], 8)
+    for district, mapping, profs, member, stds, k, box, raw in built:
         district = name(district)
         canonical = CanonicalMap({name(a): name(b) for a, b in rows(mapping, 2)})
         by_name: dict[str, MobilityProfile] = {}
         for p, users, n in rows(profs, 3):
-            p, n = name(p), count(n)
-            by_name[p] = MobilityProfile(p, points[n_points:n_points + n], count(users), n)
-            n_points += n
+            p = name(p)
+            by_name[p] = MobilityProfile(p, None, count(users), count(n))  # `with_points` reads the points
+        _expect(type(member) is str and member not in members)
+        members.add(member)
+        _expect(arrays.header(member) == (np.float64, (sum(p.point_count for p in by_name.values()), 2)))
         stds = names(stds)
         registry = set(stds)
         cands = [p for p in by_name if p not in registry]
@@ -344,10 +413,11 @@ def _city_from_arrays(arrays: dict[str, np.ndarray], paths: list[str]) -> CityDa
             label_pos=pos,
             label_is_alias=alias,
             bbox=None if box is None else BoundingBox(*box),
+            read_points=lambda member=member: arrays[member],
         )
         raw_names[district] = raw
-    # every slice was whole, and no point or label is left over
-    _expect(n_points == len(points) and n_labels == len(label_pos))
+    # every label slice was whole, and no label is left over
+    _expect(n_labels == len(label_pos))
     skipped = names(head["skipped"])
     _expect(len({*districts, *skipped}) == len(built) + len(skipped))
 
@@ -396,19 +466,22 @@ def build_city_data(
 
     The city is built through the city file's arrays, as `load_city`
     builds a hit, so a built city and a loaded one are alike to the last
-    bit; no file is read or written.
+    bit; here every profile holds its points. No file is read or written.
     """
     paths = [corpus.reports[name].path for name in _INPUTS]
-    return _city_from_arrays(_city_arrays(corpus, cluster_threshold), paths)
+    city = _city_from_arrays(_Arrays(_city_arrays(corpus, cluster_threshold)), paths)
+    city.districts = {d: dd.with_points() for d, dd in city.districts.items()}
+    return city
 
 
 def _file_digest(path: str) -> str | None:
     """Hex BLAKE2b of a file's bytes, or None if there is no such file."""
     h = blake2b()
+    buffer = memoryview(bytearray(1 << 16))  # one buffer, reused for every read
     try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                h.update(chunk)
+        with open(path, "rb", buffering=0) as fh:
+            while n := fh.readinto(buffer):
+                h.update(buffer[:n])
     except FileNotFoundError:
         return None
     return h.hexdigest()
@@ -431,12 +504,12 @@ def _city_key(fmt: str, paths: list[str], cluster_threshold: float) -> str:
     return blake2b(json.dumps(parts).encode()).hexdigest()
 
 
-def _read_keyed(path: str, key: str) -> dict[str, np.ndarray]:
-    """The arrays that `_write_keyed` saved at `path` under `key`; raises
-    if the file is absent, unreadable or saved under another key."""
-    with np.load(path, allow_pickle=False) as z:
-        _expect(z["key"].shape == () and str(z["key"]) == key)
-        return {name: z[name] for name in z.files if name != "key"}
+def _read_keyed(path: str, key: str) -> _CityFile:
+    """The city file at `path`, open, if `_write_keyed` saved it under
+    `key`; raises if it is absent, unreadable or saved under another key."""
+    stored = _CityFile(path)
+    _expect(stored["key"].shape == () and str(stored["key"]) == key)
+    return stored
 
 
 def _write_keyed(path: str, key: str, arrays: dict[str, np.ndarray]):
@@ -464,12 +537,14 @@ def load_city(
     profile, pipeline and distribution, the Python and numpy versions and
     repr(cluster_threshold). With the same key the city, parse summary
     included, is loaded from the file and no input is parsed; its reports
-    name the inputs of `data_dir`. A file that is absent, unreadable or
-    does not match in full is a miss: the inputs are parsed, the city is
-    built and the file rewritten, unless an input changed while it was
-    parsed. A failed write costs only the next call's rebuild. The cluster
-    threshold, the format and a required labels file are checked before
-    the file is consulted.
+    name the inputs of `data_dir`. The file stays open, and each district's
+    points are read from it by that district's `with_points`; every array
+    is checked, and read to its end once, before this returns. A file that
+    is absent, unreadable or does not match in full is a miss: the inputs
+    are parsed, the city is built and the file rewritten, unless an input
+    changed while it was parsed. A failed write costs only the next call's
+    rebuild. The cluster threshold, the format and a required labels file
+    are checked before the file is consulted.
     """
     check_cluster_threshold(cluster_threshold)
     paths = _input_paths(data_dir, fmt, require_labels)
@@ -486,7 +561,7 @@ def load_city(
         logger.info("city=%s cache=hit", cache)
         return city
     corpus = load_corpus(data_dir, fmt, require_labels)
-    arrays = _city_arrays(corpus, cluster_threshold)
+    arrays = _Arrays(_city_arrays(corpus, cluster_threshold))
     del corpus  # the city holds no reference to it
     city = _city_from_arrays(arrays, paths)
     # an input rewritten while it was parsed must not be filed under the old key
@@ -497,16 +572,33 @@ def load_city(
 
 def score_city(city: CityData, config: MetricConfig, workers: int = 1) -> dict[str, ScoreTable]:
     """The score table of every district's N x M grid; districts may score
-    in parallel."""
+    in parallel. See `score_city_each`."""
+    return score_city_each(city, [config], workers)[0]
 
-    def score(d: str) -> ScoreTable:
-        dd = city.districts[d]
-        return score_pairs(dd.standard_profiles(), dd.candidate_profiles(), config, bbox=dd.bbox)
+
+def score_city_each(
+    city: CityData, configs: list[MetricConfig], workers: int = 1
+) -> list[dict[str, ScoreTable]]:
+    """Each config's score tables of every district's N x M grid.
+
+    The districts are scored in sorted order, or `workers` at a time. A
+    district's points are read once, for all configs, only when a config
+    scores locations, and are dropped once its tables are built, so a
+    command holds the points of at most `workers` districts at a time.
+    """
+    on_points = any(c.method != "edit_distance" for c in configs)
+
+    def score(d: str) -> list[ScoreTable]:
+        dd = city.districts[d].with_points() if on_points else city.districts[d]
+        stds, cands = dd.standard_profiles(), dd.candidate_profiles()
+        return [score_pairs(stds, cands, config, bbox=dd.bbox) for config in configs]
 
     names = sorted(city.districts)
     if workers > 1 and len(names) > 1:
         from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return dict(zip(names, pool.map(score, names)))
-    return {d: score(d) for d in names}
+            tables = list(pool.map(score, names))
+    else:
+        tables = [score(d) for d in names]
+    return [{d: per_config[i] for d, per_config in zip(names, tables)} for i in range(len(configs))]

@@ -22,7 +22,9 @@ class MobilityProfile:
     """GPS point multiset of one canonical POI name's associated users."""
 
     name: str
-    points: np.ndarray  # (n, 2) [lat, lon]; duplicates preserved
+    # (n, 2) [lat, lon]; duplicates preserved. None in a district whose
+    # points are not read yet (`pipeline.DistrictData.with_points`)
+    points: np.ndarray | None
     user_count: int
     point_count: int
 

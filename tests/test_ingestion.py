@@ -872,13 +872,13 @@ def test_a_hit_names_the_directory_it_was_read_from(tmp_path):
 
 def test_an_edit_that_keeps_size_and_mtime_is_reparsed(tmp_path):
     data = _tiny_corpus(tmp_path / "d")
-    assert load_city(data).districts["H"].profiles["beta"].points.tolist() == [[31.4, 120.6]]
+    assert load_city(data).districts["H"].with_points().profiles["beta"].points.tolist() == [[31.4, 120.6]]
     path = tmp_path / "d" / "locations.csv"
     before = path.stat()
     path.write_bytes(path.read_bytes().replace(b"31.4,120.6", b"31.4,120.7"))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    assert load_city(data).districts["H"].profiles["beta"].points.tolist() == [[31.4, 120.7]]
+    assert load_city(data).districts["H"].with_points().profiles["beta"].points.tolist() == [[31.4, 120.7]]
 
 
 def test_a_labels_file_that_appears_is_parsed(tmp_path):

@@ -6,6 +6,10 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poialias import ingestion, pipeline
+from poialias import cli, ingestion, pipeline
 from poialias.discovery import MetricConfig
 from poialias.distribution import BoundingBox
 from poialias.errors import ConflictingLabelError
@@ -277,14 +281,14 @@ def reference_city(corpus, cluster_threshold=pipeline.DEFAULT_CLUSTER_THRESHOLD)
 
 def assert_same_city(got, want):
     """Every DistrictData field equal, dict orders included, and every
-    profile's points equal bit for bit."""
+    profile's points equal bit for bit, once read."""
     assert [f.name for f in dataclasses.fields(DistrictData)] == [
         "district", "canonical_map", "profiles", "standard_names", "candidate_names",
-        "label_pos", "label_is_alias", "bbox",
+        "label_pos", "label_is_alias", "bbox", "read_points",
     ]
     assert list(got) == list(want)
     for name, w in want.items():
-        g = got[name]
+        g = got[name].with_points()
         assert g.district == w.district
         for field in ("mapping", "cluster_sizes"):
             assert list(getattr(g.canonical_map, field).items()) == list(getattr(w.canonical_map, field).items())
@@ -353,22 +357,33 @@ def test_a_city_hit_equals_a_build(
     assert_same_city(miss.districts, want)
     assert_same_city(hit.districts, want)
     assert miss.summary == hit.summary == built.summary
-    # the points are slices of one array, not a copy per name
-    located = [p.points for dd in hit.districts.values() for p in dd.profiles.values() if p.point_count]
-    assert all(pts.base is not None and pts.base is located[0].base for pts in located)
+    # a hit reads no points until a district asks for them; then they are
+    # slices of one array per district, not a copy per name
+    assert all(p.points is None for dd in hit.districts.values() for p in dd.profiles.values())
+    bases = []
+    for dd in hit.districts.values():
+        located = [p.points for p in dd.with_points().profiles.values() if p.point_count]
+        assert all(pts.base is not None and pts.base is located[0].base for pts in located)
+        bases += located[:1]
+    assert len({id(pts.base) for pts in bases}) == len(bases)
 
 
-def _tiny_city(data, labels="H,lakeview,alpha,1\nH,lakeview,beta,0\n"):
+def _tiny_city(data, labels="H,lakeview,alpha,1\nH,lakeview,beta,0\n", second_district=False):
     """A one-district corpus whose two equally frequent spellings lakeview
     and lakeviev merge into lakeviev at the default cluster threshold and
-    not at 0.05, plus a district whose only name cleans to nothing."""
+    not at 0.05, plus a district whose only name cleans to nothing, and
+    with `second_district` a district K after H whose one name gamma has
+    u6's 600 points, more than zipfile reads ahead of a member's header."""
     data.mkdir(exist_ok=True)
     (data / "addresses.csv").write_text(
         "user_id,province,city,district,poi_name\n"
         "u1,J,S,H,lakeview\nu2,J,S,H,lakeviev\nu3,J,S,H,alpha\nu4,J,S,H,beta\nu5,J,S,Z,!!!\n"
+        + ("u6,J,S,K,gamma\n" if second_district else "")
     )
     (data / "locations.csv").write_text(
-        "user_id,lat,lon\n" + "".join(f"u{i},31.{i}1,120.{i}2\nu{i},31.{i}3,120.{i}4\n" for i in range(1, 6))
+        "user_id,lat,lon\n"
+        + "".join(f"u{i},31.{i}1,120.{i}2\nu{i},31.{i}3,120.{i}4\n" for i in range(1, 6))
+        + ("".join(f"u6,31.{k:04d},120.{k:04d}\n" for k in range(6000, 6600)) if second_district else "")
     )
     if labels is not None:
         (data / "labels.csv").write_text("district,standard_name,candidate_name,is_alias\n" + labels)
@@ -376,10 +391,15 @@ def _tiny_city(data, labels="H,lakeview,alpha,1\nH,lakeview,beta,0\n"):
 
 
 def test_the_city_file_holds_a_key_a_head_and_three_arrays(tmp_path):
-    data = _tiny_city(tmp_path / "d")
+    # one points array per built district: H and K, not the skipped Z
+    data = _tiny_city(tmp_path / "d", second_district=True)
     load_city(data)
     with np.load(_city_file(tmp_path / "d")) as z:
-        assert z.files == ["key", "head", "points", "label_pos", "label_is_alias"]
+        assert z.files == ["key", "head", "points_0", "points_1", "label_pos", "label_is_alias"]
+        head = json.loads(z["head"].tobytes())
+        assert [(d[0], d[3], z[d[3]].shape) for d in head["districts"]] == [
+            ("H", "points_0", (8, 2)), ("K", "points_1", (600, 2)),
+        ]
 
 
 def test_a_hit_holds_one_object_per_distinct_name(tmp_path):
@@ -413,7 +433,7 @@ def _edit_head(head: dict, damage: str) -> dict:
     elif damage == "one point count too many":
         profiles[0][2] += 1
     elif damage == "a standard that is not a profile":
-        head["districts"][0][3] = ["lakeview"]
+        head["districts"][0][4] = ["lakeview"]
     elif damage == "a negative user count":
         profiles[0][1] = -1
     return head
@@ -423,12 +443,14 @@ def _edit_head(head: dict, damage: str) -> dict:
     "damage",
     [
         "truncated", "another key", "another cluster threshold", "an edited input byte",
+        "a flipped byte in the second district's points",
         # damage that the zip's CRCs pass
         "a head that is not JSON", *_HEAD_DAMAGE, "a label position out of range",
+        "a points array of another shape",
     ],
 )
 def test_a_bad_city_file_is_a_miss_and_rewritten(damage, tmp_path):
-    data = _tiny_city(tmp_path / "d")
+    data = _tiny_city(tmp_path / "d", second_district=True)
     threshold = pipeline.DEFAULT_CLUSTER_THRESHOLD
     load_city(data)
     path = _city_file(tmp_path / "d")
@@ -441,6 +463,15 @@ def test_a_bad_city_file_is_a_miss_and_rewritten(damage, tmp_path):
         np.savez(path, **{**arrays, "key": np.array("0" * 64)})
     elif damage == "a head that is not JSON":
         np.savez(path, **{**arrays, "head": arrays["head"][:-1]})
+    elif damage == "a flipped byte in the second district's points":
+        # the file stores the arrays' bytes as they are, so they can be
+        # found; a byte near the end, which reading the header does not reach
+        points = arrays["points_1"].tobytes()
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(points) + len(points) - 3] ^= 0x01
+        path.write_bytes(raw)
+    elif damage == "a points array of another shape":
+        np.savez(path, **{**arrays, "points_1": arrays["points_1"][:1]})
     elif damage == "a label position out of range":
         # H's grid is 1 standard x 2 candidates
         np.savez(path, **{**arrays, "label_pos": np.array([2, 0], dtype=np.int64)})
@@ -514,3 +545,127 @@ def test_a_failing_build_writes_no_city_file(tmp_path):
     with pytest.raises(ConflictingLabelError):
         load_city(data)
     assert not _city_file(tmp_path / "d").exists()
+
+
+@pytest.fixture(scope="module")
+def three_districts(tmp_path_factory):
+    """A three-district synth city with its built-city file."""
+    data = tmp_path_factory.mktemp("three")
+    generate_city(SynthConfig(seed=3, n_districts=3, pois_per_district=8), str(data))
+    load_city(str(data))
+    return data
+
+
+@contextlib.contextmanager
+def _points_reads():
+    """The names of the points arrays that city files read, in order. Each
+    read fails unless every points array read before it is freed."""
+    reads, earlier = [], []
+    read = pipeline._CityFile.__getitem__
+
+    def tracked(self, name):
+        array = read(self, name)
+        if name.startswith("points_"):
+            assert all(ref() is None for ref in earlier), f"{name} read while an earlier district's points are held"
+            reads.append(name)
+            earlier.append(weakref.ref(array if array.base is None else array.base))
+        return array
+
+    with mock.patch.object(pipeline._CityFile, "__getitem__", tracked):
+        yield reads
+
+
+_ALL = ["points_0", "points_1", "points_2"]
+
+
+@pytest.mark.parametrize(
+    "argv,reads",
+    [
+        *((["evaluate", "--method", m], _ALL) for m in ("centroid", "loccent", "kl", "jaccard")),
+        (["discover", "--method", "jaccard"], _ALL),
+        (["crossval", "--method", "kl"], _ALL),
+        (["sweep", "--method", "jaccard", "--grids", "20,50"], _ALL),
+        # density rows read a district's points again while they are written
+        (["discover", "--method", "centroid", "--dump-density"], _ALL * 2),
+        (["evaluate", "--method", "editdist"], []),
+        (["discover", "--method", "editdist", "--dump-profiles"], []),
+        (["ingest-check"], []),
+        (["preprocess"], []),
+    ],
+)
+def test_a_hit_reads_each_district_s_points_once_one_at_a_time(argv, reads, three_districts, tmp_path):
+    with _no_build(), _points_reads() as got:
+        assert cli.main([argv[0], str(three_districts), *argv[1:], "--out", str(tmp_path / "o")]) == 0
+    assert got == reads
+
+
+def test_transfer_reads_each_city_s_points_in_turn(three_districts, tmp_path):
+    argv = ["transfer", "--source", str(three_districts), "--target", str(three_districts), "--method", "kl"]
+    with _no_build(), _points_reads() as got:
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert got == _ALL * 2
+
+
+def test_a_pool_reads_each_district_s_points_once(three_districts):
+    city = load_city(str(three_districts))
+    config = MetricConfig(method="loc_cent", threshold=0.0)
+    sequential = score_city(city, config)
+    read, got = pipeline._CityFile.__getitem__, []
+
+    def recorded(self, name):
+        got.append(name)
+        return read(self, name)
+
+    with mock.patch.object(pipeline._CityFile, "__getitem__", recorded):
+        pooled = score_city(city, config, workers=3)
+    assert sorted(got) == _ALL
+    for d, table in sequential.items():
+        assert table.score.tobytes() == pooled[d].score.tobytes()
+
+
+def test_one_open_city_file_serves_many_threads(three_districts):
+    # more threads than cores, switching as often as the interpreter can:
+    # a lost update of the file's count of open members closes it early
+    stored = pipeline._CityFile(str(_city_file(three_districts)))
+    want = {name: stored[name].tobytes() for name in _ALL}
+
+    def read_all(_):
+        return all(stored[name].tobytes() == want[name] for name in _ALL * 20)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(read_all, k) for k in range(16)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stored["points_2"].tobytes() == want["points_2"]  # still open
+
+
+def test_a_hit_keeps_its_file_when_another_city_is_renamed_over_it(three_districts, tmp_path):
+    data = tmp_path / "city"
+    shutil.copytree(three_districts, data)  # a hit: the key holds the inputs' names, not their directory
+    other = tmp_path / "other"
+    generate_city(SynthConfig(seed=4, n_districts=3, pois_per_district=8), str(other))
+    load_city(str(other))
+    configs = [MetricConfig(method=m, threshold=0.0) for m in ("jaccard", "centroid")]
+    built = build_city_data(load_corpus(str(data)))
+    want = [score_city(built, c) for c in configs]
+    with _no_build():
+        city = load_city(str(data))
+    read = pipeline._CityFile.__getitem__
+
+    def rename_after_the_first_district(self, name):
+        if name == "points_1" and _city_file(other).exists():
+            os.replace(_city_file(other), _city_file(data))  # a miss elsewhere writes its city
+        return read(self, name)
+
+    with mock.patch.object(pipeline._CityFile, "__getitem__", rename_after_the_first_district):
+        got = [score_city(city, c) for c in configs]
+    assert not _city_file(other).exists()
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        for d in w:
+            assert (g[d].standard_names, g[d].candidate_names) == (w[d].standard_names, w[d].candidate_names)
+            assert g[d].score.tobytes() == w[d].score.tobytes()
