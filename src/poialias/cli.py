@@ -144,16 +144,20 @@ def _load_city(args, data: str, require_labels: bool) -> CityData:
 
 
 def _pair_rows(scores: dict, theta: float):
+    """aliases.csv's rows, built one standard's block of candidates at a
+    time, so what they hold does not grow with the city's pairs."""
     for district in sorted(scores):
         table = scores[district]
         m = len(table.candidate_names)
-        # repr of Python floats: numpy 2 would print np.float64(...)
-        values = list(map(repr, table.score.tolist()))
-        for k in np.flatnonzero(np.isnan(table.score)).tolist():
-            values[k] = ""
-        standards = [s for s in table.standard_names for _ in range(m)]
-        candidates = table.candidate_names * len(table.standard_names)
-        yield from zip(repeat(district), standards, candidates, values, decide(table.score, theta))
+        for i, standard in enumerate(table.standard_names):
+            block = table.score[i * m : (i + 1) * m]
+            # repr of Python floats: numpy 2 would print np.float64(...)
+            values = list(map(repr, block.tolist()))
+            for k in np.flatnonzero(np.isnan(block)).tolist():
+                values[k] = ""
+            yield from zip(
+                repeat(district), repeat(standard), table.candidate_names, values, decide(block, theta)
+            )
 
 
 def _density_rows(city: CityData, grid_n: int):

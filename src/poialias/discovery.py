@@ -33,6 +33,8 @@ MIN_DIVERGENCE = 1e-9
 DECISION_ALIAS = "alias"
 DECISION_NOT_ALIAS = "not-alias"
 DECISION_INSUFFICIENT = "insufficient"
+#: `decide`'s codes 0, 1 and 2 name these objects, so no decision is a new string
+_DECISIONS = np.array([DECISION_NOT_ALIAS, DECISION_ALIAS, DECISION_INSUFFICIENT], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,9 @@ def decide(score, threshold: float):
     with NaN for none, which gives the list of their decisions.
     """
     score = np.asarray(score, dtype=float)  # None reads as NaN
-    linked = np.where(score > threshold, DECISION_ALIAS, DECISION_NOT_ALIAS)
-    return np.where(np.isnan(score), DECISION_INSUFFICIENT, linked).tolist()
+    code = np.asarray(score > threshold, dtype=np.int8)
+    code[np.isnan(score)] = 2
+    return _DECISIONS[code.ravel()].reshape(code.shape).tolist()
 
 
 def _edit_similarities(standards, candidates) -> np.ndarray:
@@ -187,7 +190,8 @@ def score_pairs(
     if rows and cols:
         d = _dissimilarities([standards[i] for i in rows], [candidates[j] for j in cols], config, bbox)
         floor = MIN_GEO_DISTANCE_M if config.method in ("centroid", "loc_cent") else MIN_DIVERGENCE
-        table.score.reshape(n, m)[np.ix_(rows, cols)] = 1.0 / np.maximum(d, floor)
+        np.maximum(d, floor, out=d)
+        table.score.reshape(n, m)[np.ix_(rows, cols)] = np.divide(1.0, d, out=d)
     return table
 
 

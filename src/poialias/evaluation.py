@@ -190,18 +190,36 @@ def calibrate_on_districts(
     actual = sum(lab.actual for lab in parts)
     score = np.concatenate([lab.score for lab in parts])
     is_alias = np.concatenate([lab.is_alias for lab in parts])
+    # pair-length arrays are what a hit's memory grows with: each is
+    # dropped once dead and later ones are written in place, so at most
+    # four 8-byte ones are alive at once
+    del parts
     order = np.argsort(score, kind="stable")
-    score = score[order]
+    score, is_alias = score[order], is_alias[order]
+    del order
     # != rather than a difference, which reads inf - inf as NaN
     distinct = score[np.concatenate(([True], score[1:] != score[:-1]))]
     # a midpoint of two adjacent floats can round onto the upper score,
     # which then does not link: searchsorted compares with the midpoint
-    thetas = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2.0, [math.inf]))
+    thetas = np.empty(len(distinct) + 1)
+    thetas[0], thetas[-1] = -math.inf, math.inf
+    midpoints = np.add(distinct[:-1], distinct[1:], out=thetas[1:-1])
+    np.divide(midpoints, 2.0, out=midpoints)
+    del distinct
     unlinked = np.searchsorted(score, thetas, side="right")
-    positives_unlinked = np.concatenate(([0], np.cumsum(is_alias[order])))[unlinked]
-    tp = positives_unlinked[-1] - positives_unlinked
-    predicted = len(score) - unlinked
-    quotient = tp / (predicted + actual)
+    n_scored = len(score)
+    del score
+    # positives[k]: the positives among the k lowest scores
+    positives = np.empty(n_scored + 1, dtype=np.int64)
+    positives[0] = 0
+    np.cumsum(is_alias, out=positives[1:])
+    del is_alias
+    tp = positives[unlinked]
+    del positives
+    np.subtract(tp[-1], tp, out=tp)
+    predicted = np.subtract(n_scored, unlinked, out=unlinked)
+    quotient = np.add(predicted, actual, dtype=float)
+    np.divide(tp, quotient, out=quotient)
     top = np.flatnonzero(quotient == quotient.max())
     # Python ints, so the cross-multiplied products cannot overflow
     tp, predicted = tp[top].tolist(), predicted[top].tolist()

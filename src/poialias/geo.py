@@ -66,7 +66,9 @@ def haversine_grid(ps: list[GeoPoint], qs: list[GeoPoint]) -> np.ndarray:
     """
 
     def each(fn, values: np.ndarray, *args) -> np.ndarray:
-        out = map(fn, values.ravel().tolist(), *(repeat(a) for a in args))
+        # a memoryview yields each value as a Python float, as tolist()
+        # would, without first building the list of all of them
+        out = map(fn, memoryview(values.ravel()), *(repeat(a) for a in args))
         return np.fromiter(out, dtype=float, count=values.size).reshape(values.shape)
 
     def sin_squared(x: np.ndarray) -> np.ndarray:

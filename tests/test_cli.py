@@ -3,11 +3,14 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +21,12 @@ from hypothesis import strategies as st
 
 from poialias import cli, pipeline
 from poialias.cli import build_parser, main
+from poialias.discovery import (
+    DECISION_ALIAS,
+    DECISION_INSUFFICIENT,
+    DECISION_NOT_ALIAS,
+    ScoreTable,
+)
 from poialias.preprocess import clean_text
 
 SMALL_SET = [
@@ -841,6 +850,36 @@ def test_aliases_decision_is_the_link_rule_at_the_resolved_theta(method, small_c
     # an editdist --threshold is a distance cutoff, 1 - the score cutoff
     numeric = discover(repr(1.0 - median if method == "editdist" else median), tmp_path / "numeric")
     assert {"alias", "not-alias"} <= {r["decision"] for r in calibrated + numeric}
+
+
+def _pair_rows_peak(table, theta: float) -> int:
+    """The tracemalloc peak of consuming aliases.csv's rows of `table`."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        deque(cli._pair_rows({"d": table}, theta), maxlen=0)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_aliases_rows_hold_one_standard_at_a_time():
+    rng = np.random.default_rng(61)
+    n, m, theta = 2_000, 300, 0.5
+    score = rng.random(n * m)
+    score[rng.random(n * m) < 0.1] = np.nan
+    standards, candidates = [f"s{i}" for i in range(n)], [f"c{j}" for j in range(m)]
+    table = ScoreTable(standards, candidates, score)
+    few = ScoreTable(standards[:20], candidates, score[: 20 * m])
+    # 100 times the standards, and the peak stays that of one block
+    assert _pair_rows_peak(table, theta) < 2 * _pair_rows_peak(few, theta)
+    for k, (row, value) in enumerate(zip(cli._pair_rows({"d": table}, theta), score.tolist())):
+        if math.isnan(value):
+            want = ("d", standards[k // m], candidates[k % m], "", DECISION_INSUFFICIENT)
+        else:
+            decision = DECISION_ALIAS if value > theta else DECISION_NOT_ALIAS
+            want = ("d", standards[k // m], candidates[k % m], repr(value), decision)
+        assert row == want and row[4] is want[4]
 
 
 @pytest.mark.parametrize("method", ["jaccard", "centroid"])

@@ -310,12 +310,16 @@ def test_infer_insufficient_profiles_excluded():
 
 def test_decide_is_the_link_rule():
     above = float(np.nextafter(1.0, 2.0))
-    assert decide(None, 0.0) == DECISION_INSUFFICIENT
-    assert decide(None, -np.inf) == DECISION_INSUFFICIENT
-    assert decide(1.0, 1.0) == DECISION_NOT_ALIAS
-    assert decide(above, 1.0) == DECISION_ALIAS
-    assert decide(0.0, -np.inf) == DECISION_ALIAS
-    assert decide(1e300, np.inf) == DECISION_NOT_ALIAS
+    # the constants themselves, not equal copies of them
+    assert decide(None, 0.0) is DECISION_INSUFFICIENT
+    assert decide(None, -np.inf) is DECISION_INSUFFICIENT
+    assert decide(1.0, 1.0) is DECISION_NOT_ALIAS
+    assert decide(above, 1.0) is DECISION_ALIAS
+    assert decide(0.0, -np.inf) is DECISION_ALIAS
+    assert decide(1e300, np.inf) is DECISION_NOT_ALIAS
+    # a 0-d array is one score too
+    for score, want in ((np.nan, DECISION_INSUFFICIENT), (above, DECISION_ALIAS), (1.0, DECISION_NOT_ALIAS)):
+        assert decide(np.array(score), 1.0) is want
 
 
 def test_apply_threshold_mutates_no_pair():
@@ -330,7 +334,9 @@ def test_decide_on_a_score_array_is_the_rule_per_pair():
     scores = [None, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0]
     for theta in (-np.inf, 0.5, 1.0, np.inf):
         array = np.array([np.nan if v is None else v for v in scores])
-        assert decide(array, theta) == [decide(v, theta) for v in scores]
+        decisions = decide(array, theta)
+        assert type(decisions) is list and len(decisions) == len(scores)
+        assert all(got is decide(v, theta) for got, v in zip(decisions, scores))
     assert decide(np.array([]), 1.0) == []
 
 

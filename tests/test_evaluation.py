@@ -1,6 +1,7 @@
 """Metrics, calibration, cross-validation, transfer, sweep, baseline."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -354,6 +355,38 @@ def test_calibration_equals_the_per_pair_reference(districts):
     cal = evaluation.calibrate_on_districts(city, scores, sorted(scores))
     assert cal == reference_calibration(labeled, actual)
     assert type(cal.theta) is float  # report.json keeps its bytes
+
+
+def test_calibration_memory_is_a_few_arrays_of_the_labeled_pairs():
+    # two districts of one standard each, 200k distinct labeled scores in
+    # all: calibration may hold no more than six 8-byte arrays of them at once
+    n = 200_000
+    rng = np.random.default_rng(53)
+    score = rng.permutation(n) / n + 0.5
+    is_alias = rng.random(n) < 0.2
+    city, scores = CityData(districts={}), {}
+    for k, part in enumerate((slice(0, n // 2), slice(n // 2, n))):
+        cands = [f"c{j}" for j in range(part.stop - part.start)]
+        d = f"d{k}"
+        city.districts[d] = DistrictData(
+            district=d,
+            canonical_map=CanonicalMap(),
+            profiles={},
+            standard_names=["s"],
+            candidate_names=cands,
+            label_pos=np.arange(len(cands), dtype=np.int64),
+            label_is_alias=is_alias[part].copy(),
+        )
+        scores[d] = ScoreTable(["s"], cands, score[part].copy())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cal = evaluation.calibrate_on_districts(city, scores, ["d0", "d1"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n
+    assert cal == reference_calibration(zip(score.tolist(), is_alias.tolist()), int(is_alias.sum()))
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -113,6 +113,30 @@ def test_haversine_grid_is_haversine_bit_for_bit():
     assert haversine_grid([], qs).shape == (0, 200)
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_haversine_grid_is_haversine_bit_for_bit_at_the_edges():
+    # the poles, both signs of the antimeridian, coincident and antipodal
+    # points: each element's libm calls read the same Python float
+    edges = [
+        GeoPoint(lat, lon)
+        for lat in (-90.0, -89.999999, -45.0, 0.0, 31.2, 89.999999, 90.0)
+        for lon in (-180.0, -179.999999, 0.0, 120.5, 179.999999, 180.0)
+    ]
+    grid = haversine_grid(edges, edges)
+    assert grid.shape == (len(edges), len(edges))
+    assert np.array_equal(_bits(grid), _bits([[haversine(p, q) for q in edges] for p in edges]))
+    assert not grid.diagonal().any()  # coincident points are 0.0 apart
+    south, north = GeoPoint(-90.0, -180.0), GeoPoint(90.0, 180.0)
+    one = haversine_grid([south], [north])
+    assert one.shape == (1, 1) and _bits(one)[0, 0] == _bits(haversine(south, north))
+    for n in (1, 3):
+        assert haversine_grid(edges[:n], []).shape == (n, 0)
+        assert haversine_grid([], edges[:n]).shape == (0, n)
+
+
 # ----------------------------------------------------------------- centroid
 
 
