@@ -14,6 +14,7 @@ and a stage timer and returns the manifest's (counts, config).
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
@@ -559,5 +560,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """`main()` as a process's entry point: `python -m poialias.cli` and the
+    `poialias` console script.
+
+    `gc.freeze()` first moves every object the imports left, numpy's and
+    poialias's module cycles among them, out of the collector's reach, so
+    no collection scans them again and the interpreter exits without
+    collecting them. `main()` freezes nothing, so a caller that runs it in
+    its own process keeps its collector as it was.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfigError,
     ZeroTotalError,
 )
+from .geo import libm_each
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,14 @@ def rasterize_all(profiles, bbox: BoundingBox, n_grid: int) -> ProfileGrids:
     if not isinstance(n_grid, int) or not 1 <= n_grid <= MAX_GRID_N:
         raise InvalidConfigError(f"n_grid must be an integer in [1, {MAX_GRID_N}], got {n_grid!r}")
     sets = [np.asarray(getattr(p, "points", p), dtype=float).reshape(-1, 2) for p in profiles]
+    # a chunk's (set, cell) keys, set * n_grid**2 + cell, stay below 2**63
+    max_sets = 2**63 // (n_grid * n_grid)
     empty = np.zeros(0, dtype=np.int64)
     parts = [[empty] for _ in range(4)]  # cells, counts, cells per set, dropped per set
     lo = 0
     while lo < len(sets):
         hi, n_points = lo + 1, len(sets[lo])
-        while hi < len(sets) and n_points + len(sets[hi]) <= _CHUNK_POINTS:
+        while hi < len(sets) and hi - lo < max_sets and n_points + len(sets[hi]) <= _CHUNK_POINTS:
             n_points += len(sets[hi])
             hi += 1
         chunk = _rasterize_chunk(sets[lo:hi], bbox, n_grid)
@@ -220,7 +223,7 @@ def _rasterize_chunk(sets: list, bbox: BoundingBox, n_grid: int):
     """One numpy pass of `rasterize_all`: the occupied cells and counts of
     `sets`, sorted by set then cell, plus each set's cell and dropped counts."""
     pts = np.concatenate(sets) if len(sets) > 1 else sets[0]
-    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    owner = np.repeat(np.arange(len(sets), dtype=np.int64), [len(s) for s in sets])
     lat = pts[:, 0]
     lon = pts[:, 1]
     inside = (
@@ -237,14 +240,18 @@ def _rasterize_chunk(sets: list, bbox: BoundingBox, n_grid: int):
     # on the max edges land one past the last row or column
     np.minimum(rows, n_grid - 1, out=rows)
     np.minimum(cols, n_grid - 1, out=cols)
-    flat = rows * n_grid + cols
-    order = np.lexsort((flat, owner))
-    flat, owner = flat[order], owner[order]
-    new = np.ones(len(flat), dtype=bool)
-    new[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
+    # one int64 key per point, ordered by set, then by cell. A stable
+    # argsort runs the code the kernels' joins already run; np.sort's SIMD
+    # code would map about 0.3 MB more into the process
+    n_cells = n_grid * n_grid
+    key = owner * n_cells + (rows * n_grid + cols)
+    key = key[np.argsort(key, kind="stable")]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
     first = np.flatnonzero(new)
-    counts = np.diff(np.append(first, len(flat)))
-    return flat[first], counts, np.bincount(owner[first], minlength=len(sets)), dropped
+    counts = np.diff(np.append(first, len(key)))
+    owner, cells = np.divmod(key[first], n_cells)
+    return cells, counts, np.bincount(owner, minlength=len(sets)), dropped
 
 
 def rasterize(profile, bbox: BoundingBox, n_grid: int) -> DensityMatrix:
@@ -303,10 +310,10 @@ def _kl_terms(probs: np.ndarray, n_points: int, n_grid: int, epsilon: float) -> 
     floor = epsilon / denom
     log_floor = math.log(floor)
     smoothed = (probs + epsilon) / denom
-    log_ratio = np.log1p(probs / epsilon)
+    log_ratio = libm_each(math.log1p, probs / epsilon)
     return _KLTerms(
         # the cells p leaves empty all smooth to `floor`: one closed-form term
-        neg_entropy=math.fsum((smoothed * np.log(smoothed)).tolist()) + n_empty * floor * log_floor,
+        neg_entropy=math.fsum((smoothed * libm_each(math.log, smoothed)).tolist()) + n_empty * floor * log_floor,
         mass=math.fsum(smoothed.tolist()) + n_empty * floor,
         floor=floor,
         log_floor=log_floor,

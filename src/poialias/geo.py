@@ -55,6 +55,16 @@ def haversine(p: GeoPoint, q: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def libm_each(fn, values: np.ndarray, *args) -> np.ndarray:
+    """`fn(v, *args)` for each float `v` of `values`, as a float64 array of
+    the same shape: libm's bits through `math`, where a numpy ufunc's
+    may depend on the SIMD code the host dispatches to."""
+    # a memoryview yields each value as a Python float, as tolist()
+    # would, without first building the list of all of them
+    out = map(fn, memoryview(values.ravel()), *(repeat(a) for a in args))
+    return np.fromiter(out, dtype=float, count=values.size).reshape(values.shape)
+
+
 def haversine_grid(ps: list[GeoPoint], qs: list[GeoPoint]) -> np.ndarray:
     """`haversine` of every (p, q) pair, bit for bit, as a len(ps) x
     len(qs) array.
@@ -65,21 +75,15 @@ def haversine_grid(ps: list[GeoPoint], qs: list[GeoPoint]) -> np.ndarray:
     libm's `asin` and `pow` in the last bit on some arguments.
     """
 
-    def each(fn, values: np.ndarray, *args) -> np.ndarray:
-        # a memoryview yields each value as a Python float, as tolist()
-        # would, without first building the list of all of them
-        out = map(fn, memoryview(values.ravel()), *(repeat(a) for a in args))
-        return np.fromiter(out, dtype=float, count=values.size).reshape(values.shape)
-
     def sin_squared(x: np.ndarray) -> np.ndarray:
-        return each(pow, each(math.sin, x), 2)  # pow(v, 2) is v ** 2
+        return libm_each(pow, libm_each(math.sin, x), 2)  # pow(v, 2) is v ** 2
 
     lat1, lat2 = (np.radians([p.lat for p in pts]) for pts in (ps, qs))
     dlat = lat2[None, :] - lat1[:, None]
     dlon = np.radians(np.array([q.lon for q in qs])[None, :] - np.array([p.lon for p in ps])[:, None])
-    cos_cos = each(math.cos, lat1)[:, None] * each(math.cos, lat2)[None, :]
+    cos_cos = libm_each(math.cos, lat1)[:, None] * libm_each(math.cos, lat2)[None, :]
     a = sin_squared(dlat / 2.0) + cos_cos * sin_squared(dlon / 2.0)
-    return 2.0 * EARTH_RADIUS_M * each(math.asin, np.minimum(1.0, np.sqrt(a)))
+    return 2.0 * EARTH_RADIUS_M * libm_each(math.asin, np.minimum(1.0, np.sqrt(a)))
 
 
 def centroid(points: np.ndarray) -> GeoPoint:

@@ -487,15 +487,15 @@ def _file_digest(path: str) -> str | None:
     return h.hexdigest()
 
 
-def _city_key(fmt: str, paths: list[str], cluster_threshold: float) -> str:
+def _city_key(fmt: str, paths: list[str], digests: list[str | None], cluster_threshold: float) -> str:
     """BLAKE2b over everything that decides a built city: the format, each
-    input's name and bytes (or its absence), the source of every module
+    input's name and digest (None when absent), the source of every module
     the parse and the build run, the Python and numpy versions and
     repr(cluster_threshold)."""
     sources = (ingestion.__file__, preprocess.__file__, profile.__file__, __file__, distribution.__file__)
     parts = [
         fmt,
-        [[os.path.basename(p), _file_digest(p)] for p in paths],
+        [[os.path.basename(p), d] for p, d in zip(paths, digests)],
         [_file_digest(f) for f in sources],
         sys.version,
         np.__version__,
@@ -504,22 +504,70 @@ def _city_key(fmt: str, paths: list[str], cluster_threshold: float) -> str:
     return blake2b(json.dumps(parts).encode()).hexdigest()
 
 
-def _read_keyed(path: str, key: str) -> _CityFile:
-    """The city file at `path`, open, if `_write_keyed` saved it under
-    `key`; raises if it is absent, unreadable or saved under another key."""
+def _fingerprint(path: str) -> list[int] | None:
+    """A file's st_dev, st_ino, st_size, st_mtime_ns and st_ctime_ns, or
+    None if there is no such file."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _read_keyed(path: str, fmt: str, paths: list[str], cluster_threshold: float) -> _CityFile:
+    """The city file at `path`, open, if its key record (see `_write_keyed`)
+    holds the key of the inputs at `paths` as they are now; raises if it is
+    absent, unreadable or holds another key.
+
+    An input whose stat still gives the record's fingerprint, with its
+    mtime and ctime both older than the record's write time, is keyed by
+    the record's digest and not read. The write time was read before the
+    fingerprint was taken, so any later change to the input sets a ctime
+    no older than it and moves the fingerprint. A fingerprint with a time
+    at or past it may hide a change made in the same clock tick: it is
+    racily clean, as git calls it, and the input is hashed again, as is
+    any input whose fingerprint moved.
+    """
     stored = _CityFile(path)
-    _expect(stored["key"].shape == () and str(stored["key"]) == key)
+    record = stored["key"]
+    _expect(record.dtype == np.uint8 and record.ndim == 1)
+    record = json.loads(record.tobytes().decode())
+    digests = []
+    for p, (fingerprint, digest) in zip(paths, record["inputs"], strict=True):
+        now = _fingerprint(p)
+        clean = now is not None and now == fingerprint and max(now[3:]) < record["written_ns"]
+        digests.append(digest if clean else _file_digest(p))
+    _expect(record["key"] == _city_key(fmt, paths, digests, cluster_threshold))
     return stored
 
 
-def _write_keyed(path: str, key: str, arrays: dict[str, np.ndarray]):
-    """Save `arrays` under `key` at `path` through `_output_file`. A failed
-    write is logged, not raised: it costs only a rebuild on the next read."""
+class _InputChanged(Exception):
+    """The inputs' bytes no longer give the key they were parsed under."""
+
+
+def _write_keyed(
+    path: str, fmt: str, paths: list[str], cluster_threshold: float, key: str, arrays: dict[str, np.ndarray]
+):
+    """Save `arrays` at `path` through `_output_file`, with the key record as
+    the `key` member, unless the inputs' bytes no longer give `key`, as when
+    one changed while it was parsed. A failed write is logged, not raised:
+    it costs only a rebuild on the next read.
+
+    The record is JSON: `key`; each input's `_fingerprint` and digest,
+    both taken now; and `written_ns`, the new file's mtime as the file
+    system set it on creation, before any input was statted.
+    """
     try:
         with _output_file(path, binary=True) as fh:
-            np.savez(fh, key=np.array(key), **arrays)
+            written_ns = os.fstat(fh.fileno()).st_mtime_ns
+            fingerprints = [_fingerprint(p) for p in paths]
+            digests = [_file_digest(p) for p in paths]
+            if _city_key(fmt, paths, digests, cluster_threshold) != key:
+                raise _InputChanged("an input changed while it was parsed")
+            record = {"key": key, "inputs": list(zip(fingerprints, digests)), "written_ns": written_ns}
+            np.savez(fh, key=np.frombuffer(json.dumps(record).encode(), dtype=np.uint8), **arrays)
         logger.info("city=%s cache=written", path)
-    except OSError as exc:
+    except (OSError, _InputChanged) as exc:
         logger.info("city=%s cache=unwritten reason=%s", path, exc)
 
 
@@ -535,23 +583,24 @@ def load_city(
     The file is keyed by a BLAKE2b digest over the format, each input's
     name and bytes (or its absence), the source of ingestion, preprocess,
     profile, pipeline and distribution, the Python and numpy versions and
-    repr(cluster_threshold). With the same key the city, parse summary
-    included, is loaded from the file and no input is parsed; its reports
-    name the inputs of `data_dir`. The file stays open, and each district's
-    points are read from it by that district's `with_points`; every array
-    is checked, and read to its end once, before this returns. A file that
-    is absent, unreadable or does not match in full is a miss: the inputs
-    are parsed, the city is built and the file rewritten, unless an input
-    changed while it was parsed. A failed write costs only the next call's
-    rebuild. The cluster threshold, the format and a required labels file
-    are checked before the file is consulted.
+    repr(cluster_threshold). An input whose stat fingerprint the file
+    records, and which is not racily clean, is not read to key it (see
+    `_read_keyed`). With the same key the city, parse summary included, is
+    loaded from the file and no input is parsed; its reports name the
+    inputs of `data_dir`. The file stays open, and each district's points
+    are read from it by that district's `with_points`; every array is
+    checked, and read to its end once, before this returns. A file that is
+    absent, unreadable or does not match in full is a miss: the inputs are
+    parsed, the city is built and the file rewritten, unless an input
+    changed while it was parsed. A hit never writes. A failed write costs
+    only the next call's rebuild. The cluster threshold, the format and a
+    required labels file are checked before the file is consulted.
     """
     check_cluster_threshold(cluster_threshold)
     paths = _input_paths(data_dir, fmt, require_labels)
     cache = os.path.join(data_dir, CITY_FILE.format(fmt=fmt))
-    key = _city_key(fmt, paths, cluster_threshold)
     try:
-        city = _city_from_arrays(_read_keyed(cache, key), paths)
+        city = _city_from_arrays(_read_keyed(cache, fmt, paths, cluster_threshold), paths)
     except Exception as exc:
         # an absent, damaged or mismatched file is a miss; a damaged zip
         # alone can raise BadZipFile, EOFError, NotImplementedError,
@@ -560,13 +609,13 @@ def load_city(
     else:
         logger.info("city=%s cache=hit", cache)
         return city
+    # every input is read: a miss trusts nothing the file records
+    key = _city_key(fmt, paths, [_file_digest(p) for p in paths], cluster_threshold)
     corpus = load_corpus(data_dir, fmt, require_labels)
     arrays = _Arrays(_city_arrays(corpus, cluster_threshold))
     del corpus  # the city holds no reference to it
     city = _city_from_arrays(arrays, paths)
-    # an input rewritten while it was parsed must not be filed under the old key
-    if _city_key(fmt, paths, cluster_threshold) == key:
-        _write_keyed(cache, key, arrays)
+    _write_keyed(cache, fmt, paths, cluster_threshold, key, arrays)
     return city
 
 

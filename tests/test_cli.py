@@ -154,6 +154,25 @@ def test_cli_import_loads_no_synth():
     assert "poialias.synth" not in _modules_after("import poialias.cli")
 
 
+def test_cli_import_leaves_the_collector_as_it_was():
+    assert _printed_by("import gc\nimport poialias.cli\nprint(gc.isenabled(), gc.get_freeze_count())") == "True 0"
+
+
+def test_the_entry_point_freezes_the_import_heap_and_main_does_not():
+    # main() runs as the tests and the traced benchmark call it, in-process
+    code = (
+        "import contextlib, gc, io, sys\nfrom poialias.cli import entry, main\n"
+        "sys.argv = ['poialias', '--help']\n"
+        "frozen = []\n"
+        "for run in (main, entry):\n"
+        "    with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        run()\n"
+        "    frozen.append(gc.get_freeze_count() > 0)\n"
+        "print(frozen)"
+    )
+    assert _printed_by(code) == "[False, True]"
+
+
 #: what no command but synth, or a pool of --workers, needs: OpenSSL (the
 #: city key is the builtin BLAKE2b), the generator, the pool and uuid
 _LOADED_ONLY_WHEN_USED = {"_hashlib", "ssl", "poialias.synth", "concurrent.futures", "uuid"}

@@ -450,3 +450,90 @@ def test_kl_epsilon_cache_matches_fresh_distributions(grids, eps):
 
     assert first == again == fresh(e1)
     assert second == fresh(e2)
+
+
+def test_rasterize_all_at_the_largest_grids_keys_each_profile_apart():
+    # a pass keys its points by profile * n_grid**2 + cell in int64: at
+    # n_grid 2**31 a pass holds at most two profiles, at the largest grid one
+    sets = [np.array([[0.9, 0.9], [0.1, 0.1], [0.9, 0.9]]), np.array([[0.5, 0.25]]), np.array([[0.1, 0.1]])]
+    box = BoundingBox(0, 1, 0, 1)
+    for n in (2**31, 3_037_000_499):
+        grids = rasterize_all(sets, box, n)
+        for k, pts in enumerate(sets):
+            alone = rasterize(pts, box, n)
+            a, b = grids.starts[k], grids.starts[k + 1]
+            assert grids.cells[a:b].tolist() == alone.cells.tolist()
+            assert grids.counts[a:b].tolist() == alone.counts.tolist()
+        assert grids.counts.tolist() == [1, 2, 1, 1]
+
+
+#: numpy ufuncs that are exact or that IEEE 754 rounds correctly, so they
+#: give the same bits under every SIMD dispatch; `radians` multiplies by
+#: the constant `math.radians` multiplies by
+_EXACT_UFUNCS = {
+    "abs", "absolute", "add", "bitwise_and", "bitwise_or", "divide", "divmod", "equal", "floor_divide",
+    "isfinite", "isnan", "left_shift", "maximum", "minimum", "multiply", "negative", "radians",
+    "remainder", "right_shift", "sqrt", "subtract", "true_divide",
+}
+
+
+def test_src_applies_no_numpy_ufunc_whose_bits_depend_on_the_host():
+    # transcendental ufuncs such as np.log and np.sin dispatch to SIMD code
+    # whose last bit differs from libm's; src/ takes them from `math`
+    import ast
+    import pathlib
+
+    import poialias
+
+    named = set()
+    for path in pathlib.Path(poialias.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np":
+                if isinstance(getattr(np, node.attr, None), np.ufunc):
+                    named.add(f"{path.name}: np.{node.attr}")
+    assert named and sorted(n for n in named if n.split("np.")[1] not in _EXACT_UFUNCS) == []
+
+
+def _avx512_features() -> list[str]:
+    """The AVX-512 features numpy dispatches to on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f) and ("AVX512" in f or f == "X86_V4")]
+
+
+_KL_DIGEST = """
+import hashlib
+import numpy as np
+from poialias.distribution import BoundingBox, kl_divergences, rasterize_all
+
+def kl_digest() -> str:
+    rng = np.random.default_rng(7)
+    sets = [rng.beta(2, 5, size=(int(n), 2)) for n in rng.integers(50, 600, 12)]
+    grids = rasterize_all(sets, BoundingBox(0.0, 1.0, 0.0, 1.0), 40)
+    return hashlib.sha256(kl_divergences(grids, grids, 1e-9).tobytes()).hexdigest()
+"""
+
+
+@pytest.mark.skipif(not _avx512_features(), reason="numpy reports no AVX-512 on this host")
+def test_kl_bits_do_not_depend_on_the_simd_dispatch():
+    # under AVX-512, numpy's log and log1p differ from libm's on about 0.4 %
+    # of arguments, enough to move these scores' last bits
+    import os
+    import subprocess
+
+    import poialias
+
+    here: dict = {}
+    exec(_KL_DIGEST, here)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KL_DIGEST + "print(kl_digest())"],
+        capture_output=True, text=True, timeout=300, check=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(poialias.__file__)),
+            "NPY_DISABLE_CPU_FEATURES": " ".join(_avx512_features()),
+        },
+    )
+    assert proc.stdout.strip() == here["kl_digest"]()

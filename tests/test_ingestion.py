@@ -881,6 +881,116 @@ def test_an_edit_that_keeps_size_and_mtime_is_reparsed(tmp_path):
     assert load_city(data).districts["H"].with_points().profiles["beta"].points.tolist() == [[31.4, 120.7]]
 
 
+# ------------------------------- what a hit reads of the inputs: fingerprints
+# The city file's `key` member records each input's stat fingerprint and
+# digest, and the file system's time when the file's write began.
+
+
+def _past_the_inputs_clock_tick(data):
+    """Wait until a new file's mtime is past every input's ctime, so that a
+    city file written next records fingerprints that are not racily clean."""
+    newest = max(os.stat(p).st_ctime_ns for p in _input_paths(data) if os.path.exists(p))
+    probe = Path(data).parent / "clock-probe"
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > newest:
+            return probe.unlink()
+        probe.unlink()
+
+
+def _edit_record(data, edit):
+    """Rewrite the key record of the city file of `data` through `edit`."""
+    path = _city_file(data)
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files}
+    record = json.loads(arrays["key"].tobytes())
+    edit(record)
+    np.savez(path, **{**arrays, "key": np.frombuffer(json.dumps(record).encode(), dtype=np.uint8)})
+
+
+def _hashed_inputs(data, run):
+    """The inputs of `data` that `_file_digest` reads while `run()` runs, in
+    order, and what `run()` returns."""
+    inputs = _input_paths(data)
+    with mock.patch.object(pipeline, "_file_digest", wraps=pipeline._file_digest) as digest:
+        got = run()
+    return [c.args[0] for c in digest.call_args_list if c.args[0] in inputs], got
+
+
+def test_a_hit_whose_fingerprints_all_match_opens_no_input(tmp_path):
+    data = _tiny_corpus(tmp_path / "d")
+    _past_the_inputs_clock_tick(data)
+    load_city(data)
+    with _no_parse(), mock.patch("builtins.open", wraps=open) as opened:
+        hit = load_city(data)
+    assert not set(_input_paths(data)) & {c.args[0] for c in opened.call_args_list}
+    assert hit.summary == _parsed_summary(data, "csv", hit.districts)
+    with np.load(_city_file(data)) as z:
+        record = json.loads(z["key"].tobytes())
+    assert [digest for _, digest in record["inputs"]] == [pipeline._file_digest(p) for p in _input_paths(data)]
+
+
+@pytest.mark.parametrize("time", ["ctime", "mtime"])
+def test_an_edit_in_the_clock_tick_of_the_write_is_rehashed(time, tmp_path):
+    # a clock tick that holds both the city file's write and an edit that
+    # keeps size and mtime: the record's fingerprint is the edited file's
+    # stat, and the edit's `time` is the write time itself
+    data = _tiny_corpus(tmp_path / "d")
+    load_city(data)
+    path = tmp_path / "d" / "locations.csv"
+    before = path.stat()
+    path.write_bytes(path.read_bytes().replace(b"31.4,120.6", b"31.4,120.7"))
+    if time == "mtime":  # an mtime in the future, past the ctime
+        os.utime(path, ns=(before.st_atime_ns, path.stat().st_ctime_ns + 10**9))
+    else:
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    now = path.stat()
+
+    def same_tick(record):
+        record["inputs"][1][0] = [now.st_dev, now.st_ino, now.st_size, now.st_mtime_ns, now.st_ctime_ns]
+        record["written_ns"] = getattr(now, f"st_{time}_ns")
+
+    _edit_record(data, same_tick)
+    hashed, city = _hashed_inputs(data, lambda: load_city(data))
+    assert os.path.join(data, "locations.csv") in hashed
+    assert city.districts["H"].with_points().profiles["beta"].points.tolist() == [[31.4, 120.7]]
+
+
+def test_a_copied_data_directory_is_a_hit_that_rehashes_each_input(tmp_path):
+    data = _tiny_corpus(tmp_path / "a")
+    _past_the_inputs_clock_tick(data)
+    load_city(data)
+    copy = str(shutil.copytree(tmp_path / "a", tmp_path / "b"))  # new inodes, the same bytes
+    written = _city_file(copy).read_bytes()
+    for _ in range(2):  # a hit writes nothing, so each load of the copy hashes its inputs again
+        with _no_parse():
+            hashed, hit = _hashed_inputs(copy, lambda: load_city(copy))
+        assert hashed == _input_paths(copy)
+        assert hit.summary == _parsed_summary(copy, "csv", hit.districts)
+    assert _city_file(copy).read_bytes() == written
+    assert _hashed_inputs(data, lambda: load_city(data))[0] == []
+
+
+@pytest.mark.parametrize("edited", [False, True], ids=["the same bytes", "other bytes of the same size"])
+def test_a_replaced_input_is_rehashed(edited, tmp_path):
+    # a file renamed over the input, with its size and mtime
+    data = _tiny_corpus(tmp_path / "d")
+    _past_the_inputs_clock_tick(data)
+    load_city(data)
+    path = tmp_path / "d" / "locations.csv"
+    before = path.stat()
+    text = path.read_bytes()
+    new = tmp_path / "new.csv"
+    new.write_bytes(text.replace(b"31.4,120.6", b"31.4,120.7") if edited else text)
+    os.utime(new, ns=(before.st_atime_ns, before.st_mtime_ns))
+    os.replace(new, path)
+    with mock.patch.object(ingestion, "parse_location_log", wraps=ingestion.parse_location_log) as parse:
+        hashed, city = _hashed_inputs(data, lambda: load_city(data))
+    assert str(path) in hashed
+    assert parse.call_count == edited
+    assert city.districts["H"].with_points().profiles["beta"].points.tolist() == [[31.4, 120.7 if edited else 120.6]]
+
+
 def test_a_labels_file_that_appears_is_parsed(tmp_path):
     data = _tiny_corpus(tmp_path / "d", labels=None)
     assert load_city(data).summary.reports["labels"].warnings == ["labels file absent"]
