@@ -137,13 +137,6 @@ def _report_config(args, **extra) -> dict:
     return out
 
 
-def _load_city(args, data: str, require_labels: bool) -> CityData:
-    """The city of `data`, loaded from its built-city file on a hit; see
-    `pipeline.load_city`. --cluster-threshold is checked before any input
-    is read."""
-    return load_city(data, args.format, args.cluster_threshold, require_labels)
-
-
 def _pair_rows(scores: dict, theta: float):
     """aliases.csv's rows, built one standard's block of candidates at a
     time, so what they hold does not grow with the city's pairs."""
@@ -254,7 +247,7 @@ def _cmd_ingest_check(args, timer: _Timer):
 
 def _cmd_preprocess(args, timer: _Timer):
     timer.stage("ingest")
-    city = _load_city(args, args.data, require_labels=False)
+    city = load_city(args.data, args.format, args.cluster_threshold)
     timer.stage("write")
     n_raw = 0
     n_canonical = 0
@@ -279,7 +272,7 @@ def _cmd_discover(args, timer: _Timer):
     threshold = _score_threshold(args)
     config = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, args.data, require_labels=threshold == "calibrate")
+    city = load_city(args.data, args.format, args.cluster_threshold, require_labels=threshold == "calibrate")
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
@@ -316,7 +309,7 @@ def _cmd_evaluate(args, timer: _Timer):
     threshold = _score_threshold(args)
     config = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, args.data, require_labels=True)
+    city = load_city(args.data, args.format, args.cluster_threshold, require_labels=True)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("calibrate")
@@ -348,7 +341,7 @@ def _cmd_crossval(args, timer: _Timer):
         raise InvalidConfigError(f"--train-frac must lie in (0, 1], got {args.train_frac}")
     config = _metric_config(args)
     timer.stage("ingest")
-    city = _load_city(args, args.data, require_labels=True)
+    city = load_city(args.data, args.format, args.cluster_threshold, require_labels=True)
     timer.stage("score")
     scores = score_city(city, config, workers=args.workers)
     timer.stage("evaluate")
@@ -369,8 +362,8 @@ def _cmd_crossval(args, timer: _Timer):
 def _cmd_transfer(args, timer: _Timer):
     config = _metric_config(args)
     timer.stage("ingest")
-    source_city = _load_city(args, args.source, require_labels=True)
-    target_city = _load_city(args, args.target, require_labels=True)
+    source_city = load_city(args.source, args.format, args.cluster_threshold, require_labels=True)
+    target_city = load_city(args.target, args.format, args.cluster_threshold, require_labels=True)
     timer.stage("score")
     source_scores = score_city(source_city, config, workers=args.workers)
     target_scores = score_city(target_city, config, workers=args.workers)
@@ -407,7 +400,7 @@ def _cmd_sweep(args, timer: _Timer):
     for n in grids:
         replace(base, grid_n=n)  # MetricConfig's own grid_n check, before any input is read
     timer.stage("ingest")
-    city = _load_city(args, args.data, require_labels=True)
+    city = load_city(args.data, args.format, args.cluster_threshold, require_labels=True)
     timer.stage("sweep")
     results = evaluation.resolution_sweep(
         city, CLI_METHODS[args.method], grids, base, workers=args.workers

@@ -63,6 +63,11 @@ class MetricConfig:
                 f"kl_epsilon must be at least {sys.float_info.min} (the smallest normal float), "
                 f"got {self.kl_epsilon}"
             )
+        # a count of cells, so neither 50.7 nor True; an integral numpy
+        # scalar becomes the Python int that the rasterizer takes
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
+            raise InvalidConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
+        object.__setattr__(self, "grid_n", int(self.grid_n))
         if self.grid_n < 1:
             raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
         # kl smoothing adds kl_epsilon to each of the grid's grid_n**2 cells

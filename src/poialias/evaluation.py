@@ -18,7 +18,7 @@ import numpy as np
 
 from .discovery import MetricConfig, ScoreTable
 from .errors import InvalidConfigError, NoPositiveLabelsError, TooFewDistrictsError
-from .pipeline import CityData, DistrictData, score_city_each
+from .pipeline import CityData, DistrictData, score_city
 
 DistrictScores = dict[str, ScoreTable]
 
@@ -348,15 +348,18 @@ def resolution_sweep(
 ) -> list[tuple[int, EvalReport]]:
     """Calibrate-and-evaluate once per grid resolution.
 
-    Each grid size gets a full scoring pass, in-city calibration over all
-    labeled pairs, and an evaluation at the calibrated threshold. Every
-    grid scores a district from one read of its points.
+    Every grid's config is built, and so checked, before any grid is
+    scored. Each grid then gets a full scoring pass, in-city calibration
+    over all labeled pairs, and an evaluation at the calibrated threshold;
+    its score tables are dropped before the next grid is scored.
     """
     if not grid_values:
         raise InvalidConfigError("grid_values must be non-empty")
-    configs = [replace(base_config, method=method, grid_n=int(n)) for n in grid_values]
+    configs = [replace(base_config, method=method, grid_n=n) for n in grid_values]
     results = []
-    for config, scores in zip(configs, score_city_each(city, configs, workers=workers)):
+    for config in configs:
+        scores = score_city(city, config, workers=workers)
         cal = calibrate_on_districts(city, scores, city.labeled_districts())
         results.append((config.grid_n, evaluate_districts(city, scores, cal.theta, method=method)))
+        del scores
     return results

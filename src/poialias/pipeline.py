@@ -620,34 +620,23 @@ def load_city(
 
 
 def score_city(city: CityData, config: MetricConfig, workers: int = 1) -> dict[str, ScoreTable]:
-    """The score table of every district's N x M grid; districts may score
-    in parallel. See `score_city_each`."""
-    return score_city_each(city, [config], workers)[0]
-
-
-def score_city_each(
-    city: CityData, configs: list[MetricConfig], workers: int = 1
-) -> list[dict[str, ScoreTable]]:
-    """Each config's score tables of every district's N x M grid.
+    """The score table of every district's N x M grid.
 
     The districts are scored in sorted order, or `workers` at a time. A
-    district's points are read once, for all configs, only when a config
-    scores locations, and are dropped once its tables are built, so a
-    command holds the points of at most `workers` districts at a time.
+    district's points are read only when the method scores locations, and
+    are dropped once its table is built, so a command holds the points of
+    at most `workers` districts at a time.
     """
-    on_points = any(c.method != "edit_distance" for c in configs)
+    on_points = config.method != "edit_distance"
 
-    def score(d: str) -> list[ScoreTable]:
+    def score(d: str) -> ScoreTable:
         dd = city.districts[d].with_points() if on_points else city.districts[d]
-        stds, cands = dd.standard_profiles(), dd.candidate_profiles()
-        return [score_pairs(stds, cands, config, bbox=dd.bbox) for config in configs]
+        return score_pairs(dd.standard_profiles(), dd.candidate_profiles(), config, bbox=dd.bbox)
 
     names = sorted(city.districts)
     if workers > 1 and len(names) > 1:
         from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(score, names))
-    else:
-        tables = [score(d) for d in names]
-    return [{d: per_config[i] for d, per_config in zip(names, tables)} for i in range(len(configs))]
+            return dict(zip(names, pool.map(score, names)))
+    return {d: score(d) for d in names}

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from poialias.evaluation import (
     prf_from_counts,
     resolution_sweep,
 )
-from poialias.pipeline import CityData, DistrictData, build_city_data, score_city
+from poialias.pipeline import CityData, DistrictData, build_city_data, load_city, score_city
 from poialias.preprocess import CanonicalMap, normalized_edit_distance
 from poialias.profile import MobilityProfile
 from poialias.ingestion import load_corpus
@@ -598,6 +599,53 @@ def test_sweep_rejects_empty_grid_list(small_city):
     base = MetricConfig(method="jaccard", threshold=0.0)
     with pytest.raises(InvalidConfigError):
         resolution_sweep(small_city.city, "jaccard", [], base)
+
+
+def test_sweep_takes_integral_grids_only(small_city):
+    from poialias.errors import InvalidConfigError
+
+    base = MetricConfig(method="jaccard", threshold=0.0)
+    for grid in (50.7, True):
+        with pytest.raises(InvalidConfigError, match="grid_n must be an integer"):
+            MetricConfig(method="jaccard", threshold=0.0, grid_n=grid)
+        # every grid is checked before the first one is scored
+        with mock.patch.object(evaluation, "score_city", side_effect=AssertionError("scored")):
+            with pytest.raises(InvalidConfigError, match="grid_n must be an integer"):
+                resolution_sweep(small_city.city, "jaccard", [50, grid], base)
+    [(n, rep)] = resolution_sweep(small_city.city, "jaccard", [np.int64(50)], base)
+    assert type(n) is int and n == 50
+    assert rep == resolution_sweep(small_city.city, "jaccard", [50], base)[0][1]
+
+
+def test_a_sweep_holds_one_grid_s_tables_at_a_time(tmp_path):
+    generate_city(
+        SynthConfig(
+            seed=5,
+            n_districts=2,
+            pois_per_district=40,
+            alias_fraction=1.0,
+            users_per_poi=(4, 6),
+            points_per_user=(8, 12),
+        ),
+        str(tmp_path),
+    )
+    city = load_city(str(tmp_path))
+    pairs = sum(len(dd.standard_names) * len(dd.candidate_names) for dd in city.districts.values())
+    assert pairs == 4_682
+    base = MetricConfig(method="jaccard", threshold=0.0)
+
+    def peak(grids) -> int:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            resolution_sweep(city, "jaccard", grids, base)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    # a grid's tables are 8 bytes a pair: kept to the end, 8 grids would
+    # hold about 7 * 8 bytes a pair more than 1
+    assert peak([50] * 8) - peak([50]) <= 2 * 8 * pairs
 
 
 # ----------------------------------------------------------------- baseline

@@ -584,7 +584,8 @@ _ALL = ["points_0", "points_1", "points_2"]
         *((["evaluate", "--method", m], _ALL) for m in ("centroid", "loccent", "kl", "jaccard")),
         (["discover", "--method", "jaccard"], _ALL),
         (["crossval", "--method", "kl"], _ALL),
-        (["sweep", "--method", "jaccard", "--grids", "20,50"], _ALL),
+        # each grid reads every district's points again
+        (["sweep", "--method", "jaccard", "--grids", "20,50"], _ALL * 2),
         # density rows read a district's points again while they are written
         (["discover", "--method", "centroid", "--dump-density"], _ALL * 2),
         (["evaluate", "--method", "editdist"], []),
