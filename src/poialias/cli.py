@@ -402,9 +402,9 @@ def _cmd_sweep(args, timer: _Timer):
     timer.stage("ingest")
     city = load_city(args.data, args.format, args.cluster_threshold, require_labels=True)
     timer.stage("sweep")
-    results = evaluation.resolution_sweep(
-        city, CLI_METHODS[args.method], grids, base, workers=args.workers
-    )
+    swept = evaluation.resolution_sweep(city, CLI_METHODS[args.method], grids, base, workers=args.workers)
+    # each report names the method as --method gives it, as evaluate's does
+    results = [(n, replace(rep, method=args.method)) for n, rep in swept]
     timer.stage("write")
     write_csv(
         os.path.join(args.out, "sweep.csv"),

@@ -63,11 +63,14 @@ class MetricConfig:
                 f"kl_epsilon must be at least {sys.float_info.min} (the smallest normal float), "
                 f"got {self.kl_epsilon}"
             )
-        # a count of cells, so neither 50.7 nor True; an integral numpy
-        # scalar becomes the Python int that the rasterizer takes
-        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
-            raise InvalidConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
-        object.__setattr__(self, "grid_n", int(self.grid_n))
+        # counts of cells and of points, so neither 50.7 nor True; an
+        # integral numpy scalar becomes the Python int that the rasterizer
+        # and the sufficiency test take
+        for name in ("grid_n", "min_profile_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.grid_n < 1:
             raise InvalidConfigError(f"grid_n must be >= 1, got {self.grid_n}")
         # kl smoothing adds kl_epsilon to each of the grid's grid_n**2 cells

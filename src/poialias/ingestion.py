@@ -99,22 +99,23 @@ def _not_utf8(path: str) -> InvalidConfigError:
     return InvalidConfigError(f"{path}: {hint}")
 
 
-def _iter_rows(path: str, fmt: str, fields: list[str]):
-    """Yield (line_number, values_or_None, error_message_or_None).
+def _iter_rows(path: str, fmt: str, fields: list[str], report: LoadReport):
+    """Yield (line_number, values) of each well-formed row.
 
-    `values` holds the row's field values in `fields` order. A JSONL value
-    must be a string or a number: null, booleans, arrays and objects are
-    row errors naming the field. A leading UTF-8 byte-order mark is
-    dropped in both formats; a file that is not UTF-8 raises
-    InvalidConfigError.
+    Every row counts in `report.n_rows`, and each malformed row's error goes
+    to `report.errors`, in line order. `values` holds the row's field values
+    in `fields` order. A JSONL value must be a string or a number: null,
+    booleans, arrays and objects are row errors naming the field. A leading
+    UTF-8 byte-order mark is dropped in both formats; a file that is not
+    UTF-8 raises InvalidConfigError.
     """
     try:
-        yield from _decoded_rows(path, fmt, fields)
+        yield from _decoded_rows(path, fmt, fields, report)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
 
-def _decoded_rows(path: str, fmt: str, fields: list[str]):
+def _decoded_rows(path: str, fmt: str, fields: list[str], report: LoadReport):
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -134,10 +135,11 @@ def _decoded_rows(path: str, fmt: str, fields: list[str]):
                     line_no, end = end + 1, reader.line_num
                     if not row:
                         continue
+                    report.n_rows += 1
                     if len(row) != n_fields:
-                        yield line_no, None, f"expected {n_fields} fields, got {len(row)}"
+                        report.errors.append((line_no, f"expected {n_fields} fields, got {len(row)}"))
                         continue
-                    yield line_no, row, None
+                    yield line_no, row
             except csv.Error as exc:
                 # e.g. a field over csv.field_size_limit(): the reader cannot go on
                 raise InvalidConfigError(f"{path}:{end + 1}: unreadable CSV record: {exc}") from None
@@ -146,20 +148,21 @@ def _decoded_rows(path: str, fmt: str, fields: list[str]):
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                report.n_rows += 1
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    yield line_no, None, f"invalid JSON: {exc.msg}"
+                    report.errors.append((line_no, f"invalid JSON: {exc.msg}"))
                     continue
                 except ValueError as exc:  # an integer literal past int's digit limit
-                    yield line_no, None, f"invalid JSON: {exc}"
+                    report.errors.append((line_no, f"invalid JSON: {exc}"))
                     continue
                 if not isinstance(obj, dict):
-                    yield line_no, None, "expected a JSON object"
+                    report.errors.append((line_no, "expected a JSON object"))
                     continue
                 missing = [f for f in fields if f not in obj]
                 if missing:
-                    yield line_no, None, f"missing fields: {','.join(missing)}"
+                    report.errors.append((line_no, f"missing fields: {','.join(missing)}"))
                     continue
                 values = [obj[f] for f in fields]
                 bad = [
@@ -168,9 +171,9 @@ def _decoded_rows(path: str, fmt: str, fields: list[str]):
                     if type(v) in _JSON_NON_SCALAR
                 ]
                 if bad:
-                    yield line_no, None, f"expected a string or number: {', '.join(bad)}"
+                    report.errors.append((line_no, f"expected a string or number: {', '.join(bad)}"))
                     continue
-                yield line_no, values, None
+                yield line_no, values
     else:
         raise _unknown_format(fmt)
 
@@ -183,11 +186,7 @@ def parse_address_records(path: str, fmt: str = "csv") -> tuple[list[AddressReco
     """
     records: list[AddressRecord] = []
     report = LoadReport(path=str(path))
-    for line_no, values, err in _iter_rows(path, fmt, ADDRESS_FIELDS):
-        report.n_rows += 1
-        if err is not None:
-            report.errors.append((line_no, err))
-            continue
+    for line_no, values in _iter_rows(path, fmt, ADDRESS_FIELDS, report):
         user_id, province, city, district, poi_name = (str(v).strip() for v in values)
         if not user_id:
             report.errors.append((line_no, "empty user_id"))
@@ -221,11 +220,7 @@ def parse_location_log(path: str, fmt: str = "csv") -> tuple[dict[str, np.ndarra
     """
     buffers: dict[str, array] = {}
     report = LoadReport(path=str(path))
-    for line_no, values, err in _iter_rows(path, fmt, LOCATION_FIELDS):
-        report.n_rows += 1
-        if err is not None:
-            report.errors.append((line_no, err))
-            continue
+    for line_no, values in _iter_rows(path, fmt, LOCATION_FIELDS, report):
         raw_user, raw_lat, raw_lon = values
         user_id = str(raw_user).strip()
         if not user_id:
@@ -263,11 +258,7 @@ def parse_labels(path: str, fmt: str = "csv") -> tuple[list[GroundTruthLabel], L
     labels: list[GroundTruthLabel] = []
     seen: dict[tuple, bool] = {}
     report = LoadReport(path=str(path))
-    for line_no, values, err in _iter_rows(path, fmt, LABEL_FIELDS):
-        report.n_rows += 1
-        if err is not None:
-            report.errors.append((line_no, err))
-            continue
+    for line_no, values in _iter_rows(path, fmt, LABEL_FIELDS, report):
         district, standard, candidate, raw_flag = (str(v).strip() for v in values)
         if not district or not standard or not candidate:
             report.errors.append((line_no, "empty district or name field"))
@@ -404,13 +395,6 @@ class Corpus:
     label_ids: np.ndarray  # (n, 3) int32: district, standard, candidate
     is_alias: np.ndarray  # (n,) bool
     reports: dict[str, LoadReport]
-    orphans: list  # (label row, reason)
-
-    @property
-    def orphan_labels(self) -> list:
-        """(label, reason) for each label naming a POI that its district's
-        addresses never name."""
-        return [(self.labels[row], reason) for row, reason in self.orphans]
 
 
 def partition_by_district(addresses: list[AddressRecord]) -> dict[str, list[AddressRecord]]:
@@ -419,25 +403,6 @@ def partition_by_district(addresses: list[AddressRecord]) -> dict[str, list[Addr
     for rec in addresses:
         out.setdefault(rec.district, []).append(rec)
     return out
-
-
-def _find_orphans(addresses, labels):
-    """(row, reason) of each label whose names never occur (after cleaning)
-    in its district's addresses."""
-    names_by_district: dict[str, set] = {}
-    for rec in addresses:
-        names_by_district.setdefault(rec.district, set()).add(clean_text(rec.poi_name))
-    orphans = []
-    for row, lb in enumerate(labels):
-        known = names_by_district.get(lb.district, set())
-        missing = []
-        if clean_text(lb.standard_name) not in known:
-            missing.append("standard_name")
-        if clean_text(lb.candidate_name) not in known:
-            missing.append("candidate_name")
-        if missing:
-            orphans.append((row, "+".join(missing) + " not in district addresses"))
-    return orphans
 
 
 #: the input files of a data directory, in `Corpus.reports` order
@@ -489,5 +454,4 @@ def load_corpus(data_dir: str, fmt: str = "csv", require_labels: bool = False) -
         label_ids=label_ids,
         is_alias=np.array([lb.is_alias for lb in labels], dtype=bool),
         reports=reports,
-        orphans=_find_orphans(addresses, labels),
     )

@@ -220,6 +220,26 @@ def _labels(district, canonical: CanonicalMap, profiles, strings, label_ids, is_
     return standard_names, candidate_names, pos, is_alias[firsts]
 
 
+def _orphans(dd: DistrictData, strings: list[str], label_ids: np.ndarray, rows: np.ndarray) -> list:
+    """(row, [district, standard, candidate, reason]) of each label of
+    district `dd` that names a POI without a profile there: no address of
+    the district holds the name, so the label can never be scored.
+    `label_ids` holds the labels' (district, standard, candidate) indices
+    into `strings`, and `rows` their rows in the label file. Each distinct
+    name is cleaned and resolved once."""
+    names, inverse = np.unique(label_ids[:, 1:], return_inverse=True)
+    profiled = np.array(
+        [dd.canonical_map.resolve(clean_text(strings[i])) in dd.profiles for i in names.tolist()], dtype=bool
+    )
+    missing = ~profiled[inverse.reshape(-1, 2)]  # per label: standard, candidate
+    orphan = missing.any(axis=1)
+    out = []
+    for row, ids, (std, cand) in zip(rows[orphan].tolist(), label_ids[orphan].tolist(), missing[orphan].tolist()):
+        which = "+".join(f for f, m in (("standard_name", std), ("candidate_name", cand)) if m)
+        out.append((row, [*(strings[i] for i in ids), f"{which} not in district addresses"]))
+    return out
+
+
 #: the built-city file `load_city` keeps beside the inputs
 CITY_FILE = ".poialias-city.{fmt}.npz"
 
@@ -240,8 +260,9 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
     districts with neither usable names nor labels; and the parse summary:
     `reports`, each input's [rows, accepted rows, (line, message) errors,
     warnings]; `address_counts`, the (district, address count) of every
-    district an address names, sorted; `orphans`, (district, standard,
-    candidate, reason) rows; and the numbers of located users and of labels.
+    district an address names, sorted; `orphans`, the (district, standard,
+    candidate, reason) of each label that `_orphans` finds, in label-file
+    order; and the numbers of located users and of labels.
 
     Each built district's points array holds its profiles' points in
     profile order, so its length is the sum of their point counts.
@@ -258,19 +279,22 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
 
     built: list[DistrictData] = []
     skipped: list[str] = []
+    orphans = []  # (label row, orphan row of the head)
     for district in sorted(by_district.keys() | label_rows.keys()):
         rows = label_rows.get(district, order[:0])
+        ids = corpus.label_ids[rows]
         dd = build_district_data(
             district,
             by_district.get(district, []),
             corpus.locations,
             corpus.strings,
-            corpus.label_ids[rows],
+            ids,
             corpus.is_alias[rows],
             cluster_threshold,
         )
         if dd.canonical_map.mapping or len(dd.label_is_alias):
             built.append(dd)
+            orphans += _orphans(dd, corpus.strings, ids, rows)
         else:
             skipped.append(district)
 
@@ -292,7 +316,7 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
         "skipped": skipped,
         "reports": [[r.n_rows, r.n_ok, r.errors, r.warnings] for r in map(corpus.reports.get, _INPUTS)],
         "address_counts": [[d, len(by_district[d])] for d in sorted(by_district)],
-        "orphans": [[lb.district, lb.standard_name, lb.candidate_name, why] for lb, why in corpus.orphan_labels],
+        "orphans": [orphan for _, orphan in sorted(orphans)],
         "n_users": len(corpus.locations),
         "n_labels": len(corpus.labels),
     }

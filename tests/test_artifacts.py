@@ -86,7 +86,7 @@ PINS = {'base': {'ingest-check': {'counts': {'addresses': 490,
                  'transfer': {'counts': {},
                               'report.json': 'adeed1b16289f32fdcdf0343c2a279dd828c49d94656d667f23f44998966dad9'},
                  'sweep': {'counts': {'grids': 5},
-                           'report.json': 'e935a561aecf8dccd848b032baf1f5c896a8e4478824bc9d8039d2f0c88090ee',
+                           'report.json': '756dcc0a7b4ee66d9eb042236d02d7c3b27ffdf2a03d71830cd47ad466da49e5',
                            'sweep.csv': 'bcb3af5cc1f34fa3eb48996dc0b0a06d4168837cd25f70175e48901ce3ce2c84'}},
         'wide': {'ingest-check': {'counts': {'addresses': 241,
                                              'labels': 444,
@@ -129,7 +129,7 @@ PINS = {'base': {'ingest-check': {'counts': {'addresses': 490,
                  'transfer': {'counts': {},
                               'report.json': '5a4a0d2507bc4fe01439e4e5f9f41528dea6fd161bde44fc0fa4972023bcf755'},
                  'sweep': {'counts': {'grids': 5},
-                           'report.json': 'df8ac89be4a3c9c21937ddfa056af6f33d7592977430b1f8691b68ef0e226bc2',
+                           'report.json': 'bc6bb6fe57ff926e939ec8c8ca24d1d70284734fb0c1c5f3b35ff6d13758376f',
                            'sweep.csv': '6572e8487396183055c487aedf2431c20de3b019c4b017fe6ba0a9a9f321c742'}},
         'noisy': {'ingest-check': {'counts': {'addresses': 486,
                                               'labels': 144,
@@ -172,7 +172,7 @@ PINS = {'base': {'ingest-check': {'counts': {'addresses': 490,
                   'transfer': {'counts': {},
                                'report.json': '96493d21fe3d417371c9a6c70d25364756e078c30473e5dd94e7301a05356eb4'},
                   'sweep': {'counts': {'grids': 5},
-                            'report.json': '0deaa052a4f6ccd13e35745e21a548b3d6377410ea8bf52a5b087cb7e7b568b2',
+                            'report.json': '9a09f7e4d28afb253bae4b6437f857d1fc0b3d3a0a1a7cc207fee9b1e52e866b',
                             'sweep.csv': 'bcb3af5cc1f34fa3eb48996dc0b0a06d4168837cd25f70175e48901ce3ce2c84'}}}
 
 

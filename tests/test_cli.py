@@ -344,6 +344,15 @@ def test_sweep_cli(data_dir, tmp_path):
     assert set(rows[0]) == {"grid_n", "method", "precision", "recall", "f1"}
 
 
+def test_sweep_reports_name_the_method_as_given(data_dir, tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", str(data_dir), "--method", "kl", "--grids", "20,50", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["method"] == "kl"
+    assert [r["report"]["method"] for r in report["results"]] == ["kl", "kl"]
+    assert [r["method"] for r in csv.DictReader(open(out / "sweep.csv"))] == ["kl", "kl"]
+
+
 def _write_corpus(root, names_by_user, labels):
     """A one-district corpus: one address and one GPS point per (user, name)."""
     root.mkdir()

@@ -260,6 +260,14 @@ def test_metric_config_validation():
             MetricConfig(method=method, threshold=0.0, min_profile_points=0)
 
 
+def test_metric_config_takes_an_integral_min_profile_points_only():
+    for points in (2.5, True):
+        with pytest.raises(InvalidConfigError, match="min_profile_points must be an integer"):
+            MetricConfig(method="jaccard", threshold=0.0, min_profile_points=points)
+    cfg = MetricConfig(method="jaccard", threshold=0.0, min_profile_points=np.int64(3))
+    assert type(cfg.min_profile_points) is int and cfg.min_profile_points == 3
+
+
 def test_metric_config_rejects_a_kl_epsilon_whose_smoothed_mass_overflows():
     # kl_epsilon * grid_n**2: 1e302 * 500**2 is finite, 1e303 * 500**2 is not
     MetricConfig(method="kl_div", threshold=0.0, kl_epsilon=1e302, grid_n=500)

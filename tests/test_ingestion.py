@@ -252,11 +252,7 @@ def _per_row_parse_location_log(path, fmt="csv"):
     """
     buckets = {}
     report = LoadReport(path=str(path))
-    for line_no, values, err in _iter_rows(path, fmt, LOCATION_FIELDS):
-        report.n_rows += 1
-        if err is not None:
-            report.errors.append((line_no, err))
-            continue
+    for line_no, values in _iter_rows(path, fmt, LOCATION_FIELDS, report):
         row = dict(zip(LOCATION_FIELDS, values))
         user_id = str(row["user_id"]).strip()
         if not user_id:
@@ -614,9 +610,9 @@ def test_load_corpus_flags_orphan_labels(tmp_path):
         "district,standard_name,candidate_name,is_alias\n"
         "H,KnownName,GhostName,1\nH,Ghost2,KnownName,0\n",
     )
-    corpus = load_corpus(str(tmp_path))
-    assert len(corpus.orphan_labels) == 2
-    reasons = sorted(reason for _, reason in corpus.orphan_labels)
+    orphans = build_city_data(load_corpus(str(tmp_path))).summary.orphan_labels
+    assert len(orphans) == 2
+    reasons = sorted(reason for *_, reason in orphans)
     assert "candidate_name" in reasons[0] and "standard_name" in reasons[1]
 
 
@@ -641,7 +637,7 @@ def test_label_name_cleaning_to_empty_is_a_row_error(tmp_path):
         (2, "candidate_name cleans to an empty name"),
         (3, "standard_name cleans to an empty name"),
     ]
-    assert [reason for _, reason in corpus.orphan_labels] == [
+    assert [reason for *_, reason in build_city_data(corpus).summary.orphan_labels] == [
         "candidate_name not in district addresses"
     ]
 
@@ -702,9 +698,28 @@ def _parsed(data, fmt="csv"):
     return addresses, locations, labels, {"addresses": addr_report, "locations": loc_report, "labels": lab_report}
 
 
+def _find_orphans(addresses, labels):
+    """Oracle: (row, reason) of each label whose names never occur (after
+    cleaning) in its district's addresses, from the records alone."""
+    names_by_district: dict[str, set] = {}
+    for rec in addresses:
+        names_by_district.setdefault(rec.district, set()).add(clean_text(rec.poi_name))
+    orphans = []
+    for row, lb in enumerate(labels):
+        known = names_by_district.get(lb.district, set())
+        missing = []
+        if clean_text(lb.standard_name) not in known:
+            missing.append("standard_name")
+        if clean_text(lb.candidate_name) not in known:
+            missing.append("candidate_name")
+        if missing:
+            orphans.append((row, "+".join(missing) + " not in district addresses"))
+    return orphans
+
+
 def _parsed_summary(data, fmt, districts):
     """The parse summary of a city of `data` built into `districts`, as the
-    three parsers and `_find_orphans` give it."""
+    three parsers and the `_find_orphans` oracle give it."""
     addresses, locations, labels, reports = _parsed(data, fmt)
     by_district = partition_by_district(addresses)
     return ParseSummary(
@@ -714,7 +729,7 @@ def _parsed_summary(data, fmt, districts):
         n_labels=len(labels),
         orphan_labels=[
             (labels[row].district, labels[row].standard_name, labels[row].candidate_name, reason)
-            for row, reason in ingestion._find_orphans(addresses, labels)
+            for row, reason in _find_orphans(addresses, labels)
         ],
         raw_names={d: sorted({rec.poi_name for rec in by_district.get(d, [])}) for d in districts},
     )
@@ -808,8 +823,6 @@ def test_a_hit_equals_a_fresh_parse(fmt, data, tmp_path_factory):
         assert corpus.locations[user].tobytes() == pts.tobytes()
     assert list(corpus.reports) == list(reports)
     assert corpus.reports == reports
-    orphans = ingestion._find_orphans(addresses, labels)
-    assert corpus.orphan_labels == [(labels[row], reason) for row, reason in orphans]
     # the columnar labels
     assert len(set(corpus.strings)) == len(corpus.strings)
     assert (corpus.label_ids.dtype, corpus.label_ids.shape) == (np.int32, (len(labels), 3))
@@ -837,6 +850,7 @@ def test_a_hit_equals_a_fresh_parse(fmt, data, tmp_path_factory):
     assert _city_file(root, fmt).exists()
     with _no_parse():
         hit = load_city(str(root), fmt)
+    # the build's orphans are the record-based oracle's, in label-file order
     want = _parsed_summary(str(root), fmt, miss.districts)
     for city in (miss, hit):
         assert list(city.summary.reports) == list(reports)

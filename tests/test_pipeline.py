@@ -125,20 +125,21 @@ def test_orphan_labels_counted(tmp_path):
             GroundTruthLabel("d0", "alpha", "LakeViev", True),  # a typo spelling
         ],
     )
-    assert [(lb.candidate_name, reason) for lb, reason in corpus.orphan_labels] == [
+    city = build_city_data(corpus)
+    assert [(cand, reason) for _, _, cand, reason in city.summary.orphan_labels] == [
         ("ghost", "candidate_name not in district addresses")
     ]
     # the orphans are exactly the labels naming a POI without a profile
-    dd = build_city_data(corpus).districts["d0"]
+    dd = city.districts["d0"]
     unprofiled = [
-        lb
+        (lb.district, lb.standard_name, lb.candidate_name)
         for lb in corpus.labels
         if any(
             dd.canonical_map.resolve(clean_text(n)) not in dd.profiles
             for n in (lb.standard_name, lb.candidate_name)
         )
     ]
-    assert unprofiled == [lb for lb, _ in corpus.orphan_labels]
+    assert unprofiled == [orphan[:3] for orphan in city.summary.orphan_labels]
 
 
 def test_conflicting_labels_after_canonicalisation_raise(tmp_path):
