@@ -127,7 +127,7 @@ def build_district_data(
     label_ids: np.ndarray,
     is_alias: np.ndarray,
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> DistrictData:
+) -> tuple[DistrictData, np.ndarray]:
     """Assemble one district's canonical map, profiles, and name split.
 
     The district's labels are columnar, as `Corpus` holds them: rows of
@@ -139,6 +139,9 @@ def build_district_data(
     stay, so its positives count against recall. Raw labels that resolve to
     one canonical pair merge when they agree and raise
     ConflictingLabelError when they do not.
+
+    Returned with the district is each label row's (standard, candidate)
+    pair of flags: whether that name has no profile in the district.
     """
     freq: dict[str, int] = {}
     for rec in addresses:
@@ -150,7 +153,7 @@ def build_district_data(
         canonical = cluster_near_duplicates(sorted(freq.items()), cluster_threshold)
     index = build_associated_users(addresses, canonical)
     profiles = build_all_profiles(index, locations)
-    standard_names, candidate_names, label_pos, label_is_alias = _labels(
+    standard_names, candidate_names, label_pos, label_is_alias, missing = _labels(
         district, canonical, profiles, strings, label_ids, is_alias
     )
 
@@ -167,29 +170,29 @@ def build_district_data(
         label_pos=label_pos,
         label_is_alias=label_is_alias,
         bbox=bbox,
-    )
+    ), missing
 
 
 def _labels(district, canonical: CanonicalMap, profiles, strings, label_ids, is_alias):
     """The standard and candidate names, then each canonical label's grid
-    position (-1 outside the grid) and is_alias, in order of first occurrence.
+    position (-1 outside the grid) and is_alias, in order of first
+    occurrence, then each label row's (standard, candidate) flags: True
+    for a name with no profile.
 
-    Each distinct raw name is cleaned and resolved once; the labels then
-    group by their canonical pair's ids. A group whose values disagree
-    raises for its first label and the earliest label that differs from it.
-    The standards are the profiled names that some label lists as one.
+    Each distinct raw name of the district is cleaned and resolved once;
+    the labels then group by their canonical pair's ids. A group whose
+    values disagree raises for its first label and the earliest label that
+    differs from it. The standards are the profiled names that some label
+    lists as one.
     """
-    named = np.zeros(len(strings), dtype=bool)
-    named[label_ids[:, 1:]] = True
-    raw = np.flatnonzero(named)
+    raw, inverse = np.unique(label_ids[:, 1:], return_inverse=True)
     ids: dict[str, int] = {}  # canonical name -> its id here
-    canonical_id = np.zeros(len(strings), dtype=np.int32)  # a raw name's index -> its canonical id
-    canonical_id[raw] = [
-        ids.setdefault(canonical.resolve(clean_text(strings[i])), len(ids)) for i in raw.tolist()
-    ]
+    canonical_id = np.array(
+        [ids.setdefault(canonical.resolve(clean_text(strings[i])), len(ids)) for i in raw.tolist()], dtype=np.int64
+    )
     names = list(ids)
-    pairs = canonical_id[label_ids[:, 1:]]  # each label's canonical (std, cand) ids
-    key = pairs[:, 0].astype(np.int64) * len(names) + pairs[:, 1]
+    pairs = canonical_id[inverse.reshape(-1, 2)]  # each label's canonical (std, cand) ids
+    key = pairs[:, 0] * len(names) + pairs[:, 1]
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     differs = is_alias != is_alias[first[group]]
     if differs.any():
@@ -217,27 +220,8 @@ def _labels(district, canonical: CanonicalMap, profiles, strings, label_ids, is_
     row = grid_index(standard_names)[pairs[firsts, 0]]
     col = grid_index(candidate_names)[pairs[firsts, 1]]
     pos = np.where((row >= 0) & (col >= 0), row * len(candidate_names) + col, -1)
-    return standard_names, candidate_names, pos, is_alias[firsts]
-
-
-def _orphans(dd: DistrictData, strings: list[str], label_ids: np.ndarray, rows: np.ndarray) -> list:
-    """(row, [district, standard, candidate, reason]) of each label of
-    district `dd` that names a POI without a profile there: no address of
-    the district holds the name, so the label can never be scored.
-    `label_ids` holds the labels' (district, standard, candidate) indices
-    into `strings`, and `rows` their rows in the label file. Each distinct
-    name is cleaned and resolved once."""
-    names, inverse = np.unique(label_ids[:, 1:], return_inverse=True)
-    profiled = np.array(
-        [dd.canonical_map.resolve(clean_text(strings[i])) in dd.profiles for i in names.tolist()], dtype=bool
-    )
-    missing = ~profiled[inverse.reshape(-1, 2)]  # per label: standard, candidate
-    orphan = missing.any(axis=1)
-    out = []
-    for row, ids, (std, cand) in zip(rows[orphan].tolist(), label_ids[orphan].tolist(), missing[orphan].tolist()):
-        which = "+".join(f for f, m in (("standard_name", std), ("candidate_name", cand)) if m)
-        out.append((row, [*(strings[i] for i in ids), f"{which} not in district addresses"]))
-    return out
+    missing = np.array([n not in profiles for n in names], dtype=bool)[pairs]
+    return standard_names, candidate_names, pos, is_alias[firsts], missing
 
 
 #: the built-city file `load_city` keeps beside the inputs
@@ -261,8 +245,9 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
     `reports`, each input's [rows, accepted rows, (line, message) errors,
     warnings]; `address_counts`, the (district, address count) of every
     district an address names, sorted; `orphans`, the (district, standard,
-    candidate, reason) of each label that `_orphans` finds, in label-file
-    order; and the numbers of located users and of labels.
+    candidate, reason) of each label that names a POI without a profile in
+    its district, in label-file order; and the numbers of located users and
+    of labels.
 
     Each built district's points array holds its profiles' points in
     profile order, so its length is the sum of their point counts.
@@ -283,7 +268,7 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
     for district in sorted(by_district.keys() | label_rows.keys()):
         rows = label_rows.get(district, order[:0])
         ids = corpus.label_ids[rows]
-        dd = build_district_data(
+        dd, missing = build_district_data(
             district,
             by_district.get(district, []),
             corpus.locations,
@@ -294,7 +279,11 @@ def _city_arrays(corpus: Corpus, cluster_threshold: float) -> dict[str, np.ndarr
         )
         if dd.canonical_map.mapping or len(dd.label_is_alias):
             built.append(dd)
-            orphans += _orphans(dd, corpus.strings, ids, rows)
+            # a label with a name that has no profile can never be scored
+            orphan = missing.any(axis=1)
+            for row, triple, flags in zip(rows[orphan].tolist(), ids[orphan].tolist(), missing[orphan].tolist()):
+                which = "+".join(f for f, m in zip(("standard_name", "candidate_name"), flags) if m)
+                orphans.append((row, [*(corpus.strings[i] for i in triple), f"{which} not in district addresses"]))
         else:
             skipped.append(district)
 

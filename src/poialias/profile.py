@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError
 from .ingestion import AddressRecord
 from .preprocess import CanonicalMap, clean_text
 
@@ -47,33 +46,21 @@ def build_associated_users(
     return index
 
 
-def build_mobility_profile(
-    name: str, index: dict[str, set[str]], locations: dict[str, np.ndarray]
-) -> MobilityProfile:
-    """Concatenate the location points of `name`'s associated users.
-
-    Users without location data contribute no points but still count in
-    user_count; an all-empty profile is legal and carries point_count 0.
-    Users are visited in sorted order so the array layout is deterministic
-    (the multiset itself is order-free).
-    """
-    if name not in index:
-        raise EmptyInputError(f"name {name!r} not present in the associated-user index")
-    users = sorted(index[name])
-    chunks = [locations[u] for u in users if u in locations and len(locations[u])]
-    if chunks:
-        points = np.concatenate(chunks, axis=0)
-    else:
-        points = np.empty((0, 2), dtype=float)
-    return MobilityProfile(
-        name=name, points=points, user_count=len(users), point_count=points.shape[0]
-    )
-
-
 def build_all_profiles(
     index: dict[str, set[str]], locations: dict[str, np.ndarray]
 ) -> dict[str, MobilityProfile]:
-    """Profiles for every name in the index, keyed by canonical name."""
-    return {
-        name: build_mobility_profile(name, index, locations) for name in sorted(index)
-    }
+    """Profiles for every name in the index, keyed by canonical name.
+
+    A name's profile concatenates the location points of its associated
+    users. Users without location data contribute no points but still
+    count in user_count; an all-empty profile is legal and carries
+    point_count 0. Users are visited in sorted order so the array layout is
+    deterministic (the multiset itself is order-free).
+    """
+    profiles = {}
+    for name in sorted(index):
+        users = sorted(index[name])
+        chunks = [locations[u] for u in users if u in locations and len(locations[u])]
+        points = np.concatenate(chunks, axis=0) if chunks else np.empty((0, 2), dtype=float)
+        profiles[name] = MobilityProfile(name=name, points=points, user_count=len(users), point_count=points.shape[0])
+    return profiles

@@ -765,10 +765,13 @@ def _corpus_texts(draw, fmt):
     labels file may be absent (None). A label's flag is fixed by its cleaned
     names, so rows of one triple never conflict and repeats only warn. Some
     draws plant two spellings that cluster into one name, each labeled
-    against one standard: those labels conflict only once clustered."""
+    against one standard: with the flags their names fix, those labels
+    conflict only once clustered; with one flag for both, they merge, and
+    one of them names the non-canonical spelling."""
     name, ids, district = st.sampled_from(_NAMES), st.sampled_from(_IDS), st.sampled_from(_DISTRICTS)
     addresses = _rows(draw, ids, st.just("J"), st.just("S"), district, name)
     planted = ["lakeview", "lakevieww"] if draw(st.sampled_from([False, False, True])) else []
+    planted_flag = draw(st.sampled_from(["flag", "1", "0"]))
     addresses += [[f"p{k}", "J", "S", "H", n] for k, n in enumerate(planted)]
     locations = _rows(
         draw, ids, _mostly(["31.3", "-0.0", "1e-300"], _BAD_COORD), _mostly(["120.5", "-0.0", "12"], _BAD_COORD)
@@ -777,7 +780,7 @@ def _corpus_texts(draw, fmt):
         r[:3] + [str(len(clean_text(r[1]) + clean_text(r[2])) % 2)] if r[3:] == ["flag"] else r
         for r in _rows(draw, district, name, st.sampled_from(_NAMES[::-1]), _mostly(["flag"], ["2", ""]))
         + [["H", "alpha !", "Beta", "flag"]] * draw(st.sampled_from([2, 0, 1]))  # a repeat warns
-        + [["H", "Alpha", n, "flag"] for n in planted]
+        + [["H", "Alpha", n, planted_flag] for n in planted]
     ]
     texts = []
     for fields, rows in ((ADDRESS_FIELDS, addresses), (LOCATION_FIELDS, locations), (LABEL_FIELDS, labels)):

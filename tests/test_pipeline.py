@@ -50,9 +50,10 @@ def _corpus(data, addresses, locations, labels):
 def _district(data, addresses, locations, labels):
     """District d0 of the corpus these records make."""
     corpus = _corpus(data, addresses, locations, labels)
-    return build_district_data(
+    dd, _ = build_district_data(
         "d0", corpus.addresses, corpus.locations, corpus.strings, corpus.label_ids, corpus.is_alias
     )
+    return dd
 
 
 def reference_labels(canonical_map, names, labels):
@@ -196,7 +197,7 @@ def test_bbox_is_the_box_of_all_profile_points(located):
     }
     written = [("u1", "alpha"), ("u1", "beta"), ("u2", "gamma"), ("u3", "delta"), ("u4", "beta")]
     addresses = [_addr(u, n) for u, n in written]
-    dd = build_district_data(
+    dd, _ = build_district_data(
         "d0", addresses, {u: points[u] for u in located}, ["d0"], np.zeros((0, 3), np.int32), np.zeros(0, bool)
     )
     assert sorted(dd.profiles) == ["alpha", "beta", "delta", "gamma"]
@@ -241,15 +242,21 @@ def test_label_arrays_match_the_name_keyed_reference(used, rows, repeats):
     ).reshape(-1, 3)
     is_alias = np.array([a for _, _, a in labels], dtype=bool)
     # labels change neither the canonical map nor the profiles
-    plain = build_district_data("d0", addresses, {}, strings, label_ids[:0], is_alias[:0])
+    plain, _ = build_district_data("d0", addresses, {}, strings, label_ids[:0], is_alias[:0])
     want = reference_labels(plain.canonical_map, plain.profiles, labels)
     if want is None:
         with pytest.raises(ConflictingLabelError):
             build_district_data("d0", addresses, {}, strings, label_ids, is_alias)
         return
-    dd = build_district_data("d0", addresses, {}, strings, label_ids, is_alias)
+    dd, missing = build_district_data("d0", addresses, {}, strings, label_ids, is_alias)
     assert (dd.standard_names, dd.candidate_names, dd.label_pos.tolist(), dd.label_is_alias.tolist()) == want
     assert dd.label_pos.dtype == np.int64 and dd.label_is_alias.dtype == bool
+    # a label row's name is missing when it resolves to no profile
+    assert (missing.dtype, missing.shape) == (bool, (len(labels), 2))
+    assert missing.tolist() == [
+        [plain.canonical_map.resolve(clean_text(n)) not in plain.profiles for n in (std, cand)]
+        for std, cand, _ in labels
+    ]
 
 
 # ------------------------------------------------------------ the city file
@@ -266,7 +273,7 @@ def reference_city(corpus, cluster_threshold=pipeline.DEFAULT_CLUSTER_THRESHOLD)
     districts = {}
     for district in sorted(by_district.keys() | label_rows.keys()):
         rows = np.array(label_rows.get(district, []), dtype=np.int64)
-        dd = build_district_data(
+        dd, _ = build_district_data(
             district,
             by_district.get(district, []),
             corpus.locations,

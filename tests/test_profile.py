@@ -1,17 +1,11 @@
 """Associated-user index and mobility profile construction."""
 
 import numpy as np
-import pytest
 
 from poialias.discovery import MetricConfig, score_pairs
-from poialias.errors import EmptyInputError
 from poialias.ingestion import AddressRecord
 from poialias.preprocess import CanonicalMap, clean_text, cluster_near_duplicates
-from poialias.profile import (
-    build_associated_users,
-    build_mobility_profile,
-    build_all_profiles,
-)
+from poialias.profile import build_all_profiles, build_associated_users
 
 
 def _addr(user, name, district="d0"):
@@ -55,7 +49,7 @@ def test_profile_multiset_union():
     p = [31.0, 120.0]
     q = [31.5, 120.5]
     locations = {"u1": np.array([p, q]), "u2": np.array([q])}
-    prof = build_mobility_profile("a", {"a": {"u1", "u2"}}, locations)
+    prof = build_all_profiles({"a": {"u1", "u2"}}, locations)["a"]
     assert prof.user_count == 2
     assert prof.point_count == 3
     rows = sorted(map(tuple, prof.points.tolist()))
@@ -63,7 +57,7 @@ def test_profile_multiset_union():
 
 
 def test_profile_user_without_locations_still_counts():
-    prof = build_mobility_profile("b", {"b": {"u3"}}, {})
+    prof = build_all_profiles({"b": {"u3"}}, {})["b"]
     assert prof.user_count == 1
     assert prof.point_count == 0
     assert prof.points.shape == (0, 2)
@@ -75,7 +69,7 @@ def test_profile_point_count_oracle():
         f"u{i}": np.column_stack([rng.uniform(31, 32, 7), rng.uniform(120, 121, 7)])
         for i in range(10)
     }
-    prof = build_mobility_profile("a", {"a": set(locations)}, locations)
+    prof = build_all_profiles({"a": set(locations)}, locations)["a"]
     assert prof.point_count == 70
     assert prof.point_count == sum(len(v) for v in locations.values())
 
@@ -90,7 +84,7 @@ def test_profile_monotone_under_user_addition():
     prev = 0
     for i in range(5):
         users.add(f"u{i}")
-        prof = build_mobility_profile("a", {"a": set(users)}, locations)
+        prof = build_all_profiles({"a": set(users)}, locations)["a"]
         assert prof.point_count >= prev
         prev = prof.point_count
 
@@ -101,17 +95,12 @@ def test_profile_multiset_is_order_independent():
         f"u{i}": np.column_stack([rng.uniform(31, 32, 3), rng.uniform(120, 121, 3)])
         for i in range(6)
     }
-    prof1 = build_mobility_profile("a", {"a": set(locations)}, locations)
+    prof1 = build_all_profiles({"a": set(locations)}, locations)["a"]
     shuffled = dict(reversed(list(locations.items())))
-    prof2 = build_mobility_profile("a", {"a": set(shuffled)}, shuffled)
+    prof2 = build_all_profiles({"a": set(shuffled)}, shuffled)["a"]
     assert sorted(map(tuple, prof1.points.tolist())) == sorted(
         map(tuple, prof2.points.tolist())
     )
-
-
-def test_profile_unknown_name_errors():
-    with pytest.raises(EmptyInputError):
-        build_mobility_profile("ghost", {"a": {"u1"}}, {})
 
 
 def test_build_all_profiles_covers_index():
@@ -124,9 +113,7 @@ def test_build_all_profiles_covers_index():
 
 
 def test_sufficiency_flag():
-    prof = build_mobility_profile(
-        "a", {"a": {"u1"}}, {"u1": np.array([[31.0, 120.0]] * 4)}
-    )
+    prof = build_all_profiles({"a": {"u1"}}, {"u1": np.array([[31.0, 120.0]] * 4)})["a"]
     # a profile is sufficient with at least min_profile_points points
     for min_points, scored in ((4, True), (5, False)):
         cfg = MetricConfig(method="centroid", threshold=0.0, min_profile_points=min_points)
